@@ -26,10 +26,13 @@ form
 
     M = sum_j [ 2 conj(lam_j) - 2 mu |A| conj(lam_j)/|lam_j| ] Pi_j,
 
-with Pi_j the spectral projectors.  Where that breaks down -- a root at zero
-(|.| is not differentiable there) or a near-defective eigenvalue collision --
-central finite differences are used instead; the switch is controlled by the
-``eig_zero`` / ``eig_collision`` tolerances.
+with Pi_j the spectral projectors.  At a simple root at zero (``|lam_j| <
+eig_zero (1 + ||A||)``) |.| has a kink; there the factor conj(lam_j)/|lam_j| is
+set to 0, the symmetric subgradient, which is also what a central difference
+gives since |lam_j(A +/- hE)| is even in h to first order.  Only a
+near-defective eigenvalue collision (two roots closer than ``eig_collision (1 +
+max|lam|)``, a double zero root included) falls back to central finite
+differences.
 
 From the gradient blocks the first variation of the action under P -> P + dP
 is ``dS = 4 Tr(Q dP)`` with the kernel
@@ -201,64 +204,54 @@ def action_and_constraint(projector, mu):
 # ---------------------------------------------------------------------------
 
 
-def _weights_pair(a):
-    mod = np.abs(np.linalg.eigvals(a))
-    return float(np.sum(mod * mod)), float(np.sum(mod) ** 2)
-
-
 def finite_difference_gradient(a, step=DEFAULT.fd_step):
     """Central-difference gradients (M_sq, M_abs) of |A^2| and |A|^2.
 
     Entry convention matches the analytic path: ``M[al, be]`` differentiates
     with respect to ``A[be, al]``, with real and imaginary parts probed
     separately.  This is the oracle the analytic gradient is tested against,
-    and the fallback at degenerate chains.
+    and the fallback at eigenvalue collisions.  All 4 d^2 perturbed chains go
+    through one batched eigenvalue call.
     """
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
     h = step * (1.0 + np.linalg.norm(a))
-    msq = np.zeros((d, d), dtype=complex)
-    mabs = np.zeros((d, d), dtype=complex)
-    for be in range(d):
-        for al in range(d):
-            e = np.zeros((d, d))
-            e[be, al] = 1.0
-            sq_p, ab_p = _weights_pair(a + h * e)
-            sq_m, ab_m = _weights_pair(a - h * e)
-            sq_pi, ab_pi = _weights_pair(a + 1j * h * e)
-            sq_mi, ab_mi = _weights_pair(a - 1j * h * e)
-            msq[al, be] = (sq_p - sq_m) / (2 * h) - 1j * (sq_pi - sq_mi) / (2 * h)
-            mabs[al, be] = (ab_p - ab_m) / (2 * h) - 1j * (ab_pi - ab_mi) / (2 * h)
+    # unit[al, be] has its single 1 at [be, al]
+    unit = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    shifts = np.array([h, -h, 1j * h, -1j * h])[:, None, None, None, None]
+    mod = np.abs(np.linalg.eigvals(a + shifts * unit))
+    weights = np.stack([np.sum(mod * mod, axis=-1), np.sum(mod, axis=-1) ** 2])
+    # (|A^2|, |A|^2) x (real, imaginary probe) difference quotients
+    quot = (weights[:, 0::2] - weights[:, 1::2]) / (2 * h)
+    msq, mabs = quot[:, 0] - 1j * quot[:, 1]
     return msq, mabs
 
 
-def _degenerate_mask(lam, chain_norms, tol):
-    """Pairs where the analytic eigenvalue route is unreliable."""
-    mod = np.abs(lam)
-    bad = mod.min(axis=-1) < tol.eig_zero * (1.0 + chain_norms)
-    d = lam.shape[-1]
-    if d > 1:
-        gap = np.abs(lam[..., :, None] - lam[..., None, :])
-        idx = np.arange(d)
-        gap[..., idx, idx] = np.inf
-        bad |= gap.min(axis=(-2, -1)) < tol.eig_collision * (1.0 + mod.max(axis=-1))
-    return bad
+def _collision_mask(lam, tol):
+    """Pairs with two roots closer than ``eig_collision * (1 + max|lam|)``."""
+    gap = np.abs(lam[..., :, None] - lam[..., None, :])
+    idx = np.arange(lam.shape[-1])
+    gap[..., idx, idx] = np.inf
+    scale = 1.0 + np.abs(lam).max(axis=-1)
+    return gap.min(axis=(-2, -1)) < tol.eig_collision * scale
 
 
 def gradient_blocks(chains, tol=DEFAULT):
     """(M_sq, M_abs) for every ordered pair; shape (m, m, 2n, 2n) each.
 
-    Analytic spectral-projector route wherever the chain has simple nonzero
-    roots; finite differences on flagged pairs.
+    Analytic spectral-projector route wherever the chain's roots are simple.
+    A simple root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and
+    gets the zero subgradient of |lam| in closed form; only pairs with an
+    eigenvalue collision use finite differences.
     """
     chains = np.asarray(chains, dtype=complex)
     lam, vec = np.linalg.eig(chains)
     norms = np.linalg.norm(chains, axis=(-2, -1))
-    bad = _degenerate_mask(lam, norms, tol)
+    bad = _collision_mask(lam, tol)
 
     mod = np.abs(lam)
-    safe = np.where(mod > 0, mod, 1.0)
-    unit = np.conj(lam) / safe
+    zero = mod < tol.eig_zero * (1.0 + norms)[..., None]
+    unit = np.where(zero, 0.0, np.conj(lam) / np.where(zero, 1.0, mod))
     c_sq = 2.0 * np.conj(lam)
     c_abs = 2.0 * mod.sum(axis=-1)[..., None] * unit
 

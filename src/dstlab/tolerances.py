@@ -22,12 +22,13 @@ class Tolerances:
         Validation tolerance for idempotency / self-adjointness checks.
     eig_zero : float
         A chain root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero;
-        the spectral-weight gradient is non-smooth there and the
-        finite-difference fallback is used.
+        |lam| has a kink there, and a simple zero root gets the zero
+        subgradient in closed form (its factor conj(lam)/|lam| is set to 0).
     eig_collision : float
         Relative eigenvalue-collision threshold; a near-defective chain
-        (two roots closer than ``eig_collision * (1 + max|lam|)``) also
-        triggers the finite-difference gradient fallback.
+        (two roots closer than ``eig_collision * (1 + max|lam|)``, a double
+        zero root included) is the only case that falls back to the
+        finite-difference gradient.
     fd_step : float
         Base step for central finite differences.
     causal : float

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dstlab import DiscreteSpacetime, random_direction, random_gauge, random_projector
+from dstlab.solver import SolverConfig, minimize
+from dstlab.tolerances import DEFAULT
 import dstlab.action as act
 
 
@@ -149,6 +151,79 @@ def test_gradient_fd_fallback_on_zero_root():
     m = act.lagrangian_gradient(a, 0.5)
     assert m[1, 1] == pytest.approx(1.0, abs=1e-6)
     assert abs(m[0, 0]) < 1e-6
+
+
+def test_finite_difference_gradient_matches_entrywise_loop():
+    # reference: one eigvals call per perturbed chain; the batched oracle may
+    # differ only by the rounding of its weights (a few ulp) over 2h
+    rng = np.random.default_rng(5)
+    for a in (sample_chain(3), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))):
+        d = a.shape[0]
+        h = DEFAULT.fd_step * (1.0 + np.linalg.norm(a))
+        ref = np.zeros((2, d, d), dtype=complex)
+        for be in range(d):
+            for al in range(d):
+                e = np.zeros((d, d))
+                e[be, al] = 1.0
+                w = []
+                for shift in (h, -h, 1j * h, -1j * h):
+                    mod = np.abs(np.linalg.eigvals(a + shift * e))
+                    w.append([np.sum(mod * mod), np.sum(mod) ** 2])
+                w = np.array(w)
+                ref[:, al, be] = (w[0] - w[1] - 1j * (w[2] - w[3])) / (2 * h)
+        tol = 8 * np.finfo(float).eps * np.sum(np.abs(np.linalg.eigvals(a))) ** 2 / h
+        for got, want in zip(act.finite_difference_gradient(a), ref):
+            assert np.max(np.abs(got - want)) <= tol
+
+
+def _count_fd_calls(monkeypatch):
+    calls = []
+    oracle = act.finite_difference_gradient
+
+    def counting(a, step=DEFAULT.fd_step):
+        calls.append(a)
+        return oracle(a, step)
+
+    monkeypatch.setattr(act, "finite_difference_gradient", counting)
+    return calls
+
+
+def test_gradient_closed_form_at_tetrahedron_minimizer(monkeypatch):
+    # every chain of the m=4 minimizer has a simple zero root; the zero-root
+    # rule handles them all in closed form and matches the FD oracle there
+    cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1, 2, 3))
+    res = minimize(DiscreteSpacetime(1, 4), 2, cfg)
+    chains = act.chain_blocks(act.kernel_blocks(res.projector))
+    norms = np.linalg.norm(chains, axis=(-2, -1))
+    smallest = np.abs(act.chain_roots(chains)).min(axis=-1)
+    assert np.all(smallest < DEFAULT.eig_zero * (1.0 + norms))
+    oracle = act.finite_difference_gradient
+    calls = _count_fd_calls(monkeypatch)
+    msq, mabs = act.gradient_blocks(chains)
+    assert len(calls) == 0
+    for x in range(4):
+        for y in range(4):
+            fsq, fabs = oracle(chains[x, y])
+            assert np.max(np.abs(msq[x, y] - fsq)) <= 1e-8
+            assert np.max(np.abs(mabs[x, y] - fabs)) <= 1e-8
+
+
+def test_gradient_fd_on_nonzero_root_collision(monkeypatch):
+    a = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # Jordan block at 1
+    calls = _count_fd_calls(monkeypatch)
+    act.lagrangian_gradient(a, 0.5)
+    assert len(calls) == 1
+
+
+def test_gradient_fd_on_double_zero_root(monkeypatch):
+    # a double zero root is a collision, not a simple zero root; the FD
+    # fallback still sees the smooth entries and 0 on the zero block
+    a = np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex)
+    calls = _count_fd_calls(monkeypatch)
+    m = act.lagrangian_gradient(a, 0.25)
+    assert len(calls) == 1
+    # M = 2 conj(lam) - 2 mu |A| sign(lam) on the diagonal, |A| = 3
+    assert np.allclose(m, np.diag([0.0, 0.0, 0.5, 2.5]), atol=1e-6)
 
 
 def test_gradient_blocks_match_pairwise():
