@@ -27,7 +27,7 @@ platform.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -62,14 +62,29 @@ class DiscreteSpacetime:
         signature (+1)^n (-1)^n.
     m : int
         Number of space-time points.
+
+    Attributes
+    ----------
+    signs : numpy.ndarray
+        Signature vector s as a read-only float array of +/-1, length ``dim``.
+    block_signs : numpy.ndarray
+        Signature of a single point block as a read-only array, length 2n.
     """
 
     n: int
     m: int
+    signs: np.ndarray = field(init=False, repr=False)
+    block_signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
+        block = np.concatenate([np.ones(self.n), -np.ones(self.n)])
+        signs = np.tile(block, self.m)
+        block.flags.writeable = False
+        signs.flags.writeable = False
+        object.__setattr__(self, "block_signs", block)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def spin_dim(self):
@@ -79,17 +94,6 @@ class DiscreteSpacetime:
     def dim(self):
         """Total dimension 2 n m of the underlying indefinite space."""
         return 2 * self.n * self.m
-
-    @property
-    def signs(self):
-        """Signature vector s as a float array of +/-1, length ``dim``."""
-        block = np.concatenate([np.ones(self.n), -np.ones(self.n)])
-        return np.tile(block, self.m)
-
-    @property
-    def block_signs(self):
-        """Signature of a single point block, length 2n."""
-        return np.concatenate([np.ones(self.n), -np.ones(self.n)])
 
     def point_slice(self, x):
         """Component slice owned by point ``x``."""
@@ -154,11 +158,15 @@ class FermionicProjector:
     constructors :func:`random_projector`,
     :func:`dstlab.correlation.projector_from_correlations`, or
     :meth:`from_span` over building the array by hand.
+
+    ``gram_dev`` is the largest entry of |<u_i|u_j> + delta_ij|, measured
+    once when the projector is built (the basis is read-only).
     """
 
     space: DiscreteSpacetime
     basis: np.ndarray
     tol: Tolerances = DEFAULT
+    gram_dev: float = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.ascontiguousarray(np.asarray(self.basis, dtype=complex))
@@ -177,6 +185,7 @@ class FermionicProjector:
             )
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram_dev", float(gram_dev))
 
     @classmethod
     def from_span(cls, space, vectors, tol=DEFAULT):

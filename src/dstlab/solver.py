@@ -21,7 +21,11 @@ derivatives.
 
 Gradient consistency is asserted against finite differences at the first
 iterate of every run, and every accepted iterate is kept an exact projector
-by re-orthonormalizing the basis whenever its Gram matrix drifts.
+by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
+check reads the Gram deviation each projector measured at construction
+(``FermionicProjector.gram_dev``).  The penalty and feasibility gradients
+reuse the T that the line search computed for the accepted trial, so an
+iterate costs one constraint pass.
 """
 
 import math
@@ -93,9 +97,15 @@ class SolverConfig:
         if self.mode == "constrained" and self.kappa is None:
             raise ValueError("constrained mode needs a kappa level")
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        for name in ("residual_tol", "constraint_tol", "initial_step", "armijo"):
+        for name in ("residual_tol", "constraint_tol", "initial_step", "armijo",
+                     "min_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # the Armijo search ends only once the step has shrunk below min_step
+        if not 0 < self.step_shrink < 1:
+            raise ValueError("step_shrink must lie in (0, 1)")
+        if self.outer_rounds < 1:
+            raise ValueError("outer_rounds must be at least 1")
 
 
 @dataclass
@@ -179,9 +189,9 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         ):
             break  # the descent has flattened out below resolution
         step = min(step * cfg.step_grow, cfg.max_step)
-        if proj.check_invariants()["gram"] > tol.gram:
+        if proj.gram_dev > tol.gram:
             proj = proj.renormalized()
-    if proj.check_invariants()["gram"] > 1e-14:
+    if proj.gram_dev > 1e-14:
         proj = proj.renormalized()
     return {
         "projector": proj,
@@ -202,26 +212,51 @@ def _auxiliary_objective(mu, tol):
     return value, qmat
 
 
+class _LastConstraint:
+    """T of the projector an objective's ``value`` evaluated last.
+
+    The line search evaluates every trial, so when ``qmat`` asks for the T of
+    the accepted iterate it is already known.  Projectors are immutable, so
+    identity decides; any other projector gets a pass of its own.
+    """
+
+    def __init__(self):
+        self.projector, self.t = None, 0.0
+
+    def store(self, p, t):
+        self.projector, self.t = p, t
+
+    def __call__(self, p):
+        return self.t if p is self.projector else constraint_value(p)
+
+
 def _penalty_objective(kappa, nu, w, tol):
+    last = _LastConstraint()
+
     def value(p):
         s0, t = action_and_constraint(p, 0.0)
+        last.store(p, t)
         d = t - kappa
         return s0 + nu * d + w * d * d
 
     def qmat(p):
-        d = constraint_value(p) - kappa
+        d = last(p) - kappa
         return q_kernel(p, -(nu + 2.0 * w * d), tol)
 
     return value, qmat
 
 
 def _feasibility_objective(kappa, tol):
+    last = _LastConstraint()
+
     def value(p):
-        d = constraint_value(p) - kappa
+        t = constraint_value(p)
+        last.store(p, t)
+        d = t - kappa
         return d * d
 
     def qmat(p):
-        d = constraint_value(p) - kappa
+        d = last(p) - kappa
         return 2.0 * d * constraint_q_kernel(p, tol)
 
     return value, qmat

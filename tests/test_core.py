@@ -21,6 +21,19 @@ def test_signature_layout():
     assert np.sum(sp.signs) == 0
 
 
+@pytest.mark.parametrize("n, expected", [(1, [1, -1]), (2, [1, 1, -1, -1])])
+def test_signs_built_once_and_read_only(n, expected):
+    sp = DiscreteSpacetime(n, 3)
+    assert sp.signs is sp.signs
+    assert sp.block_signs is sp.block_signs
+    assert np.array_equal(sp.block_signs, expected)
+    assert np.array_equal(sp.signs, np.tile(expected, 3))
+    with pytest.raises(ValueError):
+        sp.signs[0] = 0.0
+    with pytest.raises(ValueError):
+        sp.block_signs[0] = 0.0
+
+
 def test_inner_product_signs():
     sp = DiscreteSpacetime(1, 2)
     u = np.array([1.0, 0, 0, 0])
@@ -55,6 +68,13 @@ def test_projector_invariants_random():
         assert dev["self_adjointness"] < 1e-9
         assert dev["gram"] < 1e-10
         assert dev["rank_defect"] == 0
+
+
+def test_stored_gram_drift_matches_the_basis():
+    p = random_projector(DiscreteSpacetime(1, 5), 3, seed=2)
+    for q in (p, p.renormalized()):
+        assert q.gram_dev == np.max(np.abs(q.gram() + np.eye(q.rank)))
+        assert q.gram_dev == q.check_invariants()["gram"]
 
 
 def test_projector_action_on_image_and_kernel():

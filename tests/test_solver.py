@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
-from dstlab import DiscreteSpacetime, random_projector
+import dstlab.action
+from dstlab import DiscreteSpacetime, FermionicProjector, random_projector
+from dstlab.action import constraint_q_kernel, constraint_value, q_kernel
 from dstlab.causal import CausalClass, causal_graph
 from dstlab.correlation import (
     TRIANGLE_CAUSAL_THRESHOLD,
@@ -13,10 +16,13 @@ from dstlab.correlation import (
 from dstlab.solver import (
     InfeasibleKappa,
     SolverConfig,
+    _feasibility_objective,
+    _penalty_objective,
     lagrange_multiplier_estimate,
     landscape_scan,
     minimize,
 )
+from dstlab.tolerances import DEFAULT
 
 
 def test_config_validation():
@@ -30,6 +36,89 @@ def test_config_validation():
         assert False, "expected ValueError"
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("step_shrink", 1.0),
+        ("step_shrink", 1.5),
+        ("step_shrink", 0.0),
+        ("step_shrink", -0.5),
+        ("min_step", 0.0),
+        ("min_step", -1e-14),
+        ("outer_rounds", 0),
+        ("outer_rounds", -1),
+    ],
+)
+def test_config_rejects_settings_the_descent_cannot_run(field, value):
+    # with step_shrink >= 1 the Armijo search never ends, and a constrained
+    # solve needs at least one penalty round
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(mode="constrained", kappa=0.85, **{field: value})
+
+
+KAPPA, NU, W = 0.85, 0.3, 10.0
+
+
+def _penalty_reference(p):
+    return q_kernel(p, -(NU + 2.0 * W * (constraint_value(p) - KAPPA)))
+
+
+def _feasibility_reference(p):
+    return 2.0 * (constraint_value(p) - KAPPA) * constraint_q_kernel(p)
+
+
+@pytest.mark.parametrize(
+    "objective, reference",
+    [
+        (lambda: _penalty_objective(KAPPA, NU, W, DEFAULT),
+         _penalty_reference),
+        (lambda: _feasibility_objective(KAPPA, DEFAULT),
+         _feasibility_reference),
+    ],
+    ids=["penalty", "feasibility"],
+)
+def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
+    monkeypatch, objective, reference
+):
+    calls = []
+    chain_roots = dstlab.action.chain_roots
+
+    def counted(chains):
+        calls.append(1)
+        return chain_roots(chains)
+
+    monkeypatch.setattr(dstlab.action, "chain_roots", counted)
+    p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
+    value, qmat = objective()
+    value(p)
+    before = len(calls)
+    q = qmat(p)
+    assert len(calls) == before
+    renormalized = p.renormalized()
+    q_renormalized = qmat(renormalized)
+    assert len(calls) == before + 1
+    assert np.array_equal(q, reference(p))
+    assert np.array_equal(q_renormalized, reference(renormalized))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(mode="auxiliary", mu=0.5, seeds=(0,), max_iter=30),
+        SolverConfig(mode="constrained", kappa=0.85, seeds=(0,), max_iter=30,
+                     outer_rounds=2),
+    ],
+    ids=["auxiliary", "constrained"],
+)
+def test_descent_reads_the_stored_gram_drift(monkeypatch, cfg):
+    def fail(self):
+        raise AssertionError("the descent must not form P to check the Gram drift")
+
+    monkeypatch.setattr(FermionicProjector, "check_invariants", fail)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    assert res.projector.gram_dev <= 1e-14
 
 
 def test_tetrahedron_emerges_in_critical_mode():
