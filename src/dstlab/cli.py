@@ -486,14 +486,20 @@ def _run_lattice(params, seeds, tol):
         for i, t1 in enumerate(scan.tau_values)
         for j, t2 in enumerate(scan.tau_values)
     ]
-    on_grid = bool(np.any(np.abs(taus) < 1e-12))
+    # a linspace through zero may miss it by an ulp; the minima records carry
+    # the grid's own value, so the flags compare against that
+    i0 = int(np.argmin(np.abs(taus)))
+    on_grid = bool(abs(taus[i0]) < 1e-12)
+    t0 = float(taus[i0])
+
+    def at_origin(records):
+        return on_grid and any(m[0] == t0 and m[1] == t0 for m in records)
+
     origin = {
         "on_grid": on_grid,
-        "value": scan.value_at(0.0, 0.0) if on_grid else None,
-        "is_local_minimum": any(m[0] == 0.0 and m[1] == 0.0 for m in scan.minima),
-        "is_global_minimum": any(
-            m[0] == 0.0 and m[1] == 0.0 for m in scan.global_minima
-        ),
+        "value": float(scan.surface[i0, i0]) if on_grid else None,
+        "is_local_minimum": at_origin(scan.minima),
+        "is_global_minimum": at_origin(scan.global_minima),
     }
     minima = {
         "local_minima": [list(m) for m in scan.minima],

@@ -21,9 +21,32 @@ discrete Fourier transform; the literal products omega*t and k*r would be
 integer multiples of 2*pi and every phase and kernel would collapse to its
 value at zero.
 
-The closed chain A(t,r) = P (Dirac adjoint of P) feeds the critical
-Lagrangian at mu = 1/4 (four spin dimensions), and the action weights each
-point by configurable time/radius measures.
+Every kernel value lies in the Clifford algebra spanned by 1, gamma^t and
+gamma^r, so three complex coefficient fields describe it completely:
+
+    P = c + a gamma^t + b gamma^r,   Pbar = gamma^0 P^dagger gamma^0
+                                          = conj(c) + conj(a) gamma^t + conj(b) gamma^r,
+
+with c = sum phi K0 e, a = sum cosh(tau) phi K0 e and b = sum sinh(tau)
+phi K1 e (e the time phase).  The closed chain A = P Pbar is
+
+    A = alpha + beta gamma^t + delta gamma^r + eps gamma^t gamma^r,
+    alpha = |c|^2 + |a|^2 - |b|^2,  beta = 2 Re(c conj(a)),
+    delta = 2 Re(c conj(b)),        eps = 2i Im(a conj(b)).
+
+The three generators anticommute and square to +1, -1 and +1, so
+(A - alpha)^2 = D := beta^2 - delta^2 + eps^2, a real number.  The chain
+roots are therefore lam_pm = alpha +- sqrt(D), each of multiplicity two, and
+the critical Lagrangian at mu = 1/4 (four spin dimensions) reduces to
+(|lam_+| - |lam_-|)^2, which vanishes for D < 0 (a spacelike pair of equal
+modulus).  The action weights each point by configurable time/radius
+measures.
+
+``lattice_action`` and ``landscape_scan_2d`` use only this closed form.  The
+general 4x4 route (``lattice_kernel``, ``closed_chain_field``,
+``chain_root_field``, ``critical_lagrangian_field``) builds the matrices and
+calls an eigenvalue solver; it is kept as the reference the tests compare
+the closed form against.
 """
 
 import math
@@ -117,17 +140,30 @@ def _state_fields(geom, state):
     return scalar, radial
 
 
-def lattice_kernel(geom, states):
-    """P(t, r) as an (n_t, n_r, 4, 4) field."""
+def kernel_coefficients(geom, states):
+    """Coefficient fields (c, a, b) of P = c + a gamma^t + b gamma^r.
+
+    Each is an (n_t, n_r) complex field.  A boost too large for floating
+    point gives non-finite coefficients, which ``chain_root_pairs`` refuses.
+    """
     _validate_occupation(geom, states)
-    field = np.zeros((geom.n_t, geom.n_r, 4, 4), dtype=complex)
+    c, a, b = (np.zeros((geom.n_t, geom.n_r), dtype=complex) for _ in range(3))
     for state in states:
         scalar, radial = _state_fields(geom, state)
-        ch, sh = math.cosh(state.tau), math.sinh(state.tau)
-        field += (ch * scalar)[..., None, None] * _GAMMA_T
-        field += (sh * radial)[..., None, None] * _GAMMA_R
-        field += scalar[..., None, None] * _ID4
-    return field
+        c += scalar
+        a += np.cosh(state.tau) * scalar
+        b += np.sinh(state.tau) * radial
+    return c, a, b
+
+
+def lattice_kernel(geom, states):
+    """P(t, r) as an (n_t, n_r, 4, 4) field."""
+    c, a, b = kernel_coefficients(geom, states)
+    return (
+        c[..., None, None] * _ID4
+        + a[..., None, None] * _GAMMA_T
+        + b[..., None, None] * _GAMMA_R
+    )
 
 
 def dirac_adjoint_field(field):
@@ -152,6 +188,34 @@ def critical_lagrangian_field(roots):
     mods = np.abs(roots)
     diff = mods[..., :, None] - mods[..., None, :]
     return np.sum(diff * diff, axis=(-2, -1)) / 8.0
+
+
+def chain_root_pairs(c, a, b):
+    """Closed-form roots (lam_+, lam_-) of A = P Pbar, shape (..., 2).
+
+    Each root has multiplicity two in the 4x4 chain.  Raises RuntimeError
+    naming the first points (indices into the coefficient fields) where a
+    root is not finite.
+    """
+    alpha = (c * c.conj() + a * a.conj() - b * b.conj()).real
+    beta = 2.0 * (c * a.conj()).real
+    delta = 2.0 * (c * b.conj()).real
+    eps_im = 2.0 * (a * b.conj()).imag  # eps = i * eps_im
+    root = np.sqrt((beta * beta - delta * delta - eps_im * eps_im).astype(complex))
+    roots = np.stack((alpha + root, alpha - root), axis=-1)
+    finite = np.all(np.isfinite(roots), axis=-1)
+    if not np.all(finite):
+        bad = np.argwhere(~finite)[:5].tolist()
+        raise RuntimeError(f"chain roots are not finite at lattice points {bad}")
+    return roots
+
+
+def _pair_lagrangian(roots):
+    # (1/8) sum_{i,j} (|lam_i| - |lam_j|)^2 over the four roots lam_+, lam_+,
+    # lam_-, lam_-; a conjugate pair (D < 0) has bit-equal moduli, so 0 exactly
+    mods = np.abs(roots)
+    diff = mods[..., 0] - mods[..., 1]
+    return diff * diff
 
 
 def _radial_cell_measure(n_r):
@@ -214,8 +278,7 @@ def lattice_action(geom, states, weights="sphere"):
     if not states:
         lag = np.zeros((geom.n_t, geom.n_r))
         return LatticeAction(lag, rho_t, rho_r, 0.0)
-    roots = chain_root_field(closed_chain_field(lattice_kernel(geom, states)))
-    lag = critical_lagrangian_field(roots)
+    lag = _pair_lagrangian(chain_root_pairs(*kernel_coefficients(geom, states)))
     total = float(np.einsum("t,r,tr->", rho_t, rho_r, lag))
     return LatticeAction(lag, rho_t, rho_r, total)
 
@@ -284,15 +347,11 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
     sh = np.sinh(tau_values)
     surface = np.empty((tau_values.size, tau_values.size))
     for i in range(tau_values.size):
-        # row of fields over all tau2 at fixed tau1 = tau_values[i]
-        coeff_t = ch[i] * scalar_a[None] + ch[:, None, None] * scalar_b[None]
-        coeff_r = sh[i] * radial_a[None] + sh[:, None, None] * radial_b[None]
-        p_row = (
-            coeff_t[..., None, None] * _GAMMA_T
-            + coeff_r[..., None, None] * _GAMMA_R
-            + scalar_sum[None, ..., None, None] * _ID4
-        )
-        lag = critical_lagrangian_field(chain_root_field(closed_chain_field(p_row)))
+        # coefficients over all tau2 at fixed tau1 = tau_values[i]; one row at
+        # a time keeps the temporaries at (grid, n_t, n_r)
+        coeff_t = ch[i] * scalar_a + ch[:, None, None] * scalar_b
+        coeff_r = sh[i] * radial_a + sh[:, None, None] * radial_b
+        lag = _pair_lagrangian(chain_root_pairs(scalar_sum, coeff_t, coeff_r))
         surface[i] = np.einsum("t,r,gtr->g", rho_t, rho_r, lag)
     minima = _grid_local_minima(tau_values, surface)
     floor = minima[0][2] if minima else float(np.min(surface))

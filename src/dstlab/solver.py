@@ -142,23 +142,29 @@ def _check_slope(proj, value, b, slope, tol):
 
 
 def _descend(proj, value, qmat, cfg, tol, check_first=False):
-    """Backtracking descent of one scalar objective from one start."""
+    """Backtracking descent of one scalar objective from one start.
+
+    ``exit_reason`` says why the loop ended: "converged", "divergence",
+    "line_search_floor" (no trial accepted down to ``min_step``), "stalled"
+    (no descent over the stall window) or "max_iterations".  ``status``
+    folds the last three into "max_iterations".
+    """
     signs = proj.space.signs
     current = value(proj)
     trace = [current]
     step = cfg.initial_step
-    status = "max_iterations"
+    exit_reason = "max_iterations"
     grad_norm = math.inf
     for _ in range(cfg.max_iter):
         if current < cfg.divergence_floor:
-            status = "divergence"
+            exit_reason = "divergence"
             break
         q = qmat(proj)
         p = proj.matrix()
         comm = p @ q - q @ p
         grad_norm = 4.0 * float(np.linalg.norm(comm))
         if grad_norm <= cfg.residual_tol:
-            status = "converged"
+            exit_reason = "converged"
             break
         # B = -S K/||K|| with K = 4i [P,Q] S; symmetrizing K kills the
         # rounding-level non-Hermitian part so exp(i eta B) stays exactly
@@ -180,23 +186,30 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
                 break
             step *= cfg.step_shrink
         if not accepted:
-            break  # line search hit the numerical floor; keep best iterate
+            exit_reason = "line_search_floor"  # keep the best iterate
+            break
         trace.append(current)
         if (
             len(trace) > cfg.stall_window
             and trace[-1 - cfg.stall_window] - current
             <= cfg.stall_tol * (1.0 + abs(current))
         ):
-            break  # the descent has flattened out below resolution
+            exit_reason = "stalled"  # flattened out below resolution
+            break
         step = min(step * cfg.step_grow, cfg.max_step)
         if proj.gram_dev > tol.gram:
             proj = proj.renormalized()
     if proj.gram_dev > 1e-14:
         proj = proj.renormalized()
+    status = exit_reason
+    if status not in ("converged", "divergence"):
+        status = "max_iterations"
     return {
         "projector": proj,
         "value": current,
         "status": status,
+        "exit_reason": exit_reason,
+        "iterations": len(trace) - 1,
         "gradient_norm": grad_norm,
         "trace": np.array(trace),
     }
@@ -308,6 +321,8 @@ def _constrained_seed(start, cfg, tol, check_first):
         "constraint": t,
         "multiplier": -nu,
         "status": status,
+        "exit_reason": out["exit_reason"],
+        "iterations": sum(len(trace) - 1 for trace in segments),
         "gradient_norm": out["gradient_norm"],
         "segments": segments,
     }
@@ -342,6 +357,8 @@ def minimize(space, f, config=None, tol=DEFAULT):
                 "constraint": t,
                 "multiplier": cfg.mu,
                 "status": out["status"],
+                "exit_reason": out["exit_reason"],
+                "iterations": out["iterations"],
                 "gradient_norm": out["gradient_norm"],
             }
             traces[seed] = [out["trace"]]
@@ -349,7 +366,7 @@ def minimize(space, f, config=None, tol=DEFAULT):
             out = _constrained_seed(start, cfg, tol, cfg.check_first_step)
             record = {"seed": seed, **{k: out[k] for k in (
                 "projector", "action", "constraint", "multiplier", "status",
-                "gradient_norm")}}
+                "exit_reason", "iterations", "gradient_norm")}}
             traces[seed] = out["segments"]
         per_seed.append(record)
 

@@ -239,6 +239,47 @@ def test_lattice_scan_reports_origin_and_wells(tmp_path):
     assert len(minima["global_minima"]) == 2
 
 
+def _lattice_config(tmp_path, scan):
+    return write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "lattice",
+            "params": {
+                "n_t": 8,
+                "n_r": 6,
+                "states": [{"omega": -1, "k": 1}, {"omega": -2, "k": 2}],
+                "scan": scan,
+            },
+        },
+    )
+
+
+def test_lattice_origin_flags_when_the_grid_misses_zero_by_an_ulp(tmp_path):
+    scan = {"start": -2.1, "stop": 0.7, "num": 29}
+    taus = np.linspace(scan["start"], scan["stop"], scan["num"])
+    i0 = int(np.argmin(np.abs(taus)))
+    assert taus[i0] != 0.0 and abs(taus[i0]) < 1e-12
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", _lattice_config(tmp_path, scan),
+                 "--out", str(out)]) == 0
+    minima = load(out / "minima.json")
+    origin = minima["origin"]
+    assert [taus[i0], taus[i0]] in [m[:2] for m in minima["local_minima"]]
+    assert origin["on_grid"] is True
+    assert origin["is_local_minimum"] is True
+    assert origin["is_global_minimum"] is False
+    np.testing.assert_allclose(origin["value"], 366.6250737475249, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lattice_overflowing_scan_is_numerical_error(tmp_path, capsys):
+    cfg = _lattice_config(tmp_path, {"start": -800.0, "stop": 800.0, "num": 5})
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", cfg, "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "surface.csv").exists()
+
+
 def test_lattice_bad_occupation_is_validation_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",
@@ -430,6 +471,23 @@ def test_minimize_divergence_exit_code(tmp_path):
     result = load(out / "result.json")
     assert result["status"] == "divergence"
     assert load(out / "manifest.json")["status"] == "divergence"
+
+
+def test_result_records_each_seeds_exit_reason(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "minimize",
+            "params": {"n": 1, "f": 2, "m": 3, "mu": 0.5, "max_iter": 3},
+            "seeds": [0, 1],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    for rec in load(out / "result.json")["per_seed"]:
+        assert rec["status"] == "max_iterations"
+        assert rec["exit_reason"] == "max_iterations"
+        assert rec["iterations"] == 3
 
 
 def test_constrained_mode_requires_kappa(tmp_path):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+import dstlab.lattice
+from dstlab.action import multiset_distance
 from dstlab.lattice import (
     CRITICAL_MU,
     LatticeGeometry,
     OccupiedState,
     WEIGHT_PRESETS,
     chain_root_field,
+    chain_root_pairs,
     closed_chain_field,
     critical_lagrangian_field,
     enforce_trace,
+    kernel_coefficients,
     landscape_scan_2d,
     lattice_action,
     lattice_kernel,
@@ -291,3 +295,64 @@ def test_landscape_surface_matches_pointwise_action():
                 [OccupiedState(-1, 1, tau=t1), OccupiedState(-2, 2, tau=t2)],
             ).total
             np.testing.assert_allclose(scan.surface[i, j], direct, rtol=1e-11)
+
+
+def _random_occupation(rng):
+    return [
+        OccupiedState(
+            omega=int(rng.integers(-(GEOM.n_t - 1), 1)),
+            k=int(rng.integers(1, GEOM.n_r + 1)),
+            phi=float(rng.uniform(0.2, 2.0)),
+            tau=float(rng.uniform(-2.5, 2.5)),
+        )
+        for _ in range(rng.integers(1, 4))
+    ]
+
+
+def test_closed_form_matches_the_4x4_eigenvalue_route():
+    rng = np.random.default_rng(31)
+    spacelike_points = 0
+    for _ in range(40):
+        states = _random_occupation(rng)
+        pairs = chain_root_pairs(*kernel_coefficients(GEOM, states))
+        oracle = chain_root_field(closed_chain_field(lattice_kernel(GEOM, states)))
+        # each closed-form root is a double root of the 4x4 chain
+        doubled = np.repeat(pairs, 2, axis=-1).reshape(-1, 4)
+        for lam, ref in zip(doubled, oracle.reshape(-1, 4)):
+            assert multiset_distance(lam, ref) <= 1e-12 * (1.0 + np.abs(ref).max())
+        lag = lattice_action(GEOM, states).lagrangian
+        ref_lag = critical_lagrangian_field(oracle)
+        assert np.abs(lag - ref_lag).max() <= 1e-13 * ref_lag.max()
+        # D < 0: a conjugate pair of equal modulus, no contribution at all
+        spacelike = pairs[..., 0].imag != 0.0
+        assert np.all(lag[spacelike] == 0.0)
+        spacelike_points += int(spacelike.sum())
+    assert spacelike_points > 0
+
+
+def test_production_path_builds_no_4x4_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form needs no 4x4 matrices")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for name in ("lattice_kernel", "closed_chain_field", "chain_root_field",
+                 "critical_lagrangian_field"):
+        monkeypatch.setattr(dstlab.lattice, name, refuse)
+    scan = landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-2.5, 2.5, 11))
+    np.testing.assert_allclose(
+        scan.value_at(0.0, 0.0), ORIGIN_ACTION_SPHERE, rtol=1e-12
+    )
+    total = lattice_action(GEOM, [STATE_A, STATE_B]).total
+    np.testing.assert_allclose(total, ORIGIN_ACTION_SPHERE, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_boost_is_refused_not_returned_as_nan():
+    # tau = 1000 overflows the coefficients themselves; tau = 500 leaves them
+    # finite but overflows |a|^2 in the roots
+    for tau in (1000.0, 500.0):
+        bad_points = r"not finite at lattice points \[\[0, 0\]"
+        with pytest.raises(RuntimeError, match=bad_points):
+            lattice_action(GEOM, [OccupiedState(-1, 1, tau=tau), STATE_B])
+    with pytest.raises(RuntimeError, match="not finite at lattice points"):
+        landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-800.0, 800.0, 5))

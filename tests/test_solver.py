@@ -16,6 +16,8 @@ from dstlab.correlation import (
 from dstlab.solver import (
     InfeasibleKappa,
     SolverConfig,
+    _auxiliary_objective,
+    _descend,
     _feasibility_objective,
     _penalty_objective,
     lagrange_multiplier_estimate,
@@ -119,6 +121,44 @@ def test_descent_reads_the_stored_gram_drift(monkeypatch, cfg):
     monkeypatch.setattr(FermionicProjector, "check_invariants", fail)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     assert res.projector.gram_dev <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "settings, flip, reason, iterations",
+    [
+        ({"max_iter": 3}, False, "max_iterations", 3),
+        # an ascent direction: no trial passes Armijo down to min_step
+        ({}, True, "line_search_floor", 0),
+        ({"stall_window": 1, "stall_tol": 1e9}, False, "stalled", 1),
+    ],
+    ids=["max_iterations", "line_search_floor", "stalled"],
+)
+def test_descent_reports_why_it_stopped(settings, flip, reason, iterations):
+    value, qmat = _auxiliary_objective(0.5, DEFAULT)
+    sign = -1.0 if flip else 1.0
+    out = _descend(
+        random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
+        value,
+        lambda p: sign * qmat(p),
+        SolverConfig(mu=0.5, **settings),
+        DEFAULT,
+    )
+    assert out["exit_reason"] == reason
+    assert out["status"] == "max_iterations"
+    assert out["iterations"] == iterations == len(out["trace"]) - 1
+
+
+def test_constrained_seed_sums_iterations_over_rounds():
+    cfg = SolverConfig(mode="constrained", kappa=0.85, seeds=(0, 1), max_iter=30,
+                       outer_rounds=2)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    for rec in res.per_seed:
+        segments = res.traces[rec["seed"]]
+        assert len(segments) == 2
+        assert rec["iterations"] == sum(len(t) - 1 for t in segments)
+        assert rec["exit_reason"] in (
+            "converged", "divergence", "line_search_floor", "stalled", "max_iterations"
+        )
 
 
 def test_tetrahedron_emerges_in_critical_mode():
