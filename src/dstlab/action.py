@@ -268,7 +268,7 @@ def gradient_blocks(chains, tol=DEFAULT):
     return msq, mabs
 
 
-def lagrangian_gradient(a, mu, tol=DEFAULT, force_fd=False):
+def lagrangian_gradient(a, mu, tol=DEFAULT):
     """Gradient matrix M of L_mu at a single chain A.
 
     Satisfies ``dL = Re Tr(M dA)`` for any complex perturbation dA; for the
@@ -278,9 +278,6 @@ def lagrangian_gradient(a, mu, tol=DEFAULT, force_fd=False):
     pairs of equal modulus give M = 0 at the critical mu.
     """
     a = np.asarray(a, dtype=complex)[None, None]
-    if force_fd:
-        msq, mabs = finite_difference_gradient(a[0, 0], tol.fd_step)
-        return msq - mu * mabs
     msq, mabs = gradient_blocks(a, tol)
     return msq[0, 0] - mu * mabs[0, 0]
 

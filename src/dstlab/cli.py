@@ -46,7 +46,7 @@ from .continuum.lightcone import (
     standard_expansion,
 )
 from .continuum.seas import GridCoverage, state_stability_check
-from .solver import InfeasibleKappa, SolverConfig, landscape_scan, minimize
+from .solver import SolverConfig, landscape_scan, minimize
 from .tolerances import DEFAULT, Tolerances
 
 EXIT_OK = 0
@@ -255,6 +255,16 @@ CONFIG_SCHEMA = {
     },
 }
 
+
+def _config_validator(params_schema):
+    properties = dict(CONFIG_SCHEMA["properties"], params=params_schema)
+    return jsonschema.Draft202012Validator(dict(CONFIG_SCHEMA, properties=properties))
+
+
+# built once; the schemas are constants, so their metaschema check is a test
+VALIDATORS = {sub: _config_validator(schema) for sub, schema in PARAM_SCHEMAS.items()}
+TOLERANCE_VALIDATOR = jsonschema.Draft202012Validator(_TOLERANCE_BLOCK)
+
 FIGURES = ("fig1-2", "fig3", "fig5")
 
 
@@ -307,17 +317,15 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _validate(config):
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {exc.message}")
-    try:
-        jsonschema.validate(config["params"], PARAM_SCHEMAS[config["subcommand"]])
-    except jsonschema.ValidationError as exc:
-        path = "/".join(("params", *(str(p) for p in exc.absolute_path)))
-        raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {exc.message}")
+def _first_error(validator, instance):
+    return jsonschema.exceptions.best_match(validator.iter_errors(instance))
+
+
+def _validate(config, subcommand):
+    error = _first_error(VALIDATORS[subcommand], config)
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {error.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +370,7 @@ def _pauli_csv(corr):
     return _csv_bytes(("x", "rho", "v1", "v2", "v3"), rows)
 
 
-def _run_minimize(params, seeds, tol):
+def _run_minimize(params, seeds, tol, config_dir):
     if not seeds:
         raise CliError(EXIT_VALIDATION, "minimize needs a nonempty seed list")
     try:
@@ -380,12 +388,12 @@ def _run_minimize(params, seeds, tol):
     return outputs, code
 
 
-def _run_pauli_vectors(params, seeds, tol):
+def _run_pauli_vectors(params, seeds, tol, config_dir):
     full = dict(params, n=1, f=2)
-    return _run_minimize(full, seeds, tol)
+    return _run_minimize(full, seeds, tol, config_dir)
 
 
-def _run_classify_causal(params, seeds, tol):
+def _run_classify_causal(params, seeds, tol, config_dir):
     if "roots" in params:
         records = []
         for multiset in params["roots"]:
@@ -440,7 +448,7 @@ def _landscape_family(params, tol):
     return build
 
 
-def _run_landscape(params, seeds, tol):
+def _run_landscape(params, seeds, tol, config_dir):
     grid = np.linspace(params["start"], params["stop"], params["num"])
     mu = params.get("mu", 0.5)
     records = landscape_scan(_landscape_family(params, tol), grid, mu=mu, tol=tol)
@@ -468,7 +476,7 @@ def _run_landscape(params, seeds, tol):
     return outputs, EXIT_OK
 
 
-def _run_lattice(params, seeds, tol):
+def _run_lattice(params, seeds, tol, config_dir):
     # geometry/occupation/weight problems are config mistakes, not numerics
     try:
         geom = LatticeGeometry(params["n_t"], params["n_r"])
@@ -513,7 +521,7 @@ def _run_lattice(params, seeds, tol):
     return outputs, EXIT_OK
 
 
-def _run_lightcone_check(params, seeds, tol):
+def _run_lightcone_check(params, seeds, tol, config_dir):
     values = {
         name: tuple(v) if isinstance(v, list) else v
         for name, v in params["values"].items()
@@ -614,21 +622,26 @@ def _reproduce_plan(figure):
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _dispatch(config, tol, config_dir):
-    sub = config["subcommand"]
-    params = config["params"]
-    seeds = config.get("seeds", [])
-    handlers = {
-        "minimize": _run_minimize,
-        "pauli-vectors": _run_pauli_vectors,
-        "classify-causal": _run_classify_causal,
-        "landscape": _run_landscape,
-        "lattice": _run_lattice,
-        "lightcone-check": _run_lightcone_check,
-    }
-    if sub == "state-stability":
-        return _run_state_stability(params, seeds, tol, config_dir)
-    return handlers[sub](params, seeds, tol)
+HANDLERS = {
+    "minimize": _run_minimize,
+    "pauli-vectors": _run_pauli_vectors,
+    "classify-causal": _run_classify_causal,
+    "landscape": _run_landscape,
+    "lattice": _run_lattice,
+    "lightcone-check": _run_lightcone_check,
+    "state-stability": _run_state_stability,
+}
+
+
+def _execute(config, tol, config_dir):
+    """Run a validated config: ({filename: bytes}, exit code), or a CliError."""
+    handler = HANDLERS[config["subcommand"]]
+    try:
+        return handler(config["params"], config.get("seeds", []), tol, config_dir)
+    except GridCoverage as exc:
+        raise CliError(EXIT_VALIDATION, str(exc))
+    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+        raise CliError(EXIT_NUMERICAL, str(exc))
 
 
 def _resolve_tolerances(config, override_path):
@@ -641,26 +654,24 @@ def _resolve_tolerances(config, override_path):
             raise CliError(EXIT_VALIDATION, f"cannot read tolerances: {exc}")
         except json.JSONDecodeError as exc:
             raise CliError(EXIT_VALIDATION, f"tolerances file not valid JSON: {exc}")
-        try:
-            jsonschema.validate(overrides, _TOLERANCE_BLOCK)
-        except jsonschema.ValidationError as exc:
-            raise CliError(EXIT_VALIDATION, f"tolerances invalid: {exc.message}")
+        error = _first_error(TOLERANCE_VALIDATOR, overrides)
+        if error is not None:
+            raise CliError(EXIT_VALIDATION, f"tolerances invalid: {error.message}")
         merged.update(overrides)
     return DEFAULT.with_(**merged), merged
 
 
-def _resolve_out(cli_out, config):
+def _resolve_out(cli_out, config, *subdirs):
+    """--out, else the config's "out", else $DSTLAB_OUT or dstlab-out, then subcommand."""
     if cli_out is not None:
         return Path(cli_out)
     if "out" in config:
         return Path(config["out"])
-    root = os.environ.get("DSTLAB_OUT")
-    if root:
-        return Path(root) / config["subcommand"]
-    return Path("dstlab-out") / config["subcommand"]
+    root = os.environ.get("DSTLAB_OUT") or "dstlab-out"
+    return Path(root, config["subcommand"], *subdirs)
 
 
-def _write_run(outdir, config, outputs, status):
+def _write_run(outdir, config, outputs, code):
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
     for name in sorted(outputs):
@@ -685,7 +696,7 @@ def _write_run(outdir, config, outputs, status):
             "system": platform.platform(),
         },
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "status": status,
+        "status": "divergence" if code == EXIT_DIVERGENCE else "ok",
         "outputs": index,
     }
     (outdir / "manifest.json").write_bytes(_json_bytes(manifest))
@@ -702,50 +713,32 @@ def _load_config(path):
 
 
 def _run_single(config, args, config_dir):
-    _validate(config)
+    _validate(config, args.subcommand)
     if args.seed_list is not None:
         config = dict(config, seeds=args.seed_list)
     tol, merged = _resolve_tolerances(config, args.tolerances)
     if merged:
         config = dict(config, tolerances=merged)
     outdir = _resolve_out(args.out, config)
-    try:
-        outputs, code = _dispatch(config, tol, config_dir)
-    except CliError:
-        raise
-    except (GridCoverage,) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
-    except InfeasibleKappa as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
-    status = "divergence" if code == EXIT_DIVERGENCE else "ok"
-    _write_run(outdir, config, outputs, status)
+    outputs, code = _execute(config, tol, config_dir)
+    _write_run(outdir, config, outputs, code)
     return code
 
 
 def _run_reproduce(args):
     plan = _reproduce_plan(args.figure)
-    outdir = Path(args.out) if args.out is not None else None
-    if outdir is None:
-        root = os.environ.get("DSTLAB_OUT")
-        outdir = (Path(root) if root else Path("dstlab-out")) / "reproduce" / args.figure
+    # the manifest hashes the canned request
+    request = {"subcommand": "reproduce", "params": {"figure": args.figure}, "seeds": []}
+    outdir = _resolve_out(args.out, request, args.figure)
     combined = {}
     worst = EXIT_OK
     for prefix, config in plan:
-        _validate(config)
-        tol = DEFAULT
-        outputs, code = _dispatch(config, tol, Path.cwd())
+        _validate(config, config["subcommand"])
+        outputs, code = _execute(config, DEFAULT, Path.cwd())
         worst = max(worst, code)
         for name, payload in outputs.items():
             combined[prefix + name] = payload
-    manifest_config = {
-        "subcommand": "reproduce",
-        "params": {"figure": args.figure},
-        "seeds": [],
-    }
-    # reuse the standard writer; the manifest hashes the canned request
-    _write_run(outdir, manifest_config, combined, "ok" if worst == EXIT_OK else "divergence")
+    _write_run(outdir, request, combined, worst)
     return worst
 
 
@@ -756,9 +749,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed-list", nargs="+", type=int, default=None,
                        help="override the config's seed list")
@@ -782,7 +774,8 @@ def main(argv=None):
             return _run_reproduce(args)
         config_path = Path(args.config)
         config = _load_config(config_path)
-        if config.get("subcommand") != args.subcommand:
+        # a config that is not an object fails validation in _run_single
+        if isinstance(config, dict) and config.get("subcommand") != args.subcommand:
             raise CliError(
                 EXIT_VALIDATION,
                 f"config is for {config.get('subcommand')!r}, "

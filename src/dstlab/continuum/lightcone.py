@@ -304,11 +304,6 @@ def expansion_product(left, right=None):
     return Expansion(terms, tail_degree=cutoff + 1)
 
 
-def closed_chain_expansion(kernel):
-    """Expansion of the closed chain P(x,y) P(y,x) away from the cone."""
-    return expansion_product(kernel)
-
-
 def gradient_expansion(chain):
     """Action gradient of a closed-chain expansion on the timelike region.
 

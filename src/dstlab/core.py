@@ -113,13 +113,6 @@ class DiscreteSpacetime:
         s = self.signs
         return s[:, None] * np.conj(np.asarray(a)).T * s[None, :]
 
-    def coordinate_projector(self, x):
-        """Matrix of the coordinate projector onto the block of point ``x``."""
-        e = np.zeros((self.dim, self.dim))
-        sl = self.point_slice(x)
-        e[sl, sl] = np.eye(self.spin_dim)
-        return e
-
 
 def _gram(space, basis):
     # <u_i|u_j> for basis columns; the target is -Id.

@@ -40,9 +40,6 @@ class Tolerances:
     geometry : float
         Tolerance for rotation-realizability (Procrustes residual) tests on
         momentum-space vector configurations.
-    lightcone_zero : float
-        |xi^2| below this counts as "on the light cone" for the continuum
-        chain formulas, where the pointwise gradient is undefined.
     """
 
     gram: float = 1e-10
@@ -53,7 +50,6 @@ class Tolerances:
     causal: float = 1e-9
     grad_check: float = 1e-4
     geometry: float = 1e-6
-    lightcone_zero: float = 1e-9
 
     def with_(self, **kwargs):
         """Return a copy with some fields replaced."""

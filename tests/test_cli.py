@@ -1,9 +1,11 @@
 import hashlib
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
+from dstlab import cli
 from dstlab.cli import main
 
 
@@ -102,6 +104,56 @@ def test_bad_tolerance_override_rejected(tmp_path):
          "--tolerances", str(tols)]
     )
     assert rc == 2
+
+
+def test_non_object_config_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", [1, 2])
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 2
+    assert "config invalid at <root>" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_removed_tolerance_knob_rejected(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "classify-causal",
+            "params": {"roots": [[[1.0, 0.0]]]},
+            "tolerances": {"lightcone_zero": 1e-9},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 2
+    assert "lightcone_zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schemas_are_valid_draft_2020_12():
+    for validator in (*cli.VALIDATORS.values(), cli.TOLERANCE_VALIDATOR):
+        jsonschema.Draft202012Validator.check_schema(validator.schema)
+
+
+def test_runs_make_no_metaschema_check(tmp_path, monkeypatch):
+    def refuse(cls, schema, *args, **kwargs):
+        raise AssertionError("metaschema check at run time")
+
+    monkeypatch.setattr(
+        jsonschema.Draft202012Validator, "check_schema", classmethod(refuse)
+    )
+    cfg = _lattice_config(tmp_path, {"start": -1.0, "stop": 1.0, "num": 5})
+    tols = tmp_path / "tol.json"
+    tols.write_text(json.dumps({"causal": 1e-9}))
+    out = tmp_path / "out"
+    rc = main(["lattice", "--config", cfg, "--out", str(out), "--tolerances", str(tols)])
+    assert rc == 0
+    assert (out / "surface.csv").is_file()
+
+
+def test_every_reproduce_plan_validates():
+    for figure in cli.FIGURES:
+        for _, config in cli._reproduce_plan(figure):
+            cli._validate(config, config["subcommand"])
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +570,22 @@ def test_reproduce_fig3_emits_transition_table(tmp_path):
     assert abs(float(first[1]) - 1.0 / 9.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reproduce_maps_numerical_failure_to_exit_3(tmp_path, monkeypatch, capsys):
+    params = {
+        "n_t": 8,
+        "n_r": 6,
+        "states": [{"omega": -1, "k": 1}, {"omega": -2, "k": 2}],
+        "scan": {"start": -800.0, "stop": 800.0, "num": 5},
+    }
+    plan = [("fig5_", {"subcommand": "lattice", "params": params, "seeds": []})]
+    monkeypatch.setattr(cli, "_reproduce_plan", lambda figure: plan)
+    out = tmp_path / "fig5"
+    assert main(["reproduce", "--figure", "fig5", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DSTLAB_OUT", str(tmp_path / "root"))
     cfg = write_config(
@@ -530,3 +598,11 @@ def test_default_output_root_env(tmp_path, monkeypatch):
     assert main(["classify-causal", "--config", cfg]) == 0
     expected = tmp_path / "root" / "classify-causal" / "classifications.json"
     assert expected.is_file()
+
+
+def test_reproduce_default_output_root_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("DSTLAB_OUT", str(tmp_path / "root"))
+    assert main(["reproduce", "--figure", "fig3"]) == 0
+    outdir = tmp_path / "root" / "reproduce" / "fig3"
+    assert (outdir / "fig3_landscape.csv").is_file()
+    assert load(outdir / "manifest.json")["subcommand"] == "reproduce"
