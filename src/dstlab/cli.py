@@ -40,11 +40,6 @@ from .lattice import (
     OccupiedState,
     landscape_scan_2d,
 )
-from .continuum.lightcone import (
-    expansion_product,
-    gradient_expansion,
-    standard_expansion,
-)
 from .continuum.seas import GridCoverage, state_stability_check
 from .solver import SolverConfig, landscape_scan, minimize
 from .tolerances import DEFAULT, Tolerances
@@ -522,6 +517,13 @@ def _run_lattice(params, seeds, tol, config_dir):
 
 
 def _run_lightcone_check(params, seeds, tol, config_dir):
+    # sympy loads only for this subcommand
+    from .continuum.lightcone import (
+        expansion_product,
+        gradient_expansion,
+        standard_expansion,
+    )
+
     values = {
         name: tuple(v) if isinstance(v, list) else v
         for name, v in params["values"].items()
@@ -713,9 +715,10 @@ def _load_config(path):
 
 
 def _run_single(config, args, config_dir):
-    _validate(config, args.subcommand)
-    if args.seed_list is not None:
+    # the override is validated with the config, so negative seeds exit 2
+    if args.seed_list is not None and isinstance(config, dict):
         config = dict(config, seeds=args.seed_list)
+    _validate(config, args.subcommand)
     tol, merged = _resolve_tolerances(config, args.tolerances)
     if merged:
         config = dict(config, tolerances=merged)

@@ -6,6 +6,9 @@ symbolic light-cone coefficient algebra (``lightcone``), mass-cone and
 convolution-support geometry plus grid Fourier checks (``momentum``), and
 Dirac-sea configurations: regularized action, extensions, state stability
 (``seas``).
+
+``lightcone`` needs sympy and is not re-exported here, so importing the
+package does not load sympy; import ``dstlab.continuum.lightcone`` itself.
 """
 
 from .dirac import GAMMA2, GAMMA4, METRIC4, slash2, slash4, minkowski_square
@@ -18,14 +21,6 @@ from .minkowski import (
     causal_class_of_kernel,
     kernel_gradient,
     kernel_q,
-)
-from .lightcone import (
-    Expansion,
-    Term,
-    UnimplementedProduct,
-    expansion_product,
-    gradient_expansion,
-    standard_expansion,
 )
 from .momentum import (
     MassCone,
@@ -60,12 +55,6 @@ __all__ = [
     "causal_class_of_kernel",
     "kernel_gradient",
     "kernel_q",
-    "Expansion",
-    "Term",
-    "UnimplementedProduct",
-    "expansion_product",
-    "gradient_expansion",
-    "standard_expansion",
     "MassCone",
     "Unbounded",
     "convolution_support",

@@ -235,7 +235,7 @@ class FermionicProjector:
             "basis": [
                 [[float(z.real), float(z.imag)] for z in b[:, j]] for j in range(self.rank)
             ],
-            "tolerances": {"gram": self.tol.gram, "projector": self.tol.projector},
+            "tolerances": {"gram": self.tol.gram},
         }
 
     @classmethod

@@ -10,32 +10,34 @@ direction is B = -S K / ||K||_F, and the directional derivative equals
 -||K||_F, strictly negative until the Euler-Lagrange commutator vanishes.
 An Armijo backtracking line search then guarantees monotone decrease.
 
+Both modes descend one objective, F = S_mu + nu (T-kappa) + w (T-kappa)^2,
+whose gradient operator is the auxiliary Q at the effective weight
+mu - nu - 2 w (T-kappa).  Auxiliary mode is one round at (mu, nu = w = 0).
 Constrained minimization (fix the spectral-weight constraint T = kappa and
-minimize the plain action) runs the same descent on the penalty function
-S + nu (T-kappa) + w (T-kappa)^2, whose gradient operator is the auxiliary Q
-at the effective weight mu_eff = -(nu + 2 w (T-kappa)); the multiplier nu is
-updated between rounds and the penalty weight grows geometrically until the
-constraint holds.  The Lagrange multiplier of the constrained problem is
+minimize the plain action) runs penalty rounds at (0, nu, w): the multiplier
+nu is updated between rounds and the penalty weight grows geometrically until
+the constraint holds.  The Lagrange multiplier of the constrained problem is
 recovered as -nu, and independently by least squares on directional
-derivatives.
+derivatives.  Every seed goes through one function that runs its rounds and
+returns one record; a feasibility probe on (T-kappa)^2 alone first checks
+that the level is attainable.
 
 Gradient consistency is asserted against finite differences at the first
-iterate of every run, and every accepted iterate is kept an exact projector
+iterate of every seed, and every accepted iterate is kept an exact projector
 by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
 check reads the Gram deviation each projector measured at construction
-(``FermionicProjector.gram_dev``).  The penalty and feasibility gradients
-reuse the T that the line search computed for the accepted trial, so an
-iterate costs one constraint pass.
+(``FermionicProjector.gram_dev``).  The objective keeps the T of the last
+projector it evaluated, so a penalty or feasibility gradient at the accepted
+line-search trial makes no constraint pass of its own.
 """
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .action import (
-    action,
+    action,  # unused here; perfbench/tracing.py wraps it as dstlab.solver.action
     action_and_constraint,
     chain_blocks,
     chain_roots,
@@ -84,7 +86,6 @@ class SolverConfig:
     stall_tol: float = 1e-12
     divergence_floor: float = -1e6
     boost_scale: float = 1.0
-    check_first_step: bool = True
     # constrained mode
     penalty_start: float = 10.0
     penalty_growth: float = 10.0
@@ -121,18 +122,11 @@ class SolverResult:
     seed: int
     per_seed: list
     traces: dict  # seed -> list of per-round objective traces
-    wall_time: float
-    config: SolverConfig
-
-
-def _objective_derivative_fd(proj, value, b, step=1e-6):
-    plus = value(transported(proj, b, step))
-    minus = value(transported(proj, b, -step))
-    return (plus - minus) / (2.0 * step)
 
 
 def _check_slope(proj, value, b, slope, tol):
-    fd = _objective_derivative_fd(proj, value, b, step=tol.fd_step)
+    h = tol.fd_step
+    fd = (value(transported(proj, b, h)) - value(transported(proj, b, -h))) / (2.0 * h)
     rel = abs(fd - slope) / max(abs(fd), abs(slope))
     if rel > tol.grad_check:
         raise RuntimeError(
@@ -215,75 +209,48 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     }
 
 
-def _auxiliary_objective(mu, tol):
-    def value(p):
-        return action(p, mu)
+class _Objective:
+    """F = S_mu + nu (T - kappa) + w (T - kappa)^2 on the projector orbit.
 
-    def qmat(p):
-        return q_kernel(p, mu, tol)
-
-    return value, qmat
-
-
-class _LastConstraint:
-    """T of the projector an objective's ``value`` evaluated last.
-
-    The line search evaluates every trial, so when ``qmat`` asks for the T of
-    the accepted iterate it is already known.  Projectors are immutable, so
-    identity decides; any other projector gets a pass of its own.
+    Auxiliary mode descends (mu, nu = w = 0) with no kappa, a penalty round
+    (0, nu, w); the feasibility probe (``feasibility=True``) keeps only
+    (T - kappa)^2.  ``value`` stores the T of the projector it saw last.  The
+    line search evaluates every trial, so when ``qmat`` asks about the
+    accepted iterate its T is known; projectors are immutable, so identity
+    decides, and any other projector gets a pass of its own.
     """
 
-    def __init__(self):
-        self.projector, self.t = None, 0.0
+    def __init__(self, tol, mu=0.0, kappa=None, nu=0.0, w=0.0, feasibility=False):
+        self.tol, self.mu, self.kappa, self.nu, self.w = tol, mu, kappa, nu, w
+        self.feasibility = feasibility
+        self.seen, self.t = None, 0.0
 
-    def store(self, p, t):
-        self.projector, self.t = p, t
+    def value(self, p):
+        s, t = action_and_constraint(p, self.mu)
+        if self.kappa is None:
+            return s
+        self.seen, self.t = p, t
+        d = t - self.kappa
+        return d * d if self.feasibility else s + self.nu * d + self.w * d * d
 
-    def __call__(self, p):
-        return self.t if p is self.projector else constraint_value(p)
-
-
-def _penalty_objective(kappa, nu, w, tol):
-    last = _LastConstraint()
-
-    def value(p):
-        s0, t = action_and_constraint(p, 0.0)
-        last.store(p, t)
-        d = t - kappa
-        return s0 + nu * d + w * d * d
-
-    def qmat(p):
-        d = last(p) - kappa
-        return q_kernel(p, -(nu + 2.0 * w * d), tol)
-
-    return value, qmat
-
-
-def _feasibility_objective(kappa, tol):
-    last = _LastConstraint()
-
-    def value(p):
-        t = constraint_value(p)
-        last.store(p, t)
-        d = t - kappa
-        return d * d
-
-    def qmat(p):
-        d = last(p) - kappa
-        return 2.0 * d * constraint_q_kernel(p, tol)
-
-    return value, qmat
+    def qmat(self, p):
+        if self.kappa is None:
+            return q_kernel(p, self.mu, self.tol)
+        d = (self.t if p is self.seen else constraint_value(p)) - self.kappa
+        if self.feasibility:
+            return 2.0 * d * constraint_q_kernel(p, self.tol)
+        return q_kernel(p, -(self.nu + 2.0 * self.w * d), self.tol)
 
 
 def _feasibility_precheck(space, f, cfg, tol):
     """Verify some projector reaches T = kappa, else raise InfeasibleKappa."""
-    value, qmat = _feasibility_objective(cfg.kappa, tol)
-    probe_cfg = replace(cfg, max_iter=400, check_first_step=False)
+    probe = _Objective(tol, kappa=cfg.kappa, feasibility=True)
+    probe_cfg = replace(cfg, max_iter=400)
     threshold = max(1e-4, 10.0 * cfg.constraint_tol)
     best = math.inf
     for seed in cfg.seeds[:3] or (0,):
         start = random_projector(space, f, seed, cfg.boost_scale, tol)
-        out = _descend(start, value, qmat, probe_cfg, tol)
+        out = _descend(start, probe.value, probe.qmat, probe_cfg, tol)
         best = min(best, math.sqrt(max(out["value"], 0.0)))
         if best <= threshold:
             return
@@ -293,39 +260,44 @@ def _feasibility_precheck(space, f, cfg, tol):
     )
 
 
-def _constrained_seed(start, cfg, tol, check_first):
+def _solve_seed(start, cfg, tol):
+    """One descent at fixed mu, or the penalty rounds of constrained mode.
+
+    The multiplier is mu in auxiliary mode and -nu in constrained mode; the
+    iterations are summed over the rounds, whose traces are returned apart.
+    """
+    constrained = cfg.mode == "constrained"
     nu, w = 0.0, cfg.penalty_start
     proj = start
-    segments = []
-    status = "max_iterations"
-    for round_idx in range(cfg.outer_rounds):
-        value, qmat = _penalty_objective(cfg.kappa, nu, w, tol)
-        out = _descend(
-            proj, value, qmat, cfg, tol, check_first=check_first and round_idx == 0
-        )
-        proj = out["projector"]
-        segments.append(out["trace"])
-        if out["status"] == "divergence":
-            status = "divergence"
+    traces = []
+    for round_idx in range(cfg.outer_rounds if constrained else 1):
+        objective = (_Objective(tol, 0.0, cfg.kappa, nu, w) if constrained
+                     else _Objective(tol, cfg.mu))
+        out = _descend(proj, objective.value, objective.qmat, cfg, tol,
+                       check_first=round_idx == 0)
+        proj, status = out["projector"], out["status"]
+        traces.append(out["trace"])
+        if not constrained or status == "divergence":
             break
         d = constraint_value(proj) - cfg.kappa
         nu += 2.0 * w * d
-        if abs(d) <= cfg.constraint_tol and out["status"] == "converged":
-            status = "converged"
+        if abs(d) <= cfg.constraint_tol and status == "converged":
             break
+        status = "max_iterations"
         w *= cfg.penalty_growth
-    s0, t = action_and_constraint(proj, 0.0)
-    return {
+    mu = -nu if constrained else cfg.mu
+    s, t = action_and_constraint(proj, 0.0 if constrained else mu)
+    record = {
         "projector": proj,
-        "action": s0,
+        "action": s,
         "constraint": t,
-        "multiplier": -nu,
+        "multiplier": mu,
         "status": status,
         "exit_reason": out["exit_reason"],
-        "iterations": sum(len(trace) - 1 for trace in segments),
+        "iterations": sum(len(trace) - 1 for trace in traces),
         "gradient_norm": out["gradient_norm"],
-        "segments": segments,
     }
+    return record, traces
 
 
 def minimize(space, f, config=None, tol=DEFAULT):
@@ -338,37 +310,14 @@ def minimize(space, f, config=None, tol=DEFAULT):
     first in constrained mode, ties broken by seed order.
     """
     cfg = config or SolverConfig()
-    t0 = time.perf_counter()
     if cfg.mode == "constrained":
         _feasibility_precheck(space, f, cfg, tol)
     per_seed = []
     traces = {}
     for seed in cfg.seeds:
         start = random_projector(space, f, seed, cfg.boost_scale, tol)
-        if cfg.mode == "auxiliary":
-            value, qmat = _auxiliary_objective(cfg.mu, tol)
-            out = _descend(start, value, qmat, cfg, tol, cfg.check_first_step)
-            proj = out["projector"]
-            s, t = action_and_constraint(proj, cfg.mu)
-            record = {
-                "seed": seed,
-                "projector": proj,
-                "action": s,
-                "constraint": t,
-                "multiplier": cfg.mu,
-                "status": out["status"],
-                "exit_reason": out["exit_reason"],
-                "iterations": out["iterations"],
-                "gradient_norm": out["gradient_norm"],
-            }
-            traces[seed] = [out["trace"]]
-        else:
-            out = _constrained_seed(start, cfg, tol, cfg.check_first_step)
-            record = {"seed": seed, **{k: out[k] for k in (
-                "projector", "action", "constraint", "multiplier", "status",
-                "exit_reason", "iterations", "gradient_norm")}}
-            traces[seed] = out["segments"]
-        per_seed.append(record)
+        record, traces[seed] = _solve_seed(start, cfg, tol)
+        per_seed.append({"seed": seed, **record})
 
     def rank(idx_record):
         idx, rec = idx_record
@@ -379,7 +328,7 @@ def minimize(space, f, config=None, tol=DEFAULT):
         diverged = rec["status"] == "divergence"
         return (diverged, infeasible, rec["action"], idx)
 
-    best_idx, best = min(enumerate(per_seed), key=rank)
+    _, best = min(enumerate(per_seed), key=rank)
     if any(r["status"] == "divergence" for r in per_seed):
         status = "divergence"
     elif best["status"] == "converged":
@@ -399,8 +348,6 @@ def minimize(space, f, config=None, tol=DEFAULT):
         seed=best["seed"],
         per_seed=[{k: v for k, v in r.items() if k != "projector"} for r in per_seed],
         traces=traces,
-        wall_time=time.perf_counter() - t0,
-        config=cfg,
     )
 
 

@@ -18,8 +18,6 @@ class Tolerances:
         Allowed deviation of the image-basis Gram matrix from -Id before a
         projector is rejected (and the drift level at which the solver
         re-orthonormalizes its iterate).
-    projector : float
-        Validation tolerance for idempotency / self-adjointness checks.
     eig_zero : float
         A chain root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero;
         |lam| has a kink there, and a simple zero root gets the zero
@@ -43,7 +41,6 @@ class Tolerances:
     """
 
     gram: float = 1e-10
-    projector: float = 1e-9
     eig_zero: float = 1e-10
     eig_collision: float = 1e-8
     fd_step: float = 1e-6

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 
 from dstlab import cli
 from dstlab.cli import main
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def write_config(path, payload):
@@ -129,6 +135,34 @@ def test_removed_tolerance_knob_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_removed_projector_tolerance_rejected(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "classify-causal",
+            "params": {"roots": [[[1.0, 0.0]]]},
+            "tolerances": {"projector": 1e-3},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 2
+    assert "projector" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    # sympy is needed by lightcone-check alone, which imports it when it runs
+    code = "import sys, dstlab.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", "")),
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_schemas_are_valid_draft_2020_12():
     for validator in (*cli.VALIDATORS.values(), cli.TOLERANCE_VALIDATOR):
         jsonschema.Draft202012Validator.check_schema(validator.schema)
@@ -200,6 +234,24 @@ def test_classify_sample_uses_seed_list_override(tmp_path):
     report = load(out / "classifications.json")
     assert [g["seed"] for g in report["graphs"]] == [7]
     assert report["graphs"][0]["graph"]["m"] == 3
+
+
+def test_negative_seed_list_override_fails_validation(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "classify-causal",
+            "params": {"sample": {"n": 1, "m": 4, "f": 2}},
+            "seeds": [0],
+        },
+    )
+    out = tmp_path / "out"
+    rc = main(
+        ["classify-causal", "--config", cfg, "--out", str(out), "--seed-list", "-1"]
+    )
+    assert rc == 2
+    assert "config invalid at seeds/0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

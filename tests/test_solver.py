@@ -16,10 +16,8 @@ from dstlab.correlation import (
 from dstlab.solver import (
     InfeasibleKappa,
     SolverConfig,
-    _auxiliary_objective,
     _descend,
-    _feasibility_objective,
-    _penalty_objective,
+    _Objective,
     lagrange_multiplier_estimate,
     landscape_scan,
     minimize,
@@ -74,9 +72,8 @@ def _feasibility_reference(p):
 @pytest.mark.parametrize(
     "objective, reference",
     [
-        (lambda: _penalty_objective(KAPPA, NU, W, DEFAULT),
-         _penalty_reference),
-        (lambda: _feasibility_objective(KAPPA, DEFAULT),
+        (lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W), _penalty_reference),
+        (lambda: _Objective(DEFAULT, kappa=KAPPA, feasibility=True),
          _feasibility_reference),
     ],
     ids=["penalty", "feasibility"],
@@ -93,7 +90,8 @@ def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
 
     monkeypatch.setattr(dstlab.action, "chain_roots", counted)
     p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
-    value, qmat = objective()
+    built = objective()
+    value, qmat = built.value, built.qmat
     value(p)
     before = len(calls)
     q = qmat(p)
@@ -134,7 +132,8 @@ def test_descent_reads_the_stored_gram_drift(monkeypatch, cfg):
     ids=["max_iterations", "line_search_floor", "stalled"],
 )
 def test_descent_reports_why_it_stopped(settings, flip, reason, iterations):
-    value, qmat = _auxiliary_objective(0.5, DEFAULT)
+    objective = _Objective(DEFAULT, 0.5)
+    value, qmat = objective.value, objective.qmat
     sign = -1.0 if flip else 1.0
     out = _descend(
         random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
@@ -146,6 +145,30 @@ def test_descent_reports_why_it_stopped(settings, flip, reason, iterations):
     assert out["exit_reason"] == reason
     assert out["status"] == "max_iterations"
     assert out["iterations"] == iterations == len(out["trace"]) - 1
+
+
+@pytest.mark.parametrize("scale, fails", [(1.0, False), (2.0, True)],
+                         ids=["true_q", "mis_scaled_q"])
+def test_first_iterate_derivative_check(scale, fails):
+    # a Q scaled by 2 doubles the analytic slope along the same direction,
+    # which the central difference of the value then contradicts
+    objective = _Objective(DEFAULT, 0.5)
+
+    def descend():
+        return _descend(
+            random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
+            objective.value,
+            lambda p: scale * objective.qmat(p),
+            SolverConfig(mu=0.5, max_iter=2),
+            DEFAULT,
+            check_first=True,
+        )
+
+    if fails:
+        with pytest.raises(RuntimeError, match="first-iterate derivative check failed"):
+            descend()
+    else:
+        assert descend()["iterations"] == 2
 
 
 def test_constrained_seed_sums_iterations_over_rounds():
