@@ -158,7 +158,7 @@ def test_importing_the_cli_does_not_load_sympy():
         capture_output=True,
         text=True,
         check=True,
-        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", "")),
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert out.stdout.strip() == "False"
 
