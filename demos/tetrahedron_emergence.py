@@ -6,7 +6,7 @@ correlation matrices nevertheless carry Pauli vectors pointing at the
 vertices of a regular tetrahedron, with every normalized pairwise dot
 product at -1/3 and all occupation weights at 1/2.
 
-Run:  python3 demos/tetrahedron_emergence.py   (~10 s)
+Run:  python3 demos/tetrahedron_emergence.py   (about 2 s)
 """
 
 import numpy as np

@@ -8,9 +8,9 @@ pairs of different moduli occur away from minimizers).  The tests are applied
 in that order, so an all-real equal-modulus spectrum counts as timelike and
 the classification is deterministic.
 
-Tolerances scale with the spectrum: the default thresholds are
-``1e-9 * (1 + max |lam|)`` for both the imaginary parts and the modulus
-spread, overridable per call.
+Tolerances scale with the spectrum: the thresholds are
+``tol.causal * (1 + max |lam|)`` for both the imaginary parts and the modulus
+spread; ``classify`` takes absolute ones per call.
 """
 
 import enum
@@ -62,12 +62,12 @@ def classify(roots, tau_im=None, tau_mod=None, tol=DEFAULT):
     return CausalClass.UNDETERMINED
 
 
-def classify_chain(chain, tau_im=None, tau_mod=None, tol=DEFAULT):
+def classify_chain(chain, tol=DEFAULT):
     """Causal class of a :class:`~dstlab.action.ClosedChain` (or bare matrix)."""
     roots = getattr(chain, "roots", None)
     if roots is None:
         roots = np.linalg.eigvals(np.asarray(chain, dtype=complex))
-    return classify(roots, tau_im, tau_mod, tol)
+    return classify(roots, tol=tol)
 
 
 class CausalGraph:
@@ -133,7 +133,7 @@ class CausalGraph:
         return cls(classes)
 
 
-def causal_graph(projector, tau_im=None, tau_mod=None, tol=DEFAULT):
+def causal_graph(projector, tol=DEFAULT):
     """Classify every point pair of a fermionic projector.
 
     The chain roots for (x,y) and (y,x) agree, so the graph is symmetric by
@@ -144,7 +144,7 @@ def causal_graph(projector, tau_im=None, tau_mod=None, tol=DEFAULT):
     classes = np.empty((m, m), dtype=object)
     for x in range(m):
         for y in range(x, m):
-            c = classify(roots[x, y], tau_im, tau_mod, tol)
+            c = classify(roots[x, y], tol=tol)
             classes[x, y] = c
             classes[y, x] = c
     return CausalGraph(classes)

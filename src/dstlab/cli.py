@@ -326,19 +326,19 @@ def _validate(config, subcommand):
 # ---------------------------------------------------------------------------
 # subcommand handlers: params -> {filename: bytes}, exit code
 
-def _solver_config(params, seeds, n):
-    kwargs = {
-        "mode": params.get("mode", "auxiliary"),
-        "mu": params.get("mu", 1.0 / (2.0 * n)),
-        "seeds": tuple(seeds),
-    }
-    if "kappa" in params:
-        kwargs["kappa"] = params["kappa"]
-    for key in ("max_iter", "boost_scale", "residual_tol"):
-        if key in params:
-            kwargs[key] = params[key]
+def _space(n, m, f):
+    """The space of a solve or a sample; a rank above n*m is a config error."""
+    if f > n * m:
+        raise CliError(EXIT_VALIDATION, f"rank f={f} outside 1..{n * m}")
+    return DiscreteSpacetime(n, m)
+
+
+def _solver_config(params, seeds):
+    # the SolverConfig fields are the minimize params other than n, f and m
+    kwargs = {k: v for k, v in params.items() if k not in ("n", "f", "m")}
+    kwargs.setdefault("mu", 1.0 / (2.0 * params["n"]))
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(seeds=tuple(seeds), **kwargs)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, str(exc))
 
@@ -368,11 +368,8 @@ def _pauli_csv(corr):
 def _run_minimize(params, seeds, tol, config_dir):
     if not seeds:
         raise CliError(EXIT_VALIDATION, "minimize needs a nonempty seed list")
-    try:
-        space = DiscreteSpacetime(params["n"], params["m"])
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
-    cfg = _solver_config(params, seeds, params["n"])
+    space = _space(params["n"], params["m"], params["f"])
+    cfg = _solver_config(params, seeds)
     res = minimize(space, params["f"], cfg, tol)
     outputs = {"result.json": _json_bytes(_result_payload(res))}
     if params["n"] == 1 and params["f"] == 2:
@@ -408,10 +405,7 @@ def _run_classify_causal(params, seeds, tol, config_dir):
     sample = params["sample"]
     if not seeds:
         raise CliError(EXIT_VALIDATION, "sampled classification needs seeds")
-    try:
-        space = DiscreteSpacetime(sample["n"], sample["m"])
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    space = _space(sample["n"], sample["m"], sample["f"])
     graphs = []
     for seed in seeds:
         proj = random_projector(

@@ -29,6 +29,13 @@ check reads the Gram deviation each projector measured at construction
 (``FermionicProjector.gram_dev``).  The objective keeps the T of the last
 projector it evaluated, so a penalty or feasibility gradient at the accepted
 line-search trial makes no constraint pass of its own.
+
+A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
+MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
+(STALL_WINDOW, STALL_TOL), DIVERGENCE_FLOOR, the penalty schedule
+(PENALTY_START, PENALTY_GROWTH, OUTER_ROUNDS, CONSTRAINT_TOL) and the
+multiplier fit (FIT_DIRECTIONS, FIT_TOL) are module constants, read when a
+solve runs.
 """
 
 import math
@@ -64,6 +71,24 @@ __all__ = [
 ]
 
 
+# STEP_SHRINK lies in (0, 1), so the Armijo search ends below MIN_STEP
+INITIAL_STEP = 1.0
+MAX_STEP = 8.0
+ARMIJO = 1e-4
+STEP_SHRINK = 0.5
+STEP_GROW = 2.0
+MIN_STEP = 1e-14
+STALL_WINDOW = 50
+STALL_TOL = 1e-12
+DIVERGENCE_FLOOR = -1e6
+PENALTY_START = 10.0
+PENALTY_GROWTH = 10.0
+OUTER_ROUNDS = 8  # at least one penalty round
+CONSTRAINT_TOL = 1e-6
+FIT_DIRECTIONS = 24
+FIT_TOL = 1e-3
+
+
 class InfeasibleKappa(ValueError):
     """The requested constraint level is not attained by any trial projector."""
 
@@ -75,22 +100,8 @@ class SolverConfig:
     kappa: float | None = None
     seeds: tuple = tuple(range(32))
     max_iter: int = 2000
-    initial_step: float = 1.0
-    max_step: float = 8.0
-    armijo: float = 1e-4
-    step_shrink: float = 0.5
-    step_grow: float = 2.0
-    min_step: float = 1e-14
     residual_tol: float = 1e-8
-    stall_window: int = 50
-    stall_tol: float = 1e-12
-    divergence_floor: float = -1e6
     boost_scale: float = 1.0
-    # constrained mode
-    penalty_start: float = 10.0
-    penalty_growth: float = 10.0
-    outer_rounds: int = 8
-    constraint_tol: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in ("auxiliary", "constrained"):
@@ -98,15 +109,8 @@ class SolverConfig:
         if self.mode == "constrained" and self.kappa is None:
             raise ValueError("constrained mode needs a kappa level")
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        for name in ("residual_tol", "constraint_tol", "initial_step", "armijo",
-                     "min_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # the Armijo search ends only once the step has shrunk below min_step
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.outer_rounds < 1:
-            raise ValueError("outer_rounds must be at least 1")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
 
 
 @dataclass
@@ -139,18 +143,18 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     """Backtracking descent of one scalar objective from one start.
 
     ``exit_reason`` says why the loop ended: "converged", "divergence",
-    "line_search_floor" (no trial accepted down to ``min_step``), "stalled"
+    "line_search_floor" (no trial accepted down to ``MIN_STEP``), "stalled"
     (no descent over the stall window) or "max_iterations".  ``status``
     folds the last three into "max_iterations".
     """
     signs = proj.space.signs
     current = value(proj)
     trace = [current]
-    step = cfg.initial_step
+    step = INITIAL_STEP
     exit_reason = "max_iterations"
     grad_norm = math.inf
     for _ in range(cfg.max_iter):
-        if current < cfg.divergence_floor:
+        if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
             break
         q = qmat(proj)
@@ -171,26 +175,26 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
             _check_slope(proj, value, b, slope, tol)
             check_first = False
         accepted = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             trial = transported(proj, b, step)
             trial_value = value(trial)
-            if trial_value <= current + cfg.armijo * step * slope:
+            if trial_value <= current + ARMIJO * step * slope:
                 proj, current = trial, trial_value
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             exit_reason = "line_search_floor"  # keep the best iterate
             break
         trace.append(current)
         if (
-            len(trace) > cfg.stall_window
-            and trace[-1 - cfg.stall_window] - current
-            <= cfg.stall_tol * (1.0 + abs(current))
+            len(trace) > STALL_WINDOW
+            and trace[-1 - STALL_WINDOW] - current
+            <= STALL_TOL * (1.0 + abs(current))
         ):
             exit_reason = "stalled"  # flattened out below resolution
             break
-        step = min(step * cfg.step_grow, cfg.max_step)
+        step = min(step * STEP_GROW, MAX_STEP)
         if proj.gram_dev > tol.gram:
             proj = proj.renormalized()
     if proj.gram_dev > 1e-14:
@@ -246,7 +250,7 @@ def _feasibility_precheck(space, f, cfg, tol):
     """Verify some projector reaches T = kappa, else raise InfeasibleKappa."""
     probe = _Objective(tol, kappa=cfg.kappa, feasibility=True)
     probe_cfg = replace(cfg, max_iter=400)
-    threshold = max(1e-4, 10.0 * cfg.constraint_tol)
+    threshold = max(1e-4, 10.0 * CONSTRAINT_TOL)
     best = math.inf
     for seed in cfg.seeds[:3] or (0,):
         start = random_projector(space, f, seed, cfg.boost_scale, tol)
@@ -267,10 +271,10 @@ def _solve_seed(start, cfg, tol):
     iterations are summed over the rounds, whose traces are returned apart.
     """
     constrained = cfg.mode == "constrained"
-    nu, w = 0.0, cfg.penalty_start
+    nu, w = 0.0, PENALTY_START
     proj = start
     traces = []
-    for round_idx in range(cfg.outer_rounds if constrained else 1):
+    for round_idx in range(OUTER_ROUNDS if constrained else 1):
         objective = (_Objective(tol, 0.0, cfg.kappa, nu, w) if constrained
                      else _Objective(tol, cfg.mu))
         out = _descend(proj, objective.value, objective.qmat, cfg, tol,
@@ -281,10 +285,10 @@ def _solve_seed(start, cfg, tol):
             break
         d = constraint_value(proj) - cfg.kappa
         nu += 2.0 * w * d
-        if abs(d) <= cfg.constraint_tol and status == "converged":
+        if abs(d) <= CONSTRAINT_TOL and status == "converged":
             break
         status = "max_iterations"
-        w *= cfg.penalty_growth
+        w *= PENALTY_GROWTH
     mu = -nu if constrained else cfg.mu
     s, t = action_and_constraint(proj, 0.0 if constrained else mu)
     record = {
@@ -323,7 +327,7 @@ def minimize(space, f, config=None, tol=DEFAULT):
         idx, rec = idx_record
         infeasible = (
             cfg.mode == "constrained"
-            and abs(rec["constraint"] - cfg.kappa) > 10.0 * cfg.constraint_tol
+            and abs(rec["constraint"] - cfg.kappa) > 10.0 * CONSTRAINT_TOL
         )
         diverged = rec["status"] == "divergence"
         return (diverged, infeasible, rec["action"], idx)
@@ -356,13 +360,11 @@ class MultiplierEstimate:
     value: float
     residual: float
     status: str  # "ok" | "inconclusive"
-    directions: int
     t_stationarity: float  # ||[P, Q_T]|| / (1 + ||Q_T||)
 
 
-def lagrange_multiplier_estimate(projector, directions=24, seed=0, rel_tol=1e-3,
-                                 tol=DEFAULT):
-    """Least-squares fit of dS = mu dT over random orbit directions.
+def lagrange_multiplier_estimate(projector, tol=DEFAULT):
+    """Least-squares fit of dS = mu dT over FIT_DIRECTIONS random orbit directions.
 
     Recovers the Lagrange multiplier at constrained minimizers, which are the
     stationary points of the auxiliary action where the fit is well posed.
@@ -379,31 +381,30 @@ def lagrange_multiplier_estimate(projector, directions=24, seed=0, rel_tol=1e-3,
     cs = p @ qs - qs @ p
     ct = p @ qt - qt @ p
     t_stat = float(np.linalg.norm(ct)) / (1.0 + float(np.linalg.norm(qt)))
-    ds = np.empty(directions)
-    dt = np.empty(directions)
-    for k in range(directions):
-        b = random_direction(space, seed=seed + k)
+    ds = np.empty(FIT_DIRECTIONS)
+    dt = np.empty(FIT_DIRECTIONS)
+    for k in range(FIT_DIRECTIONS):
+        b = random_direction(space, seed=k)
         b /= np.linalg.norm(b)
         ds[k] = first_variation(cs, b)
         dt[k] = first_variation(ct, b)
     if t_stat < 1e-7:
-        return MultiplierEstimate(math.nan, math.inf, "inconclusive", directions,
-                                  t_stat)
+        return MultiplierEstimate(math.nan, math.inf, "inconclusive", t_stat)
     value = float(ds @ dt) / float(dt @ dt)
     residual = float(np.linalg.norm(ds - value * dt)) / max(
         np.linalg.norm(ds), 1e-300
     )
-    status = "ok" if residual <= rel_tol else "inconclusive"
-    return MultiplierEstimate(value, residual, status, directions, t_stat)
+    status = "ok" if residual <= FIT_TOL else "inconclusive"
+    return MultiplierEstimate(value, residual, status, t_stat)
 
 
-def landscape_scan(family, grid, mu=0.5, pair=(0, 1), tol=DEFAULT):
+def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
     """Evaluate action, constraint and chain-root data over a projector family.
 
     ``family`` maps a parameter value to a projector; grid points where the
     construction fails are recorded with the error message instead of data.
-    The returned records carry the root pair of one off-diagonal chain (the
-    ``pair`` argument) for transition plots.
+    The returned records carry the roots of the chain between points 0 and 1
+    for transition plots.
     """
     from .causal import causal_graph
 
@@ -415,7 +416,7 @@ def landscape_scan(family, grid, mu=0.5, pair=(0, 1), tol=DEFAULT):
             records.append({"param": float(v), "error": str(exc)})
             continue
         s, t = action_and_constraint(proj, mu)
-        roots = chain_roots(chain_blocks(kernel_blocks(proj)))[pair]
+        roots = chain_roots(chain_blocks(kernel_blocks(proj)))[0, 1]
         graph = causal_graph(proj, tol=tol)
         off = graph.off_diagonal_class()
         records.append(

@@ -254,6 +254,27 @@ def test_negative_seed_list_override_fails_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, params, rank",
+    [
+        ("minimize", {"n": 1, "f": 5, "m": 2}, "f=5 outside 1..2"),
+        ("classify-causal", {"sample": {"n": 1, "m": 2, "f": 5}}, "f=5 outside 1..2"),
+        ("pauli-vectors", {"m": 1}, "f=2 outside 1..1"),
+    ],
+    ids=["minimize", "classify-causal", "pauli-vectors"],
+)
+def test_rank_above_n_times_m_fails_validation(tmp_path, capsys, subcommand, params,
+                                               rank):
+    cfg = write_config(
+        tmp_path / "c.json", {"subcommand": subcommand, "params": params, "seeds": [0]}
+    )
+    out = tmp_path / "out"
+    rc = main([subcommand, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"rank {rank}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # landscape + determinism + manifest contract
 

@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import dstlab.action
+import dstlab.solver
 from dstlab import DiscreteSpacetime, FermionicProjector, random_projector
 from dstlab.action import constraint_q_kernel, constraint_value, q_kernel
 from dstlab.causal import CausalClass, causal_graph
+from dstlab.cli import _SOLVER_PARAMS
 from dstlab.correlation import (
     TRIANGLE_CAUSAL_THRESHOLD,
     geometry_diagnostics,
@@ -39,23 +42,29 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "holds",
     [
-        ("step_shrink", 1.0),
-        ("step_shrink", 1.5),
-        ("step_shrink", 0.0),
-        ("step_shrink", -0.5),
-        ("min_step", 0.0),
-        ("min_step", -1e-14),
-        ("outer_rounds", 0),
-        ("outer_rounds", -1),
+        lambda s: 0 < s.STEP_SHRINK < 1,
+        lambda s: s.MIN_STEP > 0,
+        lambda s: s.INITIAL_STEP > 0,
+        lambda s: s.ARMIJO > 0,
+        lambda s: s.CONSTRAINT_TOL > 0,
+        lambda s: s.OUTER_ROUNDS >= 1,
     ],
+    ids=["step_shrink", "min_step", "initial_step", "armijo", "constraint_tol",
+         "outer_rounds"],
 )
-def test_config_rejects_settings_the_descent_cannot_run(field, value):
-    # with step_shrink >= 1 the Armijo search never ends, and a constrained
+def test_descent_constants_are_settings_the_descent_can_run(holds):
+    # with STEP_SHRINK >= 1 the Armijo search never ends, and a constrained
     # solve needs at least one penalty round
-    with pytest.raises(ValueError, match=field):
-        SolverConfig(mode="constrained", kappa=0.85, **{field: value})
+    assert holds(dstlab.solver)
+
+
+def test_config_fields_are_the_minimize_params():
+    # a field that no config can reach would be a setting no run chooses
+    assert {f.name for f in fields(SolverConfig)} - {"seeds"} == (
+        set(_SOLVER_PARAMS) - {"n", "f", "m"}
+    )
 
 
 KAPPA, NU, W = 0.85, 0.3, 10.0
@@ -107,8 +116,7 @@ def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
     "cfg",
     [
         SolverConfig(mode="auxiliary", mu=0.5, seeds=(0,), max_iter=30),
-        SolverConfig(mode="constrained", kappa=0.85, seeds=(0,), max_iter=30,
-                     outer_rounds=2),
+        SolverConfig(mode="constrained", kappa=0.85, seeds=(0,), max_iter=30),
     ],
     ids=["auxiliary", "constrained"],
 )
@@ -116,22 +124,27 @@ def test_descent_reads_the_stored_gram_drift(monkeypatch, cfg):
     def fail(self):
         raise AssertionError("the descent must not form P to check the Gram drift")
 
+    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
     monkeypatch.setattr(FermionicProjector, "check_invariants", fail)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     assert res.projector.gram_dev <= 1e-14
 
 
 @pytest.mark.parametrize(
-    "settings, flip, reason, iterations",
+    "settings, constants, flip, reason, iterations",
     [
-        ({"max_iter": 3}, False, "max_iterations", 3),
-        # an ascent direction: no trial passes Armijo down to min_step
-        ({}, True, "line_search_floor", 0),
-        ({"stall_window": 1, "stall_tol": 1e9}, False, "stalled", 1),
+        ({"max_iter": 3}, {}, False, "max_iterations", 3),
+        # an ascent direction: no trial passes Armijo down to MIN_STEP
+        ({}, {}, True, "line_search_floor", 0),
+        ({}, {"STALL_WINDOW": 1, "STALL_TOL": 1e9}, False, "stalled", 1),
     ],
     ids=["max_iterations", "line_search_floor", "stalled"],
 )
-def test_descent_reports_why_it_stopped(settings, flip, reason, iterations):
+def test_descent_reports_why_it_stopped(
+    monkeypatch, settings, constants, flip, reason, iterations
+):
+    for name, value in constants.items():
+        monkeypatch.setattr(dstlab.solver, name, value)
     objective = _Objective(DEFAULT, 0.5)
     value, qmat = objective.value, objective.qmat
     sign = -1.0 if flip else 1.0
@@ -171,9 +184,9 @@ def test_first_iterate_derivative_check(scale, fails):
         assert descend()["iterations"] == 2
 
 
-def test_constrained_seed_sums_iterations_over_rounds():
-    cfg = SolverConfig(mode="constrained", kappa=0.85, seeds=(0, 1), max_iter=30,
-                       outer_rounds=2)
+def test_constrained_seed_sums_iterations_over_rounds(monkeypatch):
+    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
+    cfg = SolverConfig(mode="constrained", kappa=0.85, seeds=(0, 1), max_iter=30)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     for rec in res.per_seed:
         segments = res.traces[rec["seed"]]
@@ -211,10 +224,9 @@ def test_runs_are_deterministic():
     assert np.array_equal(a.projector.basis, b.projector.basis)
 
 
-def test_divergence_beyond_critical_weight():
-    cfg = SolverConfig(
-        mode="auxiliary", mu=0.7, seeds=(0,), divergence_floor=-1e3, max_iter=5000
-    )
+def test_divergence_beyond_critical_weight(monkeypatch):
+    monkeypatch.setattr(dstlab.solver, "DIVERGENCE_FLOOR", -1e3)
+    cfg = SolverConfig(mode="auxiliary", mu=0.7, seeds=(0,), max_iter=5000)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     assert res.status == "divergence"
     assert res.action < -1e3
