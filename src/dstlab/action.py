@@ -34,6 +34,16 @@ near-defective eigenvalue collision (two roots closer than ``eig_collision (1 +
 max|lam|)``, a double zero root included) falls back to central finite
 differences.
 
+Chains of spin dimension 2 (n = 1, trailing shape 2 x 2) take a closed form
+with no eigendecomposition or inverse.  With h = tr(A)/2 and
+s = sqrt(h^2 - det A) the roots are lam_+ = h +/- s, the sign chosen so that
+|lam_+| >= |h|, and lam_- = det(A)/lam_+, which keeps the smaller root free of
+cancellation.  The spectral projectors are Pi_+ = (A - lam_-)/(lam_+ - lam_-)
+and Pi_- = Id - Pi_+, so M = c_- Id + (c_+ - c_-) Pi_+.  The zero-root and
+collision rules are the ones above, with |lam_+ - lam_-| as the collision gap.
+Batched LAPACK ``eig`` serves 2n >= 4, and on 2 x 2 chains it is the test
+oracle of the closed form.
+
 From the gradient blocks the first variation of the action under P -> P + dP
 is ``dS = 4 Tr(Q dP)`` with the kernel
 
@@ -153,8 +163,33 @@ def chain_blocks(kernels):
     return np.einsum("xyij,yxjk->xyik", kernels, kernels)
 
 
+def _roots_2x2(a):
+    """(lam_+, lam_-) of a stack of 2 x 2 matrices, |lam_+| >= |lam_-|.
+
+    The discriminant h^2 - det A is formed as ((a00 - a11)/2)^2 + a01 a10,
+    which is the same number without the cancellation of h^2 against det A.
+    """
+    a = np.asarray(a, dtype=complex)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    h = 0.5 * (a00 + a11)
+    half = 0.5 * (a00 - a11)
+    s = np.sqrt(half * half + a01 * a10)
+    s = np.where((h.conj() * s).real < 0.0, -s, s)  # |lam_+| >= |h|
+    plus = h + s
+    minus = np.divide(a00 * a11 - a01 * a10, plus,
+                      out=np.zeros_like(plus), where=plus != 0)
+    return plus, minus
+
+
 def chain_roots(chains):
-    """Roots (eigenvalues) of every chain; shape (m, m, 2n)."""
+    """Roots (eigenvalues) of every chain; shape (..., 2n).
+
+    2 x 2 chains (n = 1) take the closed form (lam_+, lam_-) in that order;
+    larger chains go through batched ``eigvals``.
+    """
+    chains = np.asarray(chains)
+    if chains.shape[-2:] == (2, 2):
+        return np.stack(_roots_2x2(chains), axis=-1)
     return np.linalg.eigvals(chains)
 
 
@@ -211,7 +246,8 @@ def finite_difference_gradient(a, step=DEFAULT.fd_step):
     with respect to ``A[be, al]``, with real and imaginary parts probed
     separately.  This is the oracle the analytic gradient is tested against,
     and the fallback at eigenvalue collisions.  All 4 d^2 perturbed chains go
-    through one batched eigenvalue call.
+    through one batched ``eigvals`` call, also for 2 x 2 chains, so the oracle
+    shares no code with the closed form.
     """
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
@@ -236,33 +272,68 @@ def _collision_mask(lam, tol):
     return gap.min(axis=(-2, -1)) < tol.eig_collision * scale
 
 
+def _coefficients(chains, lam, tol):
+    """(c_sq, c_abs): dL = Re sum_j c_j dlam_j for L = |A^2| and L = |A|^2.
+
+    A root with ``|lam| < eig_zero * (1 + ||A||_F)`` gets the zero subgradient
+    of |lam|: its factor conj(lam)/|lam| is set to 0.
+    """
+    norms = np.linalg.norm(chains, axis=(-2, -1))
+    mod = np.abs(lam)
+    zero = mod < tol.eig_zero * (1.0 + norms)[..., None]
+    unit = np.where(zero, 0.0, np.conj(lam) / np.where(zero, 1.0, mod))
+    return 2.0 * np.conj(lam), 2.0 * mod.sum(axis=-1)[..., None] * unit
+
+
+def _gradient_2x2(chains, tol):
+    """Closed-form (M_sq, M_abs, collision mask) of 2 x 2 chains.
+
+    M = c_- Id + (c_+ - c_-) (A - lam_-)/(lam_+ - lam_-): no eig, no inverse.
+    """
+    plus, minus = _roots_2x2(chains)
+    gap = plus - minus
+    bad = np.abs(gap) < tol.eig_collision * (1.0 + np.abs(plus))
+    gap = np.where(bad, 1.0, gap)
+    out = []
+    for c in _coefficients(chains, np.stack([plus, minus], axis=-1), tol):
+        slope = (c[..., 0] - c[..., 1]) / gap
+        shift = c[..., 1] - slope * minus
+        m = slope[..., None, None] * chains
+        m[..., 0, 0] += shift
+        m[..., 1, 1] += shift
+        out.append(m)
+    return out[0], out[1], bad
+
+
+def _gradient_eig(chains, tol):
+    """(M_sq, M_abs, collision mask) from batched ``eig`` and spectral projectors.
+
+    Serves chains of 2n >= 4 and is the oracle of :func:`_gradient_2x2`.
+    """
+    lam, vec = np.linalg.eig(chains)
+    bad = _collision_mask(lam, tol)
+    c_sq, c_abs = _coefficients(chains, lam, tol)
+    if np.any(bad):
+        vec = vec.copy()
+        vec[bad] = np.eye(chains.shape[-1])
+    vinv = np.linalg.inv(vec)
+    msq = vec @ (c_sq[..., :, None] * vinv)
+    mabs = vec @ (c_abs[..., :, None] * vinv)
+    return msq, mabs, bad
+
+
 def gradient_blocks(chains, tol=DEFAULT):
     """(M_sq, M_abs) for every ordered pair; shape (m, m, 2n, 2n) each.
 
-    Analytic spectral-projector route wherever the chain's roots are simple.
+    Analytic spectral-projector route wherever the chain's roots are simple:
+    the closed form for 2 x 2 chains (n = 1), batched ``eig`` for 2n >= 4.
     A simple root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and
     gets the zero subgradient of |lam| in closed form; only pairs with an
     eigenvalue collision use finite differences.
     """
     chains = np.asarray(chains, dtype=complex)
-    lam, vec = np.linalg.eig(chains)
-    norms = np.linalg.norm(chains, axis=(-2, -1))
-    bad = _collision_mask(lam, tol)
-
-    mod = np.abs(lam)
-    zero = mod < tol.eig_zero * (1.0 + norms)[..., None]
-    unit = np.where(zero, 0.0, np.conj(lam) / np.where(zero, 1.0, mod))
-    c_sq = 2.0 * np.conj(lam)
-    c_abs = 2.0 * mod.sum(axis=-1)[..., None] * unit
-
-    vec_safe = vec.copy()
-    d = chains.shape[-1]
-    if np.any(bad):
-        vec_safe[bad] = np.eye(d)
-    vinv = np.linalg.inv(vec_safe)
-    msq = vec_safe @ (c_sq[..., :, None] * vinv)
-    mabs = vec_safe @ (c_abs[..., :, None] * vinv)
-
+    route = _gradient_2x2 if chains.shape[-2:] == (2, 2) else _gradient_eig
+    msq, mabs, bad = route(chains, tol)
     for idx in zip(*np.nonzero(bad)):
         msq[idx], mabs[idx] = finite_difference_gradient(chains[idx], tol.fd_step)
     return msq, mabs
@@ -328,8 +399,17 @@ def el_residual(projector, mu, tol=DEFAULT):
     (which are similarities but not Euclidean isometries).  Note a nilpotent
     commutator would be invisible here; the solver additionally monitors the
     Frobenius norm of its descent gradient, which vanishes iff [P,Q] = 0.
+
+    X = [P, Q] = PQ(1-P) - (1-P)QP maps im P into its complement and back, so
+    its nonzero roots are +/- sqrt(-nu) for the roots nu of X^2 on im P.  In
+    the image basis U that is the f x f block U^dag S X^2 U, and the weight is
+    2 sum sqrt|nu|: no eigenproblem of size md.
     """
-    return spectral_weight(np.linalg.eigvals(el_commutator(projector, mu, tol)))
+    x = el_commutator(projector, mu, tol)
+    u = projector.basis
+    su = projector.space.signs[:, None] * u
+    nu = chain_roots((su.conj().T @ x) @ (x @ u))  # the 2 x 2 closed form at f = 2
+    return 2.0 * float(np.sum(np.sqrt(np.abs(nu))))
 
 
 def first_variation(commutator, b):

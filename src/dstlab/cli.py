@@ -286,18 +286,13 @@ def _json_bytes(obj):
     return (json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _csv_bytes(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(repr(float(cell)))
-        lines.append(",".join(cells))
+def _csv_bytes(header, columns):
+    """CSV of equal-length columns: a float column is written with repr, any other with str."""
+    cells = []
+    for column in map(np.asarray, columns):
+        text = repr if column.dtype.kind == "f" else str
+        cells.append(map(text, column.tolist()))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -358,11 +353,8 @@ def _result_payload(res):
 
 
 def _pauli_csv(corr):
-    rows = [
-        (x, corr.rho[x], *corr.vectors[x])
-        for x in range(corr.m)
-    ]
-    return _csv_bytes(("x", "rho", "v1", "v2", "v3"), rows)
+    return _csv_bytes(("x", "rho", "v1", "v2", "v3"),
+                      (np.arange(corr.m), corr.rho, *corr.vectors.T))
 
 
 def _run_minimize(params, seeds, tol, config_dir):
@@ -441,24 +433,14 @@ def _run_landscape(params, seeds, tol, config_dir):
     grid = np.linspace(params["start"], params["stop"], params["num"])
     mu = params.get("mu", 0.5)
     records = landscape_scan(_landscape_family(params, tol), grid, mu=mu, tol=tol)
-    rows = []
-    for rec in records:
-        if "error" in rec:
-            continue
-        lam_minus, lam_plus = rec["roots"][0], rec["roots"][-1]
-        rows.append(
-            (
-                rec["param"],
-                lam_plus.real,
-                lam_plus.imag,
-                lam_minus.real,
-                lam_minus.imag,
-            )
-        )
+    ok = [rec for rec in records if "error" not in rec]
+    lam_plus = np.array([rec["roots"][-1] for rec in ok], dtype=complex)
+    lam_minus = np.array([rec["roots"][0] for rec in ok], dtype=complex)
     outputs = {
         "landscape.csv": _csv_bytes(
             ("v", "re_lam_plus", "im_lam_plus", "re_lam_minus", "im_lam_minus"),
-            rows,
+            ([rec["param"] for rec in ok], lam_plus.real, lam_plus.imag,
+             lam_minus.real, lam_minus.imag),
         ),
         "landscape.json": _json_bytes({"mu": mu, "records": records}),
     }
@@ -478,11 +460,6 @@ def _run_lattice(params, seeds, tol, config_dir):
         scan = landscape_scan_2d(geom, states[0], states[1], taus, weights=weights)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, str(exc))
-    rows = [
-        (t1, t2, scan.surface[i, j])
-        for i, t1 in enumerate(scan.tau_values)
-        for j, t2 in enumerate(scan.tau_values)
-    ]
     # a linspace through zero may miss it by an ulp; the minima records carry
     # the grid's own value, so the flags compare against that
     i0 = int(np.argmin(np.abs(taus)))
@@ -504,7 +481,11 @@ def _run_lattice(params, seeds, tol, config_dir):
         "origin": origin,
     }
     outputs = {
-        "surface.csv": _csv_bytes(("tau1", "tau2", "S"), rows),
+        "surface.csv": _csv_bytes(
+            ("tau1", "tau2", "S"),
+            (np.repeat(scan.tau_values, scan.tau_values.size),
+             np.tile(scan.tau_values, scan.tau_values.size), scan.surface.ravel()),
+        ),
         "minima.json": _json_bytes(minima),
     }
     return outputs, EXIT_OK

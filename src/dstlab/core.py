@@ -139,7 +139,8 @@ def indefinite_orthonormalize(space, vectors):
         chol = np.linalg.cholesky(-g)
     except np.linalg.LinAlgError:
         raise ValueError("span is not negative definite; cannot orthonormalize") from None
-    return basis @ np.linalg.inv(chol.conj().T)
+    # L^{-dagger} by a triangular solve, not a general LU inverse
+    return basis @ scipy.linalg.solve_triangular(chol.conj().T, np.eye(len(chol)))
 
 
 @dataclass(frozen=True, eq=False)

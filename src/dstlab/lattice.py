@@ -326,7 +326,9 @@ def _grid_local_minima(tau_values, surface):
         (float(tau_values[i]), float(tau_values[j]), float(surface[i, j]))
         for i, j in np.argwhere(is_min)
     ]
-    out.sort(key=lambda rec: rec[2])
+    # antipodal minima differ by an ulp or two of rounding; 12 significant
+    # digits make them tie, and the coordinates then fix the order
+    out.sort(key=lambda rec: (float(f"{rec[2]:.11e}"), rec[0], rec[1]))
     return tuple(out)
 
 
@@ -354,7 +356,7 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
         lag = _pair_lagrangian(chain_root_pairs(scalar_sum, coeff_t, coeff_r))
         surface[i] = np.einsum("t,r,gtr->g", rho_t, rho_r, lag)
     minima = _grid_local_minima(tau_values, surface)
-    floor = minima[0][2] if minima else float(np.min(surface))
+    floor = min(rec[2] for rec in minima) if minima else float(np.min(surface))
     global_minima = tuple(
         rec for rec in minima if rec[2] <= floor + 1e-10 * (1.0 + abs(floor))
     )

@@ -145,7 +145,9 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     ``exit_reason`` says why the loop ended: "converged", "divergence",
     "line_search_floor" (no trial accepted down to ``MIN_STEP``), "stalled"
     (no descent over the stall window) or "max_iterations".  ``status``
-    folds the last three into "max_iterations".
+    folds the last three into "max_iterations".  ``armijo_trials`` counts the
+    line search's trial projectors (not the two of the derivative check) and
+    ``renormalizations`` the re-orthonormalized iterates.
     """
     signs = proj.space.signs
     current = value(proj)
@@ -153,6 +155,7 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     step = INITIAL_STEP
     exit_reason = "max_iterations"
     grad_norm = math.inf
+    trials = renormalizations = 0
     for _ in range(cfg.max_iter):
         if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
@@ -176,6 +179,7 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
             check_first = False
         accepted = False
         while step >= MIN_STEP:
+            trials += 1
             trial = transported(proj, b, step)
             trial_value = value(trial)
             if trial_value <= current + ARMIJO * step * slope:
@@ -197,8 +201,10 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         step = min(step * STEP_GROW, MAX_STEP)
         if proj.gram_dev > tol.gram:
             proj = proj.renormalized()
+            renormalizations += 1
     if proj.gram_dev > 1e-14:
         proj = proj.renormalized()
+        renormalizations += 1
     status = exit_reason
     if status not in ("converged", "divergence"):
         status = "max_iterations"
@@ -208,6 +214,8 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         "status": status,
         "exit_reason": exit_reason,
         "iterations": len(trace) - 1,
+        "armijo_trials": trials,
+        "renormalizations": renormalizations,
         "gradient_norm": grad_norm,
         "trace": np.array(trace),
     }
@@ -268,12 +276,14 @@ def _solve_seed(start, cfg, tol):
     """One descent at fixed mu, or the penalty rounds of constrained mode.
 
     The multiplier is mu in auxiliary mode and -nu in constrained mode; the
-    iterations are summed over the rounds, whose traces are returned apart.
+    iterations, Armijo trials and renormalizations are summed over the rounds,
+    whose traces are returned apart.
     """
     constrained = cfg.mode == "constrained"
     nu, w = 0.0, PENALTY_START
     proj = start
     traces = []
+    counts = {"armijo_trials": 0, "renormalizations": 0}
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
         objective = (_Objective(tol, 0.0, cfg.kappa, nu, w) if constrained
                      else _Objective(tol, cfg.mu))
@@ -281,6 +291,8 @@ def _solve_seed(start, cfg, tol):
                        check_first=round_idx == 0)
         proj, status = out["projector"], out["status"]
         traces.append(out["trace"])
+        for key in counts:
+            counts[key] += out[key]
         if not constrained or status == "divergence":
             break
         d = constraint_value(proj) - cfg.kappa
@@ -299,6 +311,7 @@ def _solve_seed(start, cfg, tol):
         "status": status,
         "exit_reason": out["exit_reason"],
         "iterations": sum(len(trace) - 1 for trace in traces),
+        **counts,
         "gradient_norm": out["gradient_norm"],
     }
     return record, traces

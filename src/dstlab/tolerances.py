@@ -19,14 +19,18 @@ class Tolerances:
         projector is rejected (and the drift level at which the solver
         re-orthonormalizes its iterate).
     eig_zero : float
-        A chain root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero;
+        A chain root with ``|lam| < eig_zero * (1 + ||A||_F)`` counts as zero;
         |lam| has a kink there, and a simple zero root gets the zero
         subgradient in closed form (its factor conj(lam)/|lam| is set to 0).
+        The same rule holds on the 2 x 2 closed form (n = 1), where the small
+        root is det(A)/lam_+, and on the ``eig`` route (2n >= 4).
     eig_collision : float
         Relative eigenvalue-collision threshold; a near-defective chain
         (two roots closer than ``eig_collision * (1 + max|lam|)``, a double
         zero root included) is the only case that falls back to the
-        finite-difference gradient.
+        finite-difference gradient.  For a 2 x 2 chain the gap is
+        |lam_+ - lam_-|, which vanishes with the discriminant at the causal
+        threshold; for 2n >= 4 it is the smallest pairwise root distance.
     fd_step : float
         Base step for central finite differences.
     causal : float

@@ -314,3 +314,179 @@ def test_transported_projector_stays_on_orbit():
     assert dev["gram"] < 1e-10
     # spectra of P itself are preserved (it stays a rank-f projector)
     assert q.rank == p.rank
+
+
+# -- closed form for 2 x 2 chains (n = 1) -----------------------------------
+
+
+def _max_root_error(roots, reference):
+    """Largest matched root distance per chain, over 1 + max|lam| of the chain."""
+    roots = roots.reshape(-1, roots.shape[-1])
+    reference = reference.reshape(-1, reference.shape[-1])
+    return max(
+        act.multiset_distance(r, ref) / (1.0 + np.abs(ref).max())
+        for r, ref in zip(roots, reference)
+    )
+
+
+@pytest.mark.parametrize("m, f", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
+                                  (9, 1), (9, 2), (9, 3)])
+def test_closed_form_roots_match_eigvals(m, f):
+    from dstlab.correlation import correlation_chain_roots, local_correlations
+
+    for seed in range(4):
+        p = random_projector(DiscreteSpacetime(1, m), f, seed=seed)
+        chains = act.chain_blocks(act.kernel_blocks(p))
+        roots = act.chain_roots(chains)
+        assert roots.shape == (m, m, 2)
+        assert _max_root_error(roots, np.linalg.eigvals(chains)) <= 1e-12
+        if f == 2:
+            corr = local_correlations(p)
+            pairs = np.array([
+                [correlation_chain_roots(corr.rho[x], corr.vectors[x],
+                                         corr.rho[y], corr.vectors[y])
+                 for y in range(m)]
+                for x in range(m)
+            ])
+            assert _max_root_error(roots, pairs) <= 1e-12
+
+
+def test_closed_form_roots_of_random_and_special_matrices():
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+    a[:500] *= 10.0 ** rng.uniform(-6, 6, size=(500, 1, 1))
+    special = np.array([
+        np.zeros((2, 2)),
+        [[0, 1], [0, 0]],  # nilpotent: both roots 0
+        [[2, 0], [0, 2]],  # scalar
+        [[1, 0], [0, -1]],  # h = 0
+        [[0, -1], [1, 0]],  # +/- i
+        [[1e-9, 1], [0, -1e-9]],
+    ], dtype=complex)
+    for batch in (a, special, special.real.copy()):
+        roots = act.chain_roots(batch)
+        assert _max_root_error(roots, np.linalg.eigvals(batch)) <= 1e-12
+        # lam_+ is the root of larger modulus
+        assert np.all(np.abs(roots[:, 0]) >= np.abs(roots[:, 1]))
+    single = act.chain_roots(special[4])
+    assert single.shape == (2,)
+
+
+def _chain_with_roots(roots, seed):
+    """A non-normal 2 x 2 matrix with the given roots."""
+    rng = np.random.default_rng(seed)
+    v = np.eye(2) + 0.4 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return v @ np.diag(roots) @ np.linalg.inv(v)
+
+
+ROOT_KINDS = {
+    "conjugate_pair": lambda r: 0.3 * r.uniform(0.5, 2.0) * np.exp(
+        1j * r.uniform(0.2, 2.9) * np.array([1.0, -1.0])),
+    "real_same_sign": lambda r: r.uniform(0.1, 2.0, size=2),
+    "real_mixed_sign": lambda r: r.uniform(0.1, 2.0, size=2) * np.array([1.0, -1.0]),
+    "zero_root": lambda r: np.array([r.uniform(0.1, 2.0), 0.0]),
+    "near_threshold": lambda r: 0.3 + np.array([1e-5j, -1e-5j]),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROOT_KINDS))
+def test_closed_form_gradient_matches_eig_route_and_fd(monkeypatch, kind):
+    rng = np.random.default_rng(3)
+    chains = np.array([_chain_with_roots(ROOT_KINDS[kind](rng), seed) for seed in range(12)])
+    oracle = act.finite_difference_gradient
+    calls = _count_fd_calls(monkeypatch)
+    msq, mabs = act.gradient_blocks(chains)
+    assert len(calls) == 0
+    esq, eabs, bad = act._gradient_eig(chains, DEFAULT)
+    assert not np.any(bad)
+    for got, want in ((msq, esq), (mabs, eabs)):
+        scale = np.abs(want).max(axis=(-2, -1))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-11 * scale)
+    for k, a in enumerate(chains):
+        for got, want in zip((msq[k], mabs[k]), oracle(a)):
+            assert np.max(np.abs(got - want)) <= 1e-5 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-11, 4e-9])
+@pytest.mark.parametrize("pair", ["conjugate", "real"])
+def test_closed_form_routes_a_vanishing_discriminant_to_fd(monkeypatch, gap, pair):
+    # at the causal threshold the two roots meet; a gap under
+    # eig_collision * (1 + max|lam|) is a collision, whatever the route
+    split = 1j * gap if pair == "conjugate" else gap
+    chains = np.array([_chain_with_roots([0.3 + split, 0.3 - split], seed)
+                       for seed in range(3)])
+    if gap == 0.0:
+        chains[0] = [[0.3, 1.0], [0.0, 0.3]]  # the defective Jordan block
+    oracle = act.finite_difference_gradient
+    calls = _count_fd_calls(monkeypatch)
+    msq, mabs = act.gradient_blocks(chains)
+    assert len(calls) == len(chains)
+    for k, a in enumerate(chains):
+        assert np.array_equal(calls[k], a)
+        want_sq, want_abs = oracle(a)
+        assert np.array_equal(msq[k], want_sq)
+        assert np.array_equal(mabs[k], want_abs)
+
+
+def test_closed_form_gradient_at_exact_tetrahedron_minimizer(monkeypatch):
+    # every chain of the regular tetrahedron has a simple zero root (the
+    # critical Lagrangian's kink); no pair reaches finite differences
+    from dstlab.correlation import projector_from_correlations, tetrahedron_family
+
+    p = projector_from_correlations(DiscreteSpacetime(1, 4), tetrahedron_family(0.5))
+    chains = act.chain_blocks(act.kernel_blocks(p))
+    oracle = act.finite_difference_gradient
+    calls = _count_fd_calls(monkeypatch)
+    msq, mabs = act.gradient_blocks(chains)
+    assert len(calls) == 0
+    esq, eabs, _ = act._gradient_eig(chains, DEFAULT)
+    assert np.max(np.abs(msq - esq)) <= 1e-12
+    assert np.max(np.abs(mabs - eabs)) <= 1e-12
+    for x in range(4):
+        for y in range(4):
+            fsq, fabs = oracle(chains[x, y])
+            assert np.max(np.abs(msq[x, y] - fsq)) <= 1e-8
+            assert np.max(np.abs(mabs[x, y] - fabs)) <= 1e-8
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the n = 1 path must not call eig, eigvals or inv")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=40),
+        SolverConfig(mode="constrained", kappa=0.85, seeds=(0,), max_iter=40),
+    ],
+    ids=["auxiliary", "constrained"],
+)
+def test_n1_minimize_calls_no_eig_eigvals_or_inv(monkeypatch, cfg):
+    for name in ("eig", "eigvals", "inv"):
+        monkeypatch.setattr(np.linalg, name, _raise)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    assert np.isfinite(res.action) and np.isfinite(res.residual)
+    assert sum(r["iterations"] for r in res.per_seed) > 0
+
+
+def test_chains_of_spin_dimension_four_keep_the_eig_route(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    p = random_projector(DiscreteSpacetime(2, 3), 2, seed=1)
+    act.q_kernel(p, 0.25)
+    assert calls == [(3, 3, 4, 4)]
+
+
+def test_el_residual_matches_commutator_spectrum():
+    # the f x f reduction against the spectral weight of the full md x md [P, Q]
+    for n, m, f, mu in [(1, 3, 2, 0.5), (1, 4, 1, 0.5), (1, 9, 3, 0.4), (2, 3, 2, 0.25)]:
+        for seed in range(3):
+            p = random_projector(DiscreteSpacetime(n, m), f, seed=seed)
+            full = act.spectral_weight(np.linalg.eigvals(act.el_commutator(p, mu)))
+            assert act.el_residual(p, mu) == pytest.approx(full, rel=1e-10)

@@ -679,3 +679,21 @@ def test_reproduce_default_output_root_env(tmp_path, monkeypatch):
     outdir = tmp_path / "root" / "reproduce" / "fig3"
     assert (outdir / "fig3_landscape.csv").is_file()
     assert load(outdir / "manifest.json")["subcommand"] == "reproduce"
+
+
+def test_result_records_each_seeds_armijo_trials_and_renormalizations(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "minimize",
+            "params": {"n": 1, "f": 2, "m": 3, "mode": "constrained", "kappa": 0.85,
+                       "max_iter": 3},
+            "seeds": [0, 1],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    for rec in load(out / "result.json")["per_seed"]:
+        # summed over the penalty rounds, like the iterations
+        assert rec["armijo_trials"] >= rec["iterations"] > 0
+        assert isinstance(rec["renormalizations"], int) and rec["renormalizations"] >= 0

@@ -356,3 +356,22 @@ def test_overflowing_boost_is_refused_not_returned_as_nan():
             lattice_action(GEOM, [OccupiedState(-1, 1, tau=tau), STATE_B])
     with pytest.raises(RuntimeError, match="not finite at lattice points"):
         landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-800.0, 800.0, 5))
+
+
+def test_grid_minima_order_ignores_ulp_noise_between_antipodal_minima():
+    from dstlab.lattice import _grid_local_minima
+
+    taus = np.linspace(-2.5, 2.5, 61)
+    scan = landscape_scan_2d(GEOM, STATE_A, STATE_B, taus)
+    order = [rec[:2] for rec in scan.minima]
+    assert len(order) == 21
+    index = {round(t, 9): k for k, t in enumerate(taus)}
+    pairs = [rec for rec in scan.minima if (-rec[0], -rec[1]) in order and rec[0] > 0]
+    assert pairs
+    for t1, t2, _ in pairs:
+        i, j = index[round(t1, 9)], index[round(t2, 9)]
+        for direction in (np.inf, -np.inf):
+            surface = scan.surface.copy()
+            surface[i, j] = np.nextafter(surface[i, j], direction)
+            moved = _grid_local_minima(taus, surface)
+            assert [rec[:2] for rec in moved] == order

@@ -295,3 +295,31 @@ def test_landscape_scan_of_triangle_family():
     # the action rises along the family while the critical Lagrangian of the
     # spacelike pairs vanishes
     assert records[4]["action"] > records[2]["action"] > 0.0
+
+
+@pytest.mark.parametrize("gram", [DEFAULT.gram, 1e-16], ids=["default", "tight_gram"])
+def test_per_seed_counts_armijo_trials_and_renormalizations(monkeypatch, gram):
+    # every line-search trial is one transported call; the first-iterate
+    # derivative check of each seed adds two more
+    trials, renormalized = [], []
+    transported = dstlab.solver.transported
+    original = FermionicProjector.renormalized
+
+    def counted_transport(*args):
+        trials.append(1)
+        return transported(*args)
+
+    def counted_renormalized(self):
+        renormalized.append(1)
+        return original(self)
+
+    monkeypatch.setattr(dstlab.solver, "transported", counted_transport)
+    monkeypatch.setattr(FermionicProjector, "renormalized", counted_renormalized)
+    cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=3)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg, DEFAULT.with_(gram=gram))
+    assert sum(r["armijo_trials"] for r in res.per_seed) == len(trials) - 2 * 2
+    assert sum(r["renormalizations"] for r in res.per_seed) == len(renormalized)
+    for rec in res.per_seed:
+        assert rec["armijo_trials"] >= rec["iterations"] == 3
+    if gram < DEFAULT.gram:
+        assert len(renormalized) > 0
