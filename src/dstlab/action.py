@@ -34,16 +34,6 @@ near-defective eigenvalue collision (two roots closer than ``eig_collision (1 +
 max|lam|)``, a double zero root included) falls back to central finite
 differences.
 
-Chains of spin dimension 2 (n = 1, trailing shape 2 x 2) take a closed form
-with no eigendecomposition or inverse.  With h = tr(A)/2 and
-s = sqrt(h^2 - det A) the roots are lam_+ = h +/- s, the sign chosen so that
-|lam_+| >= |h|, and lam_- = det(A)/lam_+, which keeps the smaller root free of
-cancellation.  The spectral projectors are Pi_+ = (A - lam_-)/(lam_+ - lam_-)
-and Pi_- = Id - Pi_+, so M = c_- Id + (c_+ - c_-) Pi_+.  The zero-root and
-collision rules are the ones above, with |lam_+ - lam_-| as the collision gap.
-Batched LAPACK ``eig`` serves 2n >= 4, and on 2 x 2 chains it is the test
-oracle of the closed form.
-
 From the gradient blocks the first variation of the action under P -> P + dP
 is ``dS = 4 Tr(Q dP)`` with the kernel
 
@@ -51,6 +41,48 @@ is ``dS = 4 Tr(Q dP)`` with the kernel
 
 and along the unitary orbit (dP = i[B, P]) it becomes ``dS = 4i Tr([P,Q] B)``.
 Critical points therefore satisfy the commutator equation [P, Q] = 0.
+Batched LAPACK ``eig`` serves chains of 2n >= 4.
+
+Spin dimension 2 (n = 1): two real invariants
+----------------------------------------------
+A 2 x 2 chain is self-adjoint in the indefinite product, so its trace
+t = tr(K_xy K_yx) and its determinant delta = det K_xy det K_yx (K_xy =
+P(x,y)) are real, t_xy = t_yx, delta_xy = delta_yx, and the roots are t/2
++/- sqrt(t^2/4 - delta): a conjugate pair (spacelike) or two real roots
+(timelike) by the sign of t^2/4 - delta.  The weights are piecewise
+polynomials in (t, delta), with no root and no square root:
+
+    branch              condition        |A^2|          |A|^2
+    conjugate pair      t^2 < 4 delta    2 delta        4 delta
+    real, same sign     delta >= 0       t^2 - 2 delta  t^2
+    real, mixed sign    delta < 0        t^2 - 2 delta  t^2 - 4 delta
+
+:class:`ChainPass` computes the action, the constraint and the kernel Q from
+them in one pass.  Since dt = tr dA and d delta = tr(adj(A) dA) with adj(A)
+= t Id - A, a Lagrangian L(t, delta) has the gradient
+
+    M = (L_t + t L_delta) Id - L_delta A = alpha Id + beta A,
+
+and with A_xy K_xy = K_xy A_yx the kernel needs no M block:
+
+    Q(x,y) = K_xy [ (alpha_xy + alpha_yx) Id + (beta_xy + beta_yx) A_yx ] / 4
+           = [ (L_t,xy + L_t,yx) K_xy
+               + (L_delta,xy + L_delta,yx) det(K_xy) adj(K_yx) ] / 4.
+
+The two rules above read, in these terms: on the real branch lam_- =
+delta/lam_+, and |lam_-| < eig_zero (1 + ||A||_F) is a zero root, where
+|A|^2 takes the mean delta-slope -2 of its two sides (M_abs = 2A, the zero
+subgradient); a gap 2 sqrt|t^2/4 - delta| < eig_collision (1 + |lam_+|) is a
+collision, whose pairs get the finite-difference M in the two-sided Q above.
+
+The root-based closed form serves :func:`chain_roots` and
+:func:`gradient_blocks` on any 2 x 2 matrix, and is the oracle of the
+invariant route: with h = tr(A)/2 and s = sqrt(h^2 - det A) the roots are
+lam_+ = h +/- s, the sign chosen so that |lam_+| >= |h|, and lam_- =
+det(A)/lam_+, which keeps the smaller root free of cancellation; the spectral
+projectors are Pi_+ = (A - lam_-)/(lam_+ - lam_-) and Pi_- = Id - Pi_+, so
+M = c_- Id + (c_+ - c_-) Pi_+.  On 2 x 2 chains ``eig`` and the
+finite-difference gradient are oracles too.
 """
 
 import numpy as np
@@ -76,6 +108,9 @@ __all__ = [
     "action",
     "constraint_value",
     "action_and_constraint",
+    "invariant_weights",
+    "invariant_roots",
+    "ChainPass",
     "lagrangian_gradient",
     "gradient_blocks",
     "finite_difference_gradient",
@@ -226,12 +261,126 @@ def constraint_value(projector):
 
 
 def action_and_constraint(projector, mu):
-    """(S_mu, T) sharing one spectral decomposition pass."""
-    roots = chain_roots(chain_blocks(kernel_blocks(projector)))
-    mod = np.abs(roots)
-    sq = np.sum(mod * mod, axis=2)
-    ab = np.sum(mod, axis=2)
-    return float(np.sum(sq - mu * ab**2)), float(np.sum(ab**2))
+    """(S_mu, T) from one chain pass; ``projector`` may be its :class:`ChainPass`."""
+    sq, ab = _pass_of(projector).weights()
+    return float(np.sum(sq - mu * ab)), float(np.sum(ab))
+
+
+# ---------------------------------------------------------------------------
+# one chain pass per projector: value, constraint and gradient kernel
+# ---------------------------------------------------------------------------
+
+
+def invariant_weights(t, delta):
+    """(|A^2|, |A|^2) of 2 x 2 chains with real trace t and determinant delta.
+
+    The three branches of the module docstring's table in one expression:
+    max(t^2, 4 delta) is 4 delta on a conjugate pair and t^2 on a real one.
+    """
+    top = np.maximum(t * t, 4.0 * delta)
+    return top - 2.0 * delta, top - 4.0 * np.minimum(delta, 0.0)
+
+
+def invariant_roots(t, delta):
+    """(lam_+, lam_-) of 2 x 2 chains with real trace t and determinant delta.
+
+    A conjugate pair (t^2 < 4 delta) is t/2 +/- i sqrt(delta - t^2/4), lam_+
+    the root with Im > 0.  A real pair is ordered by value: the root of larger
+    modulus, t/2 + sign(t) sqrt(t^2/4 - delta), is free of cancellation and
+    the other is delta over it.
+    """
+    t = np.asarray(t, dtype=float)
+    disc = 0.25 * t * t - delta
+    root = np.sqrt(np.abs(disc))
+    big = 0.5 * t + np.copysign(root, t)
+    small = np.divide(delta, big, out=np.zeros_like(big), where=big != 0.0)
+    conj = disc < 0.0
+    plus = np.where(conj, 0.5 * t + 1j * root, np.maximum(big, small))
+    minus = np.where(conj, 0.5 * t - 1j * root, np.minimum(big, small))
+    return plus, minus
+
+
+class ChainPass:
+    """The closed chains of one projector, formed once for S, T and Q.
+
+    ``projector`` is the projector of the pass and ``p`` its dense matrix.
+    Chains of spin dimension 2 (n = 1) are kept as the real (m, m) arrays
+    ``t`` = tr A_xy and ``delta`` = det K_xy det K_yx, with ``det`` = det
+    K_xy, K_xy = P(x,y); the value needs no chain matrix, root or square
+    root.  Larger chains keep ``kernels``, ``chains`` and their ``roots``.
+    ``fd_pairs`` is the number of ordered pairs the last gradient sent to
+    finite differences.
+    """
+
+    def __init__(self, projector):
+        self.projector = projector
+        self.p = p = projector.matrix()
+        self.fd_pairs = 0
+        m = projector.space.m
+        if projector.space.n == 1:
+            self.t = (p * p.T).reshape(m, 2, m, 2).sum(axis=(1, 3)).real
+            self.det = p[::2, ::2] * p[1::2, 1::2] - p[::2, 1::2] * p[1::2, ::2]
+            self.delta = (self.det * self.det.T).real
+            self.roots = None
+        else:
+            self.kernels = kernel_blocks(projector)
+            self.chains = chain_blocks(self.kernels)
+            self.roots = chain_roots(self.chains)
+
+    def weights(self):
+        """(|A^2|, |A|^2) of every chain, (m, m) each."""
+        if self.roots is None:
+            return invariant_weights(self.t, self.delta)
+        mod = np.abs(self.roots)
+        return np.sum(mod * mod, axis=2), np.sum(mod, axis=2) ** 2
+
+    def q(self, w_sq, w_abs, tol=DEFAULT):
+        """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs."""
+        if self.roots is not None:
+            msq, mabs, bad = _gradient(self.chains, tol)
+            self.fd_pairs = int(np.count_nonzero(bad))
+            return blocks_to_matrix(q_blocks(self.kernels, w_sq * msq + w_abs * mabs))
+        t, delta, p = self.t, self.delta, self.p
+        m, signs = len(t), self.projector.space.signs
+        disc = 0.25 * t * t - delta
+        conj = disc < 0.0
+        half_gap = np.sqrt(np.abs(disc))  # |lam_+ - lam_-| / 2
+        big = np.where(conj, np.sqrt(np.abs(delta)), 0.5 * np.abs(t) + half_gap)
+        bad = 2.0 * half_gap < tol.eig_collision * (1.0 + big)
+        k = p.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
+        chains = k @ k.transpose(1, 0, 2, 3)
+        small = np.divide(np.abs(delta), big, out=np.zeros_like(big), where=big > 0.0)
+        zero = ~conj & (small < tol.eig_zero * (1.0 + np.linalg.norm(chains, axis=(2, 3))))
+        # slopes L_t, L_delta of w_sq |A^2| + w_abs |A|^2 (module docstring
+        # table); at a zero root |A|^2 takes the mean -2 of its delta-slopes
+        l_t = (w_sq + w_abs) * np.where(conj, 0.0, 2.0 * t)
+        l_delta = np.where(conj, 2.0 * w_sq + 4.0 * w_abs, -2.0 * (w_sq + w_abs)
+                           + 2.0 * w_abs * np.where(zero, 0.0, np.sign(delta)))
+        # Q(x,y) = [(L_t,xy + L_t,yx) K_xy + (L_d,xy + L_d,yx) det K_xy adj K_yx]/4;
+        # block (x,y) of S P^T S with rows and columns swapped in pairs is adj K_yx
+        swap = np.arange(2 * m) ^ 1
+        adj = signs[:, None] * p.T[swap][:, swap] * signs
+        lt = 0.25 * (l_t + l_t.T)
+        ld = 0.25 * (l_delta + l_delta.T) * self.det
+        q = (lt[:, None, :, None] * p.reshape(m, 2, m, 2)
+             + ld[:, None, :, None] * adj.reshape(m, 2, m, 2)).reshape(2 * m, 2 * m)
+        self.fd_pairs = int(np.count_nonzero(bad))
+        if self.fd_pairs:
+            # two-sided Q(x,y) = (M_xy K_xy + K_xy M_yx)/4 on the pairs of a
+            # collision, M = (L_t + t L_d) Id - L_d A or the FD oracle
+            grad = ((l_t + t * l_delta)[:, :, None, None] * np.eye(2)
+                    - l_delta[:, :, None, None] * chains)
+            for x, y in zip(*np.nonzero(bad)):
+                msq, mabs = finite_difference_gradient(chains[x, y], tol.fd_step)
+                grad[x, y] = w_sq * msq + w_abs * mabs
+            for x, y in zip(*np.nonzero(bad | bad.T)):
+                q[2 * x:2 * x + 2, 2 * y:2 * y + 2] = 0.25 * (
+                    grad[x, y] @ k[x, y] + k[x, y] @ grad[y, x])
+        return q
+
+
+def _pass_of(source):
+    return source if isinstance(source, ChainPass) else ChainPass(source)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +471,27 @@ def _gradient_eig(chains, tol):
     return msq, mabs, bad
 
 
-def gradient_blocks(chains, tol=DEFAULT):
-    """(M_sq, M_abs) for every ordered pair; shape (m, m, 2n, 2n) each.
-
-    Analytic spectral-projector route wherever the chain's roots are simple:
-    the closed form for 2 x 2 chains (n = 1), batched ``eig`` for 2n >= 4.
-    A simple root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and
-    gets the zero subgradient of |lam| in closed form; only pairs with an
-    eigenvalue collision use finite differences.
-    """
+def _gradient(chains, tol):
     chains = np.asarray(chains, dtype=complex)
     route = _gradient_2x2 if chains.shape[-2:] == (2, 2) else _gradient_eig
     msq, mabs, bad = route(chains, tol)
     for idx in zip(*np.nonzero(bad)):
         msq[idx], mabs[idx] = finite_difference_gradient(chains[idx], tol.fd_step)
-    return msq, mabs
+    return msq, mabs, bad
+
+
+def gradient_blocks(chains, tol=DEFAULT):
+    """(M_sq, M_abs) for every ordered pair; shape (m, m, 2n, 2n) each.
+
+    Analytic spectral-projector route wherever the chain's roots are simple:
+    the root-based closed form for 2 x 2 chains, batched ``eig`` for 2n >= 4.
+    A simple root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and
+    gets the zero subgradient of |lam| in closed form; only pairs with an
+    eigenvalue collision use finite differences.  It takes any chain, not
+    only one of a projector; :class:`ChainPass` serves the solver and is
+    tested against this route.
+    """
+    return _gradient(chains, tol)[:2]
 
 
 def lagrangian_gradient(a, mu, tol=DEFAULT):
@@ -372,17 +527,19 @@ def blocks_to_matrix(blocks):
 
 
 def q_kernel(projector, mu, tol=DEFAULT):
-    """Full Q operator of the action S_mu as an (md, md) matrix."""
-    k = kernel_blocks(projector)
-    msq, mabs = gradient_blocks(chain_blocks(k), tol)
-    return blocks_to_matrix(q_blocks(k, msq - mu * mabs))
+    """Full Q operator of the action S_mu as an (md, md) matrix.
+
+    ``projector`` may be its :class:`ChainPass`, which is then reused.
+    """
+    return _pass_of(projector).q(1.0, -mu, tol)
 
 
 def constraint_q_kernel(projector, tol=DEFAULT):
-    """Q operator of the constraint functional T (dT = 4 Tr(Q_T dP))."""
-    k = kernel_blocks(projector)
-    _, mabs = gradient_blocks(chain_blocks(k), tol)
-    return blocks_to_matrix(q_blocks(k, mabs))
+    """Q operator of the constraint functional T (dT = 4 Tr(Q_T dP)).
+
+    ``projector`` may be its :class:`ChainPass`, which is then reused.
+    """
+    return _pass_of(projector).q(0.0, 1.0, tol)
 
 
 def el_commutator(projector, mu, tol=DEFAULT):
@@ -403,12 +560,15 @@ def el_residual(projector, mu, tol=DEFAULT):
     X = [P, Q] = PQ(1-P) - (1-P)QP maps im P into its complement and back, so
     its nonzero roots are +/- sqrt(-nu) for the roots nu of X^2 on im P.  In
     the image basis U that is the f x f block U^dag S X^2 U, and the weight is
-    2 sum sqrt|nu|: no eigenproblem of size md.
+    2 sum sqrt|nu|: no eigenproblem of size md.  The block is no chain, so
+    its roots make no chain pass: the 2 x 2 closed form at f = 2, else
+    ``eigvals``.
     """
     x = el_commutator(projector, mu, tol)
     u = projector.basis
     su = projector.space.signs[:, None] * u
-    nu = chain_roots((su.conj().T @ x) @ (x @ u))  # the 2 x 2 closed form at f = 2
+    h = (su.conj().T @ x) @ (x @ u)
+    nu = np.stack(_roots_2x2(h)) if h.shape == (2, 2) else np.linalg.eigvals(h)
     return 2.0 * float(np.sum(np.sqrt(np.abs(nu))))
 
 

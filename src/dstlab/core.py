@@ -28,6 +28,7 @@ platform.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -191,8 +192,14 @@ class FermionicProjector:
         return self.basis.shape[1]
 
     def matrix(self):
-        """Dense matrix  P = -U U^dagger S."""
-        return -self.basis @ (self.basis.conj().T * self.space.signs[None, :])
+        """Dense matrix  P = -U U^dagger S, formed once per projector (read-only)."""
+        return self._dense
+
+    @cached_property
+    def _dense(self):
+        p = -self.basis @ (self.basis.conj().T * self.space.signs[None, :])
+        p.flags.writeable = False
+        return p
 
     def apply(self, v):
         """P v without forming the dense matrix."""

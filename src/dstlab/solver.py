@@ -26,9 +26,10 @@ Gradient consistency is asserted against finite differences at the first
 iterate of every seed, and every accepted iterate is kept an exact projector
 by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
 check reads the Gram deviation each projector measured at construction
-(``FermionicProjector.gram_dev``).  The objective keeps the T of the last
-projector it evaluated, so a penalty or feasibility gradient at the accepted
-line-search trial makes no constraint pass of its own.
+(``FermionicProjector.gram_dev``).  The objective keeps the chain pass
+(``dstlab.action.ChainPass``) of the last projector it evaluated, so the
+gradient at the accepted line-search trial makes no chain pass of its own,
+and the commutator reuses the dense P the pass read.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
@@ -44,15 +45,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .action import (
+    ChainPass,
     action,  # unused here; perfbench/tracing.py wraps it as dstlab.solver.action
     action_and_constraint,
-    chain_blocks,
-    chain_roots,
     constraint_q_kernel,
     constraint_value,
     el_residual,
     first_variation,
-    kernel_blocks,
+    invariant_roots,
     q_kernel,
     spectral_weight,
     transported,
@@ -226,32 +226,44 @@ class _Objective:
 
     Auxiliary mode descends (mu, nu = w = 0) with no kappa, a penalty round
     (0, nu, w); the feasibility probe (``feasibility=True``) keeps only
-    (T - kappa)^2.  ``value`` stores the T of the projector it saw last.  The
-    line search evaluates every trial, so when ``qmat`` asks about the
-    accepted iterate its T is known; projectors are immutable, so identity
-    decides, and any other projector gets a pass of its own.
+    (T - kappa)^2.  The objective keeps the chain pass of the projector it
+    saw last, with its S_mu and T.  The line search evaluates every trial, so
+    when ``qmat`` asks about the accepted iterate its pass is there;
+    projectors are immutable, so identity decides, and any other projector
+    gets a pass of its own.  ``fd_pairs`` counts the chain pairs its
+    gradients sent to finite differences.
     """
 
     def __init__(self, tol, mu=0.0, kappa=None, nu=0.0, w=0.0, feasibility=False):
         self.tol, self.mu, self.kappa, self.nu, self.w = tol, mu, kappa, nu, w
         self.feasibility = feasibility
-        self.seen, self.t = None, 0.0
+        self.chains, self.s, self.t = None, 0.0, 0.0
+        self.fd_pairs = 0
+
+    def _see(self, p):
+        if self.chains is None or self.chains.projector is not p:
+            self.chains = ChainPass(p)
+            self.s, self.t = action_and_constraint(self.chains, self.mu)
+        return self.chains
 
     def value(self, p):
-        s, t = action_and_constraint(p, self.mu)
+        self._see(p)
         if self.kappa is None:
-            return s
-        self.seen, self.t = p, t
-        d = t - self.kappa
-        return d * d if self.feasibility else s + self.nu * d + self.w * d * d
+            return self.s
+        d = self.t - self.kappa
+        return d * d if self.feasibility else self.s + self.nu * d + self.w * d * d
 
     def qmat(self, p):
+        chains = self._see(p)
         if self.kappa is None:
-            return q_kernel(p, self.mu, self.tol)
-        d = (self.t if p is self.seen else constraint_value(p)) - self.kappa
-        if self.feasibility:
-            return 2.0 * d * constraint_q_kernel(p, self.tol)
-        return q_kernel(p, -(self.nu + 2.0 * self.w * d), self.tol)
+            q = q_kernel(chains, self.mu, self.tol)
+        elif self.feasibility:
+            q = 2.0 * (self.t - self.kappa) * constraint_q_kernel(chains, self.tol)
+        else:
+            mu = -(self.nu + 2.0 * self.w * (self.t - self.kappa))
+            q = q_kernel(chains, mu, self.tol)
+        self.fd_pairs += chains.fd_pairs
+        return q
 
 
 def _feasibility_precheck(space, f, cfg, tol):
@@ -276,14 +288,14 @@ def _solve_seed(start, cfg, tol):
     """One descent at fixed mu, or the penalty rounds of constrained mode.
 
     The multiplier is mu in auxiliary mode and -nu in constrained mode; the
-    iterations, Armijo trials and renormalizations are summed over the rounds,
-    whose traces are returned apart.
+    iterations, Armijo trials, renormalizations and FD pairs are summed over
+    the rounds, whose traces are returned apart.
     """
     constrained = cfg.mode == "constrained"
     nu, w = 0.0, PENALTY_START
     proj = start
     traces = []
-    counts = {"armijo_trials": 0, "renormalizations": 0}
+    counts = {"armijo_trials": 0, "renormalizations": 0, "fd_pairs": 0}
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
         objective = (_Objective(tol, 0.0, cfg.kappa, nu, w) if constrained
                      else _Objective(tol, cfg.mu))
@@ -291,8 +303,9 @@ def _solve_seed(start, cfg, tol):
                        check_first=round_idx == 0)
         proj, status = out["projector"], out["status"]
         traces.append(out["trace"])
-        for key in counts:
+        for key in ("armijo_trials", "renormalizations"):
             counts[key] += out[key]
+        counts["fd_pairs"] += objective.fd_pairs
         if not constrained or status == "divergence":
             break
         d = constraint_value(proj) - cfg.kappa
@@ -323,8 +336,11 @@ def minimize(space, f, config=None, tol=DEFAULT):
     Auxiliary mode descends S_mu at fixed mu (detecting the divergence that
     occurs beyond the critical weight); constrained mode minimizes the plain
     action subject to T = kappa after verifying the level is attainable.
-    The best seed is chosen deterministically: lowest action, feasible seeds
-    first in constrained mode, ties broken by seed order.
+    The best seed is chosen deterministically: non-diverged seeds first, then
+    feasible seeds in constrained mode.  Among those, the seeds whose action
+    is within 1e-12 (1 + |S_min|) of the lowest S_min tie, so seeds that reach
+    one symmetric minimizer tie whatever their rounding; the first converged
+    tied seed in seed order is the best, else the first tied seed.
     """
     cfg = config or SolverConfig()
     if cfg.mode == "constrained":
@@ -336,16 +352,18 @@ def minimize(space, f, config=None, tol=DEFAULT):
         record, traces[seed] = _solve_seed(start, cfg, tol)
         per_seed.append({"seed": seed, **record})
 
-    def rank(idx_record):
-        idx, rec = idx_record
+    def rank(rec):
         infeasible = (
             cfg.mode == "constrained"
             and abs(rec["constraint"] - cfg.kappa) > 10.0 * CONSTRAINT_TOL
         )
-        diverged = rec["status"] == "divergence"
-        return (diverged, infeasible, rec["action"], idx)
+        return (rec["status"] == "divergence", infeasible)
 
-    _, best = min(enumerate(per_seed), key=rank)
+    top = min(map(rank, per_seed))
+    front = [r for r in per_seed if rank(r) == top]
+    lowest = min(r["action"] for r in front)
+    tied = [r for r in front if r["action"] <= lowest + 1e-12 * (1.0 + abs(lowest))]
+    best = next((r for r in tied if r["status"] == "converged"), tied[0])
     if any(r["status"] == "divergence" for r in per_seed):
         status = "divergence"
     elif best["status"] == "converged":
@@ -388,8 +406,9 @@ def lagrange_multiplier_estimate(projector, tol=DEFAULT):
     undetermined and the fitted ratio would be pure noise).
     """
     space = projector.space
-    qs = q_kernel(projector, 0.0, tol)
-    qt = constraint_q_kernel(projector, tol)
+    chains = ChainPass(projector)
+    qs = q_kernel(chains, 0.0, tol)
+    qt = constraint_q_kernel(chains, tol)
     p = projector.matrix()
     cs = p @ qs - qs @ p
     ct = p @ qt - qt @ p
@@ -416,8 +435,10 @@ def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
 
     ``family`` maps a parameter value to a projector; grid points where the
     construction fails are recorded with the error message instead of data.
-    The returned records carry the roots of the chain between points 0 and 1
-    for transition plots.
+    The returned records carry the roots (lam_-, lam_+) of the chain between
+    points 0 and 1 for transition plots.  On 2 x 2 chains they come from the
+    chain's trace and determinant: lam_+ of a conjugate pair is the root with
+    Im > 0, and a real pair is ordered by value (``invariant_roots``).
     """
     from .causal import causal_graph
 
@@ -428,8 +449,13 @@ def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
         except Exception as exc:  # noqa: BLE001 - flagged, not fatal
             records.append({"param": float(v), "error": str(exc)})
             continue
-        s, t = action_and_constraint(proj, mu)
-        roots = chain_roots(chain_blocks(kernel_blocks(proj)))[0, 1]
+        chains = ChainPass(proj)
+        s, t = action_and_constraint(chains, mu)
+        if chains.roots is None:
+            plus, minus = invariant_roots(chains.t[0, 1], chains.delta[0, 1])
+            roots = np.array([minus, plus])
+        else:
+            roots = np.sort_complex(chains.roots[0, 1])
         graph = causal_graph(proj, tol=tol)
         off = graph.off_diagonal_class()
         records.append(
@@ -437,7 +463,7 @@ def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
                 "param": float(v),
                 "action": float(s),
                 "constraint": float(t),
-                "roots": np.sort_complex(roots),
+                "roots": roots,
                 "chain_weight": float(spectral_weight(roots)),
                 "causal_offdiag": off.value if off is not None else "mixed",
             }

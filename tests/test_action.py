@@ -490,3 +490,148 @@ def test_el_residual_matches_commutator_spectrum():
             p = random_projector(DiscreteSpacetime(n, m), f, seed=seed)
             full = act.spectral_weight(np.linalg.eigvals(act.el_commutator(p, mu)))
             assert act.el_residual(p, mu) == pytest.approx(full, rel=1e-10)
+
+
+# -- one chain pass on the invariants t = tr A, delta = det A (n = 1) --------
+
+
+def _root_route_q(p, w_sq, w_abs, gradient=act.gradient_blocks):
+    """Two-sided Q from a root or eig route's gradient blocks (the oracle)."""
+    k = act.kernel_blocks(p)
+    msq, mabs = gradient(act.chain_blocks(k))[:2]
+    return act.blocks_to_matrix(act.q_blocks(k, w_sq * msq + w_abs * mabs))
+
+
+@pytest.mark.parametrize("m, f", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
+                                  (9, 1), (9, 2), (9, 3)])
+def test_invariant_pass_matches_the_root_route_and_the_eig_oracle(monkeypatch, m, f):
+    calls = _count_fd_calls(monkeypatch)
+    for seed in range(3):
+        p = random_projector(DiscreteSpacetime(1, m), f, seed=seed)
+        chains = act.chain_blocks(act.kernel_blocks(p))
+        lam = act.chain_roots(chains)
+        cp = act.ChainPass(p)
+        scale = 1.0 + np.abs(lam).max()
+        assert np.max(np.abs(cp.t - lam.sum(axis=-1))) <= 1e-14 * scale
+        assert np.max(np.abs(cp.delta - lam.prod(axis=-1))) <= 1e-14 * scale**2
+        mod = np.abs(lam)
+        for mu in (0.0, 0.3, 0.5):
+            s, t = act.action_and_constraint(cp, mu)
+            assert s == pytest.approx(np.sum(mod * mod) - mu * np.sum(mod.sum(-1) ** 2),
+                                      rel=1e-13, abs=1e-15)
+            assert t == pytest.approx(np.sum(mod.sum(-1) ** 2), rel=1e-13)
+            for w_sq, w_abs, q in ((1.0, -mu, act.q_kernel(cp, mu)),
+                                   (0.0, 1.0, act.constraint_q_kernel(cp))):
+                root = _root_route_q(p, w_sq, w_abs)
+                eig = _root_route_q(
+                    p, w_sq, w_abs, lambda c: act._gradient_eig(c, DEFAULT))
+                assert np.max(np.abs(q - root)) <= 1e-13 * np.max(np.abs(root))
+                assert np.max(np.abs(q - eig)) <= 1e-10 * np.max(np.abs(eig))
+    assert len(calls) == 0
+
+
+def test_invariant_weights_follow_the_three_branch_table():
+    # (t, delta) -> (|A^2|, |A|^2): conjugate pair, real same sign, real mixed
+    # sign, and both branch boundaries (zero discriminant, zero determinant)
+    roots = np.array([[0.3 + 0.4j, 0.3 - 0.4j], [2.0, 0.5], [-2.0, -0.5],
+                      [1.5, -0.25], [0.7, 0.7], [1.2, 0.0], [0.0, 0.0]])
+    t, delta = roots.sum(axis=1).real, roots.prod(axis=1).real
+    sq, ab = act.invariant_weights(t, delta)
+    mod = np.abs(roots)
+    assert np.allclose(sq, np.sum(mod * mod, axis=1), rtol=1e-15, atol=0)
+    assert np.allclose(ab, np.sum(mod, axis=1) ** 2, rtol=1e-15, atol=0)
+
+
+def test_invariant_roots_label_a_conjugate_pair_by_the_sign_of_im():
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-2.0, 2.0, size=400)
+    delta = 0.25 * t * t + rng.uniform(-1.0, 1.0, size=400)
+    plus, minus = act.invariant_roots(t, delta)
+    lam = np.stack([plus, minus], axis=-1)
+    a = np.zeros((400, 2, 2))  # companion matrices with trace t and det delta
+    a[:, 0, 1], a[:, 1, 0], a[:, 1, 1] = 1.0, -delta, t
+    assert _max_root_error(lam, np.linalg.eigvals(a)) <= 1e-13
+    conj = 0.25 * t * t < delta
+    assert np.all(plus[conj].imag > 0.0)
+    assert np.array_equal(minus[conj], np.conj(plus[conj]))
+    assert np.array_equal(plus[conj].real, 0.5 * t[conj])
+    assert np.all(plus[~conj].imag == 0.0) and np.all(minus[~conj].imag == 0.0)
+    assert np.all(plus[~conj].real >= minus[~conj].real)
+    # an ulp on t or delta flips no label away from the threshold
+    away = np.abs(0.25 * t * t - delta) > 1e-12
+    for dt, dd in ((np.inf, 0), (-np.inf, 0), (0, np.inf), (0, -np.inf)):
+        tt = np.nextafter(t, dt) if dt else t
+        de = np.nextafter(delta, dd) if dd else delta
+        p2, m2 = act.invariant_roots(tt, de)
+        assert np.array_equal(np.sign(p2.imag)[away], np.sign(plus.imag)[away])
+        assert np.max(np.abs(p2 - plus)[away]) <= 1e-12
+        assert np.max(np.abs(m2 - minus)[away]) <= 1e-12
+
+
+def test_invariant_gradient_at_the_tetrahedron_zero_roots_makes_no_fd_call(monkeypatch):
+    # delta -> 0 on every off-diagonal chain of the regular tetrahedron: the
+    # zero-root rule takes the mean delta-slope of |A|^2, no finite differences
+    from dstlab.correlation import projector_from_correlations, tetrahedron_family
+
+    p = projector_from_correlations(DiscreteSpacetime(1, 4), tetrahedron_family(0.5))
+    cp = act.ChainPass(p)
+    off = ~np.eye(4, dtype=bool)
+    assert np.all(np.abs(cp.delta[off]) < 1e-20)
+    calls = _count_fd_calls(monkeypatch)
+    for w_sq, w_abs in ((1.0, -0.5), (1.0, 0.0), (0.0, 1.0)):
+        q = cp.q(w_sq, w_abs)
+        assert cp.fd_pairs == 0
+        root = _root_route_q(p, w_sq, w_abs)
+        assert np.max(np.abs(q - root)) <= 1e-12 * np.max(np.abs(root))
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("collision", [DEFAULT.eig_collision, 1e-4, 1e-2])
+def test_vanishing_discriminant_sends_the_root_routes_pairs_to_fd(monkeypatch, collision):
+    # triangles across the causal threshold: the chains whose discriminant
+    # t^2/4 - delta falls under the collision scale go to finite differences,
+    # the same pairs as on the root route.  Just outside the scale the root
+    # route's projector (A - lam_-)/(lam_+ - lam_-) loses digits as 1/gap,
+    # which the kernel comparison allows for; the invariant route has no gap
+    from dstlab.correlation import TRIANGLE_CAUSAL_THRESHOLD, triangle_projector
+
+    tol = DEFAULT.with_(eig_collision=collision)
+    calls = _count_fd_calls(monkeypatch)
+    sent = 0
+    for rel in (-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+        p = triangle_projector(TRIANGLE_CAUSAL_THRESHOLD * (1.0 + rel))
+        chains = act.chain_blocks(act.kernel_blocks(p))
+        calls.clear()
+        msq, mabs = act.gradient_blocks(chains, tol)
+        root_pairs = [c.copy() for c in calls]
+        calls.clear()
+        cp = act.ChainPass(p)
+        q = act.q_kernel(cp, 0.5, tol)
+        assert cp.fd_pairs == len(calls) == len(root_pairs)
+        for got, want in zip(calls, root_pairs):
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+        root = act.blocks_to_matrix(act.q_blocks(act.kernel_blocks(p), msq - 0.5 * mabs))
+        assert np.max(np.abs(q - root)) <= 1e-6 * np.max(np.abs(root))
+        sent += cp.fd_pairs
+    assert sent > 0
+
+
+def _raise_on_call(*args, **kwargs):
+    raise AssertionError("the n = 1 path must not call chain_roots, eig, eigvals or inv")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=40),
+        SolverConfig(mode="constrained", kappa=0.85, seeds=(0,), max_iter=40),
+    ],
+    ids=["auxiliary", "constrained"],
+)
+def test_n1_minimize_makes_no_chain_roots_eig_eigvals_or_inv_call(monkeypatch, cfg):
+    monkeypatch.setattr(act, "chain_roots", _raise_on_call)
+    for name in ("eig", "eigvals", "inv"):
+        monkeypatch.setattr(np.linalg, name, _raise_on_call)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    assert np.isfinite(res.action) and np.isfinite(res.residual)
+    assert sum(r["iterations"] for r in res.per_seed) > 0

@@ -643,6 +643,24 @@ def test_reproduce_fig3_emits_transition_table(tmp_path):
     assert abs(float(first[1]) - 1.0 / 9.0) < 1e-12
 
 
+def test_reproduce_fig3_puts_lam_plus_in_the_upper_half_plane(tmp_path):
+    # in a spacelike (conjugate-pair) row lam_+ is the root with Im > 0
+    out = tmp_path / "fig3"
+    assert main(["reproduce", "--figure", "fig3", "--out", str(out)]) == 0
+    records = [r for r in load(out / "fig3_landscape.json")["records"] if "error" not in r]
+    rows = (out / "fig3_landscape.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(records)
+    spacelike = 0
+    for rec, row in zip(records, rows):
+        _, re_plus, im_plus, re_minus, im_minus = map(float, row.split(","))
+        if rec["causal_offdiag"] == "spacelike":
+            spacelike += 1
+            assert im_plus > 0.0 and im_minus == -im_plus and re_minus == re_plus
+        else:
+            assert im_plus == im_minus == 0.0 and re_plus >= re_minus
+    assert spacelike > 20
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reproduce_maps_numerical_failure_to_exit_3(tmp_path, monkeypatch, capsys):
     params = {
@@ -697,3 +715,19 @@ def test_result_records_each_seeds_armijo_trials_and_renormalizations(tmp_path):
         # summed over the penalty rounds, like the iterations
         assert rec["armijo_trials"] >= rec["iterations"] > 0
         assert isinstance(rec["renormalizations"], int) and rec["renormalizations"] >= 0
+
+
+def test_result_records_each_seeds_fd_pairs(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "minimize",
+            "params": {"n": 1, "f": 2, "m": 3, "mode": "constrained", "kappa": 0.85,
+                       "max_iter": 3},
+            "seeds": [0, 1],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    for rec in load(out / "result.json")["per_seed"]:
+        assert isinstance(rec["fd_pairs"], int) and rec["fd_pairs"] >= 0

@@ -90,14 +90,16 @@ def _feasibility_reference(p):
 def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
     monkeypatch, objective, reference
 ):
+    # a chain pass is one ChainPass built; the accepted iterate's Q reuses
+    # the pass of its value call, a renormalized projector needs its own
     calls = []
-    chain_roots = dstlab.action.chain_roots
+    init = dstlab.action.ChainPass.__init__
 
-    def counted(chains):
+    def counted(self, projector):
         calls.append(1)
-        return chain_roots(chains)
+        init(self, projector)
 
-    monkeypatch.setattr(dstlab.action, "chain_roots", counted)
+    monkeypatch.setattr(dstlab.action.ChainPass, "__init__", counted)
     p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
     built = objective()
     value, qmat = built.value, built.qmat
@@ -323,3 +325,115 @@ def test_per_seed_counts_armijo_trials_and_renormalizations(monkeypatch, gram):
         assert rec["armijo_trials"] >= rec["iterations"] == 3
     if gram < DEFAULT.gram:
         assert len(renormalized) > 0
+
+
+def _count_chain_passes(monkeypatch):
+    calls = []
+    init = dstlab.action.ChainPass.__init__
+
+    def counted(self, projector):
+        calls.append(projector)
+        init(self, projector)
+
+    monkeypatch.setattr(dstlab.action.ChainPass, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("objective", [
+    lambda: _Objective(DEFAULT, 0.5),
+    lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W),
+    lambda: _Objective(DEFAULT, kappa=KAPPA, feasibility=True),
+], ids=["auxiliary", "penalty", "feasibility"])
+def test_one_chain_pass_per_armijo_trial(monkeypatch, objective):
+    # the start's value makes one pass and every line-search trial one; the
+    # gradient and the commutator of an accepted iterate make none
+    passes = _count_chain_passes(monkeypatch)
+    built = objective()
+    out = _descend(random_projector(DiscreteSpacetime(1, 3), 2, seed=2), built.value,
+                   built.qmat, SolverConfig(max_iter=25), DEFAULT)
+    assert out["iterations"] > 10 and out["renormalizations"] == 0
+    assert len(passes) == 1 + out["armijo_trials"]
+
+
+def test_per_seed_fd_pairs_count_the_collision_fallback(monkeypatch):
+    # an enlarged collision scale sends chains to finite differences; the
+    # per-seed counts add up to the oracle's calls outside the final residual
+    fd_calls = []
+    oracle = dstlab.action.finite_difference_gradient
+    residual = dstlab.solver.el_residual
+    in_residual = []
+
+    def counted_fd(a, step=DEFAULT.fd_step):
+        fd_calls.append(1)
+        return oracle(a, step)
+
+    def counted_residual(*args):
+        before = len(fd_calls)
+        out = residual(*args)
+        in_residual.append(len(fd_calls) - before)
+        return out
+
+    monkeypatch.setattr(dstlab.action, "finite_difference_gradient", counted_fd)
+    monkeypatch.setattr(dstlab.solver, "el_residual", counted_residual)
+    cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=30)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg, DEFAULT.with_(eig_collision=0.05))
+    counts = [r["fd_pairs"] for r in res.per_seed]
+    assert all(isinstance(c, int) for c in counts) and sum(counts) > 0
+    assert sum(counts) == len(fd_calls) - sum(in_residual)
+    default = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    assert [r["fd_pairs"] for r in default.per_seed] == [0, 0]
+
+
+def _records_with_actions(monkeypatch, actions, statuses):
+    """minimize with seed k's record replaced by (actions[k], statuses[k])."""
+    proj = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
+
+    def fake(start, cfg, tol):
+        k = fake.calls
+        fake.calls += 1
+        record = {"projector": proj, "action": actions[k], "constraint": 0.0,
+                  "multiplier": cfg.mu, "status": statuses[k],
+                  "exit_reason": statuses[k], "iterations": 1, "gradient_norm": 0.0}
+        return record, [np.array([actions[k]])]
+
+    fake.calls = 0
+    monkeypatch.setattr(dstlab.solver, "_solve_seed", fake)
+    cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=tuple(range(len(actions))))
+    return minimize(DiscreteSpacetime(1, 3), 2, cfg)
+
+
+def test_best_seed_ignores_ulp_ties_and_prefers_a_converged_tie(monkeypatch):
+    s = 1.0 / 6.0
+    statuses = ["converged"] * 4
+    assert _records_with_actions(monkeypatch, [s] * 4, statuses).seed == 0
+    for k in range(4):
+        for direction in (np.inf, -np.inf):
+            actions = [s] * 4
+            actions[k] = float(np.nextafter(s, direction))
+            assert _records_with_actions(monkeypatch, actions, statuses).seed == 0
+    # a stalled seed ties with a converged one: the converged one is reported
+    tied = _records_with_actions(monkeypatch, [s + 1e-13, s, s], ["max_iterations",
+                                                                  "converged", "converged"])
+    assert (tied.seed, tied.status) == (1, "converged")
+    # beyond the tie a lower action wins, converged or not
+    lower = _records_with_actions(monkeypatch, [s - 1e-9, s], ["max_iterations", "converged"])
+    assert (lower.seed, lower.status) == (0, "max_iterations")
+
+
+def test_landscape_labels_lam_plus_by_the_sign_of_its_imaginary_part():
+    # fig3's triangle sweep: in every spacelike row lam_+ has Im > 0 and the
+    # pair shares its real part; an ulp on the family parameter flips nothing
+    grid = np.linspace(2.0 / 3.0, 0.9, 71)
+    records = [r for r in landscape_scan(triangle_projector, grid) if "error" not in r]
+    spacelike = [r for r in records if r["causal_offdiag"] == "spacelike"]
+    assert len(spacelike) > 20
+    for rec in spacelike:
+        minus, plus = rec["roots"]
+        assert plus.imag > 0.0 and minus == np.conj(plus)
+    for rec in records:
+        for direction in (np.inf, -np.inf):
+            v = np.nextafter(rec["param"], direction)
+            (near,) = landscape_scan(triangle_projector, [v])
+            assert near["causal_offdiag"] == rec["causal_offdiag"]
+            assert np.array_equal(np.sign(near["roots"].imag), np.sign(rec["roots"].imag))
+            assert np.max(np.abs(near["roots"] - rec["roots"])) <= 1e-12
