@@ -29,10 +29,10 @@ form
 with Pi_j the spectral projectors.  At a simple root at zero (``|lam_j| <
 eig_zero (1 + ||A||)``) |.| has a kink; there the factor conj(lam_j)/|lam_j| is
 set to 0, the symmetric subgradient, which is also what a central difference
-gives since |lam_j(A +/- hE)| is even in h to first order.  Only a
-near-defective eigenvalue collision (two roots closer than ``eig_collision (1 +
-max|lam|)``, a double zero root included) falls back to central finite
-differences.
+gives since |lam_j(A +/- hE)| is even in h to first order; so do the zero
+roots of a semisimple zero eigenspace.  Only a near-defective collision (two
+roots closer than ``eig_collision (1 + max|lam|)``, or a zero block with a
+nilpotent part) falls back to central finite differences.
 
 From the gradient blocks the first variation of the action under P -> P + dP
 is ``dS = 4 Tr(Q dP)`` with the kernel
@@ -69,11 +69,11 @@ and with A_xy K_xy = K_xy A_yx the kernel needs no M block:
            = [ (L_t,xy + L_t,yx) K_xy
                + (L_delta,xy + L_delta,yx) det(K_xy) adj(K_yx) ] / 4.
 
-The two rules above read, in these terms: on the real branch lam_- =
-delta/lam_+, and |lam_-| < eig_zero (1 + ||A||_F) is a zero root, where
-|A|^2 takes the mean delta-slope -2 of its two sides (M_abs = 2A, the zero
-subgradient); a gap 2 sqrt|t^2/4 - delta| < eig_collision (1 + |lam_+|) is a
-collision, whose pairs get the finite-difference M in the two-sided Q above.
+For a projector K_yx = S_y K_xy^dagger S_x, so delta_xy = |det K_xy|^2 >= 0:
+the mixed-sign row is met by generic chains only, |A|^2 is smooth across
+delta = 0, and the one kink is the causal threshold t^2 = 4 delta.  On its
+band 2 sqrt|t^2/4 - delta| < eig_collision (1 + |lam_+|) L_t and L_delta are
+the mean of the two branches' slopes, the symmetric subgradient.
 
 The root-based closed form serves :func:`chain_roots` and
 :func:`gradient_blocks` on any 2 x 2 matrix, and is the oracle of the
@@ -309,7 +309,7 @@ class ChainPass:
     K_xy, K_xy = P(x,y); the value needs no chain matrix, root or square
     root.  Larger chains keep ``kernels``, ``chains`` and their ``roots``.
     ``fd_pairs`` is the number of ordered pairs the last gradient sent to
-    finite differences.
+    finite differences, always 0 at n = 1.
     """
 
     def __init__(self, projector):
@@ -343,40 +343,23 @@ class ChainPass:
         t, delta, p = self.t, self.delta, self.p
         m, signs = len(t), self.projector.space.signs
         disc = 0.25 * t * t - delta
-        conj = disc < 0.0
         half_gap = np.sqrt(np.abs(disc))  # |lam_+ - lam_-| / 2
-        big = np.where(conj, np.sqrt(np.abs(delta)), 0.5 * np.abs(t) + half_gap)
-        bad = 2.0 * half_gap < tol.eig_collision * (1.0 + big)
-        k = p.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
-        chains = k @ k.transpose(1, 0, 2, 3)
-        small = np.divide(np.abs(delta), big, out=np.zeros_like(big), where=big > 0.0)
-        zero = ~conj & (small < tol.eig_zero * (1.0 + np.linalg.norm(chains, axis=(2, 3))))
-        # slopes L_t, L_delta of w_sq |A^2| + w_abs |A|^2 (module docstring
-        # table); at a zero root |A|^2 takes the mean -2 of its delta-slopes
-        l_t = (w_sq + w_abs) * np.where(conj, 0.0, 2.0 * t)
-        l_delta = np.where(conj, 2.0 * w_sq + 4.0 * w_abs, -2.0 * (w_sq + w_abs)
-                           + 2.0 * w_abs * np.where(zero, 0.0, np.sign(delta)))
+        big = np.where(disc < 0.0, np.sqrt(np.abs(delta)), 0.5 * np.abs(t) + half_gap)
+        # share of the real branch: 1 or 0 by the sign of the discriminant,
+        # 1/2 (the mean of the two branch slopes) on the threshold band
+        real = np.where(2.0 * half_gap < tol.eig_collision * (1.0 + big), 0.5, disc >= 0.0)
+        # slopes L_t, L_delta of w_sq |A^2| + w_abs |A|^2 (module docstring table)
+        l_t = 2.0 * (w_sq + w_abs) * real * t
+        l_delta = ((1.0 - real) * (2.0 * w_sq + 4.0 * w_abs)
+                   + real * (2.0 * w_abs * np.sign(delta) - 2.0 * (w_sq + w_abs)))
         # Q(x,y) = [(L_t,xy + L_t,yx) K_xy + (L_d,xy + L_d,yx) det K_xy adj K_yx]/4;
         # block (x,y) of S P^T S with rows and columns swapped in pairs is adj K_yx
         swap = np.arange(2 * m) ^ 1
         adj = signs[:, None] * p.T[swap][:, swap] * signs
         lt = 0.25 * (l_t + l_t.T)
         ld = 0.25 * (l_delta + l_delta.T) * self.det
-        q = (lt[:, None, :, None] * p.reshape(m, 2, m, 2)
-             + ld[:, None, :, None] * adj.reshape(m, 2, m, 2)).reshape(2 * m, 2 * m)
-        self.fd_pairs = int(np.count_nonzero(bad))
-        if self.fd_pairs:
-            # two-sided Q(x,y) = (M_xy K_xy + K_xy M_yx)/4 on the pairs of a
-            # collision, M = (L_t + t L_d) Id - L_d A or the FD oracle
-            grad = ((l_t + t * l_delta)[:, :, None, None] * np.eye(2)
-                    - l_delta[:, :, None, None] * chains)
-            for x, y in zip(*np.nonzero(bad)):
-                msq, mabs = finite_difference_gradient(chains[x, y], tol.fd_step)
-                grad[x, y] = w_sq * msq + w_abs * mabs
-            for x, y in zip(*np.nonzero(bad | bad.T)):
-                q[2 * x:2 * x + 2, 2 * y:2 * y + 2] = 0.25 * (
-                    grad[x, y] @ k[x, y] + k[x, y] @ grad[y, x])
-        return q
+        return (lt[:, None, :, None] * p.reshape(m, 2, m, 2)
+                + ld[:, None, :, None] * adj.reshape(m, 2, m, 2)).reshape(2 * m, 2 * m)
 
 
 def _pass_of(source):
@@ -412,26 +395,37 @@ def finite_difference_gradient(a, step=DEFAULT.fd_step):
     return msq, mabs
 
 
-def _collision_mask(lam, tol):
-    """Pairs with two roots closer than ``eig_collision * (1 + max|lam|)``."""
+def _collision_mask(chains, lam, zero, tol):
+    """Pairs with two roots closer than ``eig_collision * (1 + max|lam|)``.
+
+    Two ``zero`` roots collide only in a defective zero eigenspace, with fewer
+    zero singular values than zero roots (a nilpotent part).
+    """
     gap = np.abs(lam[..., :, None] - lam[..., None, :])
+    gap[zero[..., :, None] & zero[..., None, :]] = np.inf
     idx = np.arange(lam.shape[-1])
     gap[..., idx, idx] = np.inf
-    scale = 1.0 + np.abs(lam).max(axis=-1)
-    return gap.min(axis=(-2, -1)) < tol.eig_collision * scale
+    bad = gap.min(axis=(-2, -1)) < tol.eig_collision * (1.0 + np.abs(lam).max(axis=-1))
+    count = zero.sum(axis=-1)
+    multiple = count > 1
+    if np.any(multiple):
+        sv = np.linalg.svd(chains[multiple], compute_uv=False)
+        null = sv < tol.eig_zero * (1.0 + np.linalg.norm(sv, axis=-1, keepdims=True))
+        bad[multiple] |= null.sum(axis=-1) < count[multiple]
+    return bad
 
 
 def _coefficients(chains, lam, tol):
-    """(c_sq, c_abs): dL = Re sum_j c_j dlam_j for L = |A^2| and L = |A|^2.
+    """(c_sq, c_abs, zero): dL = Re sum_j c_j dlam_j for L = |A^2| and |A|^2.
 
-    A root with ``|lam| < eig_zero * (1 + ||A||_F)`` gets the zero subgradient
-    of |lam|: its factor conj(lam)/|lam| is set to 0.
+    A root with ``|lam| < eig_zero * (1 + ||A||_F)`` is ``zero`` and gets the
+    zero subgradient of |lam|: its factor conj(lam)/|lam| is set to 0.
     """
     norms = np.linalg.norm(chains, axis=(-2, -1))
     mod = np.abs(lam)
     zero = mod < tol.eig_zero * (1.0 + norms)[..., None]
     unit = np.where(zero, 0.0, np.conj(lam) / np.where(zero, 1.0, mod))
-    return 2.0 * np.conj(lam), 2.0 * mod.sum(axis=-1)[..., None] * unit
+    return 2.0 * np.conj(lam), 2.0 * mod.sum(axis=-1)[..., None] * unit, zero
 
 
 def _gradient_2x2(chains, tol):
@@ -444,7 +438,7 @@ def _gradient_2x2(chains, tol):
     bad = np.abs(gap) < tol.eig_collision * (1.0 + np.abs(plus))
     gap = np.where(bad, 1.0, gap)
     out = []
-    for c in _coefficients(chains, np.stack([plus, minus], axis=-1), tol):
+    for c in _coefficients(chains, np.stack([plus, minus], axis=-1), tol)[:2]:
         slope = (c[..., 0] - c[..., 1]) / gap
         shift = c[..., 1] - slope * minus
         m = slope[..., None, None] * chains
@@ -460,8 +454,8 @@ def _gradient_eig(chains, tol):
     Serves chains of 2n >= 4 and is the oracle of :func:`_gradient_2x2`.
     """
     lam, vec = np.linalg.eig(chains)
-    bad = _collision_mask(lam, tol)
-    c_sq, c_abs = _coefficients(chains, lam, tol)
+    c_sq, c_abs, zero = _coefficients(chains, lam, tol)
+    bad = _collision_mask(chains, lam, zero, tol)
     if np.any(bad):
         vec = vec.copy()
         vec[bad] = np.eye(chains.shape[-1])
@@ -486,7 +480,8 @@ def gradient_blocks(chains, tol=DEFAULT):
     Analytic spectral-projector route wherever the chain's roots are simple:
     the root-based closed form for 2 x 2 chains, batched ``eig`` for 2n >= 4.
     A simple root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and
-    gets the zero subgradient of |lam| in closed form; only pairs with an
+    gets the zero subgradient of |lam| in closed form, as do (``eig`` route)
+    the roots of a semisimple zero eigenspace; only pairs with an
     eigenvalue collision use finite differences.  It takes any chain, not
     only one of a projector; :class:`ChainPass` serves the solver and is
     tested against this route.

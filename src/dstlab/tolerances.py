@@ -20,23 +20,24 @@ class Tolerances:
         re-orthonormalizes its iterate).
     eig_zero : float
         A chain root with ``|lam| < eig_zero * (1 + ||A||_F)`` counts as zero;
-        |lam| has a kink there, and a simple zero root gets the zero
-        subgradient in closed form (its factor conj(lam)/|lam| is set to 0).
-        On a 2 x 2 chain (n = 1) with real trace t and determinant delta the
-        test reads, on the real branch t^2 >= 4 delta, |delta|/|lam_+| <
-        eig_zero * (1 + ||A||_F) with |lam_+| = |t|/2 + sqrt(t^2/4 - delta);
-        there |A|^2 (t^2 for delta >= 0, t^2 - 4 delta below) takes the mean
-        delta-slope -2, so M_abs = 2A.  A conjugate pair has no such kink.
-        The ``eig`` route (2n >= 4) applies the rule to each root.
+        |lam| has a kink there, and a zero root gets the zero subgradient in
+        closed form (its factor conj(lam)/|lam| is set to 0).  The same
+        scale counts the zero singular values that tell a semisimple zero
+        eigenspace from a defective one.  It serves the root routes
+        (``gradient_blocks`` and the 2n >= 4 chain pass) and has no role in
+        the n = 1 chain pass: for a projector delta = |det K_xy|^2 >= 0, so
+        |A|^2 is smooth across delta = 0.
     eig_collision : float
         Relative eigenvalue-collision threshold; a near-defective chain
-        (two roots closer than ``eig_collision * (1 + max|lam|)``, a double
-        zero root included) is the only case that falls back to the
-        finite-difference gradient.  For a 2 x 2 chain the gap is
-        |lam_+ - lam_-| = 2 sqrt|t^2/4 - delta|, compared against
-        ``eig_collision * (1 + |lam_+|)`` with |lam_+| = sqrt(delta) on a
-        conjugate pair; it vanishes with the discriminant at the causal
-        threshold.  For 2n >= 4 it is the smallest pairwise root distance.
+        (two roots closer than ``eig_collision * (1 + max|lam|)``, a zero
+        block with a nilpotent part included) is the only case that falls
+        back to the finite-difference gradient on the root routes.  For 2n
+        >= 4 it is the smallest pairwise root distance; two zero roots of a
+        semisimple zero eigenspace do not count.  In the n = 1 chain pass
+        it is the width of the causal-threshold band: where
+        2 sqrt|t^2/4 - delta| < ``eig_collision * (1 + |lam_+|)``, with
+        |lam_+| = sqrt(delta) on a conjugate pair, the kernel takes the mean
+        of the two branches' slopes; no pair goes to finite differences.
     fd_step : float
         Base step for central finite differences.
     causal : float

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -235,8 +235,10 @@ def test_divergence_beyond_critical_weight(monkeypatch):
 
 
 def test_constrained_triangle_near_threshold():
-    # just above the constraint threshold the minimizer is the symmetric
-    # spacelike triangle
+    # just above the constraint threshold the penalty rounds end near a
+    # spacelike triangle with nearly equal sides; that endpoint is not known
+    # to be the symmetric minimizer (an isosceles triangle with two pairs on
+    # the causal threshold lies lower)
     kappa = 0.85
     cfg = SolverConfig(mode="constrained", kappa=kappa, seeds=tuple(range(4)))
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
@@ -356,8 +358,9 @@ def test_one_chain_pass_per_armijo_trial(monkeypatch, objective):
 
 
 def test_per_seed_fd_pairs_count_the_collision_fallback(monkeypatch):
-    # an enlarged collision scale sends chains to finite differences; the
-    # per-seed counts add up to the oracle's calls outside the final residual
+    # n = 2 chains still send collisions to finite differences; the per-seed
+    # counts add up to the oracle's calls outside the final residual.  The
+    # n = 1 pass has no fallback, so its seeds report 0
     fd_calls = []
     oracle = dstlab.action.finite_difference_gradient
     residual = dstlab.solver.el_residual
@@ -375,13 +378,14 @@ def test_per_seed_fd_pairs_count_the_collision_fallback(monkeypatch):
 
     monkeypatch.setattr(dstlab.action, "finite_difference_gradient", counted_fd)
     monkeypatch.setattr(dstlab.solver, "el_residual", counted_residual)
-    cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=30)
-    res = minimize(DiscreteSpacetime(1, 3), 2, cfg, DEFAULT.with_(eig_collision=0.05))
+    cfg = SolverConfig(mode="auxiliary", mu=0.25, seeds=(0, 1), max_iter=30)
+    res = minimize(DiscreteSpacetime(2, 3), 3, cfg)
     counts = [r["fd_pairs"] for r in res.per_seed]
-    assert all(isinstance(c, int) for c in counts) and sum(counts) > 0
+    assert all(isinstance(c, int) and c > 0 for c in counts)
     assert sum(counts) == len(fd_calls) - sum(in_residual)
-    default = minimize(DiscreteSpacetime(1, 3), 2, cfg)
-    assert [r["fd_pairs"] for r in default.per_seed] == [0, 0]
+    fd_calls.clear()
+    n1 = minimize(DiscreteSpacetime(1, 3), 2, replace(cfg, mu=0.5))
+    assert [r["fd_pairs"] for r in n1.per_seed] == [0, 0] and fd_calls == []
 
 
 def _records_with_actions(monkeypatch, actions, statuses):
