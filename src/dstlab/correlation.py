@@ -21,6 +21,31 @@ chain at (x, y) equal the eigenvalues of F_x F_y, with the closed form
 A negative discriminant yields a conjugate pair of equal modulus, i.e. a
 spacelike pair; the discriminant zero locus is the causal threshold.
 
+A lower bound for the critical action follows at delta = 0.  The chain
+invariants are t_xy = tr(F_x F_y) = (rho_x rho_y + vec_x.vec_y)/2 and
+delta_xy = det F_x det F_y with det F_x = (rho_x^2 - |vec_x|^2)/4, so delta
+vanishes on every pair exactly when every F_x has rank one, |vec_x| =
+|rho_x|.  Each chain then has the roots t_xy and 0, and at mu = 1/2 its
+Lagrangian |A^2| - mu |A|^2 is t_xy^2/2.  With a_x = (rho_x, vec_x) in R^4
+and the 4x4 frame G = sum_x a_x a_x^T,
+
+    S = (1/8) sum_{x,y} (a_x . a_y)^2 = (1/8) tr G^2
+      >= (1/8) [(sum rho_x^2)^2 + tr V^2]        V = sum_x vec_x vec_x^T
+      >= (1/8) (4/3) (sum rho_x^2)^2             tr V^2 >= (tr V)^2/3
+      >= 8/(3 m^2)                               sum rho_x^2 >= 4/m,
+
+dropping the off-diagonal blocks 2|sum rho_x vec_x|^2 of tr G^2 and using
+tr V = sum |vec_x|^2 = sum rho_x^2 and sum rho_x = 2.  Equality holds
+exactly when rho_x = 2/m for every x (so |vec_x| = 2/m) and V is isotropic:
+the unit vectors sum to zero and have frame (m/3) Id, a spherical 2-design
+(``design_error`` of ``geometry_diagnostics`` measures the anisotropy of
+V).  Such a design of m points on S^2 exists for m = 4 and every m >= 6 but
+not for m = 2, 3, 5 (Delsarte, Goethals and Seidel, Geom. Dedicata 6,
+1977; Mimura, Graphs Combin. 6, 1990).  That the auxiliary minima at
+mu = 1/2, f = 2 lie on this stratum, reaching 8/(3 m^2) where a design
+exists and staying above it where none does, is a measured observation
+(the solver tests), not derived here.
+
 The choice of orthonormal basis in the image is free up to a 2x2 unitary;
 under that freedom every vec_x rotates by one common element of SO(3) while
 the rho_x stay fixed.  Geometric statements therefore live on rotation
@@ -221,9 +246,12 @@ def geometry_diagnostics(corr, tol=DEFAULT):
 
     Reports vector lengths against the reference value 2/m, the matrix of
     normalized pairwise dot products, the worst deviation from a regular
-    simplex (pairwise dots -1/(m-1)), and the minimal pairwise angle as a
-    sphere-packing score.  Points with vanishing vectors are flagged and
-    excluded from the angle statistics.
+    simplex (pairwise dots -1/(m-1)), the minimal pairwise angle as a
+    sphere-packing score, and the frame anisotropy
+    ``design_error`` = ||sum_x v_x v_x^T - (tr/3) Id||_F / tr, which is 0
+    exactly when equal-length vectors summing to zero form a spherical
+    2-design (see the module docstring).  Points with vanishing vectors are
+    flagged and excluded from the angle statistics.
     """
     m = corr.m
     lengths = corr.lengths()
@@ -237,7 +265,11 @@ def geometry_diagnostics(corr, tol=DEFAULT):
         [dots[i, j] for k, i in enumerate(live) for j in live[k + 1 :]]
     )
     target = 2.0 / m
+    frame = corr.vectors.T @ corr.vectors
+    scale = float(np.trace(frame))
     report = {
+        "design_error": (float(np.linalg.norm(frame - scale / 3.0 * np.eye(3))) / scale
+                         if scale > 0.0 else float("nan")),
         "rho": corr.rho.copy(),
         "lengths": lengths,
         "length_mean": float(lengths.mean()),

@@ -8,7 +8,13 @@ makes B self-adjoint in the indefinite sense) turns steepest descent into a
 Euclidean problem: the Hermitian gradient is K = 4i [P,Q] S, the normalized
 direction is B = -S K / ||K||_F, and the directional derivative equals
 -||K||_F, strictly negative until the Euler-Lagrange commutator vanishes.
-An Armijo backtracking line search then guarantees monotone decrease.
+An Armijo backtracking line search then guarantees monotone decrease.  Its
+first trial step is the Barzilai-Borwein (BB1) step in these Hermitian
+coordinates (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988; on
+orthogonality constraints, Wen and Yin, Math. Program. 142, 2013): with s the
+last accepted move -eta K/||K|| and y the change in K since, the step along
+the unit direction is ||s||^2/Re<s,y> ||K||, capped at MAX_STEP.  Where
+Re<s,y> <= 0 (no positive curvature seen) the last step grows by STEP_GROW.
 
 Both modes descend one objective, F = S_mu + nu (T-kappa) + w (T-kappa)^2,
 whose gradient operator is the auxiliary Q at the effective weight
@@ -142,6 +148,11 @@ def _check_slope(proj, value, b, slope, tol):
 def _descend(proj, value, qmat, cfg, tol, check_first=False):
     """Backtracking descent of one scalar objective from one start.
 
+    The first iterate tries ``INITIAL_STEP``; every later one first tries the
+    BB1 step min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
+    s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
+    the last accepted step times ``STEP_GROW`` (capped the same way).
+    Trials then shrink by ``STEP_SHRINK`` until Armijo accepts one.
     ``exit_reason`` says why the loop ended: "converged", "divergence",
     "line_search_floor" (no trial accepted down to ``MIN_STEP``), "stalled"
     (no descent over the stall window) or "max_iterations".  ``status``
@@ -153,6 +164,7 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     current = value(proj)
     trace = [current]
     step = INITIAL_STEP
+    moved = None  # (s, K) of the last accepted step
     exit_reason = "max_iterations"
     grad_norm = math.inf
     trials = renormalizations = 0
@@ -173,6 +185,15 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         k = (4j / grad_norm) * (comm * signs[None, :])
         k = 0.5 * (k + k.conj().T)
         b = -signs[:, None] * k
+        if moved is not None:
+            # BB1 on the Hermitian coordinates, scaled to the unit direction
+            s, grad_old = moved
+            sy = float(np.vdot(s, grad_norm * k - grad_old).real)
+            if sy > 0.0:
+                step = float(np.vdot(s, s).real) / sy * grad_norm
+            else:
+                step *= STEP_GROW
+            step = min(step, MAX_STEP)
         slope = first_variation(comm, b)
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
             _check_slope(proj, value, b, slope, tol)
@@ -198,7 +219,7 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         ):
             exit_reason = "stalled"  # flattened out below resolution
             break
-        step = min(step * STEP_GROW, MAX_STEP)
+        moved = (-step * k, grad_norm * k)
         if proj.gram_dev > tol.gram:
             proj = proj.renormalized()
             renormalizations += 1

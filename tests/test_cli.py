@@ -615,6 +615,25 @@ def test_result_records_each_seeds_exit_reason(tmp_path):
         assert rec["iterations"] == 3
 
 
+def test_tetra_seeds_all_report_converged_within_an_iteration_budget(tmp_path):
+    # every seed of the gate's m = 4 run reaches the tetrahedron; a seed that
+    # flattened out is reported "stalled", not "converged"
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "pauli-vectors", "params": {"m": 4}, "seeds": list(range(8))},
+    )
+    out = tmp_path / "out"
+    assert main(["pauli-vectors", "--config", cfg, "--out", str(out)]) == 0
+    result = load(out / "result.json")
+    assert result["status"] == "converged"
+    for rec in result["per_seed"]:
+        assert (rec["seed"], rec["status"], rec["exit_reason"]) == (
+            rec["seed"], "converged", "converged"
+        )
+        assert rec["gradient_norm"] <= 1e-8
+    assert sum(rec["iterations"] for rec in result["per_seed"]) <= 800
+
+
 def test_constrained_mode_requires_kappa(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",

@@ -272,3 +272,11 @@ def test_geometry_diagnostics_flags_zero_vectors():
     report = geometry_diagnostics(corr)
     assert list(report["degenerate_points"]) == [2]
     assert np.isfinite(report["min_angle"])
+
+
+def test_design_error_is_the_frame_anisotropy():
+    # the tetrahedron is a spherical 2-design; the planar square's frame
+    # diag(2, 2, 0) v^2 has anisotropy sqrt(2/3)/2
+    assert geometry_diagnostics(tetrahedron_family(0.5))["design_error"] < 1e-15
+    square = geometry_diagnostics(planar_square_family(0.5))["design_error"]
+    assert abs(square - math.sqrt(2.0 / 3.0) / 2.0) < 1e-14

@@ -162,6 +162,90 @@ def test_descent_reports_why_it_stopped(
     assert out["iterations"] == iterations == len(out["trace"]) - 1
 
 
+def _first_trials(monkeypatch, value, qmat, start, max_iter):
+    """Descend with spies on ``transported`` and ``qmat``.
+
+    For every iterate after the first, returns (Re<s, y>, the step rule's
+    first trial, the first step ``transported`` received), with s the last
+    accepted move -eta k in Hermitian coordinates and y the change in the
+    Hermitian gradient K = 4i [P,Q] S, both recomputed from the iterates.
+    """
+    trials, iterates = [], []
+    transported = dstlab.solver.transported
+
+    def spy_transported(proj, b, eta):
+        trial = transported(proj, b, eta)
+        trials.append((proj, eta, trial))
+        return trial
+
+    def spy_qmat(p):
+        iterates.append((p, qmat(p)))
+        return iterates[-1][1]
+
+    monkeypatch.setattr(dstlab.solver, "transported", spy_transported)
+    out = _descend(start, value, spy_qmat, SolverConfig(max_iter=max_iter), DEFAULT)
+    assert np.all(np.diff(out["trace"]) <= 0.0)  # monotone descent
+    grads = []
+    for p, q in iterates:
+        pm = p.matrix()
+        k = 4j * (pm @ q - q @ pm) * p.space.signs[None, :]
+        grads.append(0.5 * (k + k.conj().T))
+    rows = []
+    for i in range(1, len(iterates)):
+        eta, accepted = [(e, t) for p, e, t in trials if p is iterates[i - 1][0]][-1]
+        assert accepted is iterates[i][0]  # no renormalization in between
+        first = [e for p, e, _ in trials if p is iterates[i][0]][:1]
+        if not first:
+            break  # converged at this iterate
+        s = -eta * grads[i - 1] / np.linalg.norm(grads[i - 1])
+        y = grads[i] - grads[i - 1]
+        sy = float(np.vdot(s, y).real)
+        if sy > 0.0:
+            rule = float(np.vdot(s, s).real) / sy * float(np.linalg.norm(grads[i]))
+        else:
+            rule = eta * dstlab.solver.STEP_GROW
+        rows.append((sy, min(rule, dstlab.solver.MAX_STEP), first[0]))
+    return out, rows
+
+
+def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
+    objective = _Objective(DEFAULT, 0.5)
+    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=2)
+    out, rows = _first_trials(monkeypatch, objective.value, objective.qmat, start, 40)
+    assert out["iterations"] == 40 and len(rows) == 39
+    for sy, rule, first in rows:
+        assert sy > 0.0
+        assert first == pytest.approx(rule, rel=1e-12)
+
+
+def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch):
+    # climbing S (value -S, qmat -Q) meets only Re<s, y> <= 0 before its
+    # divergence floor: each first trial is the last step times STEP_GROW
+    objective = _Objective(DEFAULT, 0.5)
+    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
+    out, rows = _first_trials(monkeypatch, lambda p: -objective.value(p),
+                              lambda p: -objective.qmat(p), start, 20)
+    assert out["exit_reason"] == "divergence" and len(rows) >= 2
+    for sy, rule, first in rows:
+        assert sy <= 0.0
+        assert first == rule
+    assert [first for _, _, first in rows] == [
+        dstlab.solver.INITIAL_STEP * dstlab.solver.STEP_GROW ** (i + 1)
+        for i in range(len(rows))
+    ]
+
+
+def test_first_trial_switches_rules_with_the_sign_of_the_curvature(monkeypatch):
+    # beyond the critical weight the descent meets both signs of Re<s, y>
+    objective = _Objective(DEFAULT, 0.7)
+    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
+    out, rows = _first_trials(monkeypatch, objective.value, objective.qmat, start, 20)
+    assert out["exit_reason"] == "divergence"
+    assert {sy > 0.0 for sy, _, _ in rows} == {True, False}
+    for sy, rule, first in rows:
+        assert first == pytest.approx(rule, rel=1e-12)
+
+
 @pytest.mark.parametrize("scale, fails", [(1.0, False), (2.0, True)],
                          ids=["true_q", "mis_scaled_q"])
 def test_first_iterate_derivative_check(scale, fails):
@@ -441,3 +525,27 @@ def test_landscape_labels_lam_plus_by_the_sign_of_its_imaginary_part():
             assert near["causal_offdiag"] == rec["causal_offdiag"]
             assert np.array_equal(np.sign(near["roots"].imag), np.sign(rec["roots"].imag))
             assert np.max(np.abs(near["roots"] - rec["roots"])) <= 1e-12
+
+
+def _critical_minimum(m):
+    cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=tuple(range(8)))
+    return minimize(DiscreteSpacetime(1, m), 2, cfg)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+def test_critical_minimum_is_the_two_design_bound(m):
+    # at mu = 1/2, f = 2 the minimum equals the delta = 0 bound 8/(3 m^2)
+    # wherever a spherical 2-design of m points exists (correlation.py)
+    res = _critical_minimum(m)
+    assert abs(res.action - 8.0 / (3.0 * m * m)) <= 1e-12
+    rep = geometry_diagnostics(local_correlations(res.projector))
+    assert rep["design_error"] <= 1e-6
+    assert rep["length_rel_dev"] <= 1e-6
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_critical_minimum_stays_above_the_bound_without_a_two_design(m):
+    res = _critical_minimum(m)
+    assert res.action > 8.0 / (3.0 * m * m) + 1e-6
+    rep = geometry_diagnostics(local_correlations(res.projector))
+    assert rep["design_error"] > 1e-2
