@@ -41,7 +41,8 @@ is ``dS = 4 Tr(Q dP)`` with the kernel
 
 and along the unitary orbit (dP = i[B, P]) it becomes ``dS = 4i Tr([P,Q] B)``.
 Critical points therefore satisfy the commutator equation [P, Q] = 0.
-Batched LAPACK ``eig`` serves chains of 2n >= 4.
+Batched LAPACK ``eig`` serves every chain matrix, of any size; projectors of
+spin dimension 2 form no chain matrix at all (below).
 
 Spin dimension 2 (n = 1): two real invariants
 ----------------------------------------------
@@ -75,15 +76,14 @@ delta = 0, and the one kink is the causal threshold t^2 = 4 delta.  On its
 band 2 sqrt|t^2/4 - delta| < eig_collision (1 + |lam_+|) L_t and L_delta are
 the mean of the two branches' slopes, the symmetric subgradient.
 
-The root-based closed form serves :func:`chain_roots` and
-:func:`gradient_blocks` on any 2 x 2 matrix, and is the oracle of the
-invariant route: with h = tr(A)/2 and s = sqrt(h^2 - det A) the roots are
-lam_+ = h +/- s, the sign chosen so that |lam_+| >= |h|, and lam_- =
-det(A)/lam_+, which keeps the smaller root free of cancellation; the spectral
-projectors are Pi_+ = (A - lam_-)/(lam_+ - lam_-) and Pi_- = Id - Pi_+, so
-M = c_- Id + (c_+ - c_-) Pi_+.  On 2 x 2 chains ``eig`` and the
-finite-difference gradient are oracles too.
+The roots themselves, for the causal classes and the landscape records, come
+from (t, delta) on demand (:func:`invariant_roots`), so a pass that only
+values a projector computes none.  The ``eig`` route of
+:func:`gradient_blocks` and the finite-difference gradient are the oracles of
+the invariant route.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -198,33 +198,8 @@ def chain_blocks(kernels):
     return np.einsum("xyij,yxjk->xyik", kernels, kernels)
 
 
-def _roots_2x2(a):
-    """(lam_+, lam_-) of a stack of 2 x 2 matrices, |lam_+| >= |lam_-|.
-
-    The discriminant h^2 - det A is formed as ((a00 - a11)/2)^2 + a01 a10,
-    which is the same number without the cancellation of h^2 against det A.
-    """
-    a = np.asarray(a, dtype=complex)
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    h = 0.5 * (a00 + a11)
-    half = 0.5 * (a00 - a11)
-    s = np.sqrt(half * half + a01 * a10)
-    s = np.where((h.conj() * s).real < 0.0, -s, s)  # |lam_+| >= |h|
-    plus = h + s
-    minus = np.divide(a00 * a11 - a01 * a10, plus,
-                      out=np.zeros_like(plus), where=plus != 0)
-    return plus, minus
-
-
 def chain_roots(chains):
-    """Roots (eigenvalues) of every chain; shape (..., 2n).
-
-    2 x 2 chains (n = 1) take the closed form (lam_+, lam_-) in that order;
-    larger chains go through batched ``eigvals``.
-    """
-    chains = np.asarray(chains)
-    if chains.shape[-2:] == (2, 2):
-        return np.stack(_roots_2x2(chains), axis=-1)
+    """Roots of every chain matrix by batched ``eigvals``; shape (..., 2n)."""
     return np.linalg.eigvals(chains)
 
 
@@ -307,7 +282,8 @@ class ChainPass:
     Chains of spin dimension 2 (n = 1) are kept as the real (m, m) arrays
     ``t`` = tr A_xy and ``delta`` = det K_xy det K_yx, with ``det`` = det
     K_xy, K_xy = P(x,y); the value needs no chain matrix, root or square
-    root.  Larger chains keep ``kernels``, ``chains`` and their ``roots``.
+    root.  Larger chains keep ``kernels`` and ``chains``.  ``roots`` (m, m,
+    2n) is formed on first use, at n = 1 as (lam_+, lam_-) from (t, delta).
     ``fd_pairs`` is the number of ordered pairs the last gradient sent to
     finite differences, always 0 at n = 1.
     """
@@ -321,22 +297,26 @@ class ChainPass:
             self.t = (p * p.T).reshape(m, 2, m, 2).sum(axis=(1, 3)).real
             self.det = p[::2, ::2] * p[1::2, 1::2] - p[::2, 1::2] * p[1::2, ::2]
             self.delta = (self.det * self.det.T).real
-            self.roots = None
         else:
             self.kernels = kernel_blocks(projector)
             self.chains = chain_blocks(self.kernels)
-            self.roots = chain_roots(self.chains)
+
+    @functools.cached_property
+    def roots(self):
+        if self.projector.space.n == 1:
+            return np.stack(invariant_roots(self.t, self.delta), axis=-1)
+        return chain_roots(self.chains)
 
     def weights(self):
         """(|A^2|, |A|^2) of every chain, (m, m) each."""
-        if self.roots is None:
+        if self.projector.space.n == 1:
             return invariant_weights(self.t, self.delta)
         mod = np.abs(self.roots)
         return np.sum(mod * mod, axis=2), np.sum(mod, axis=2) ** 2
 
     def q(self, w_sq, w_abs, tol=DEFAULT):
         """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs."""
-        if self.roots is not None:
+        if self.projector.space.n > 1:
             msq, mabs, bad = _gradient(self.chains, tol)
             self.fd_pairs = int(np.count_nonzero(bad))
             return blocks_to_matrix(q_blocks(self.kernels, w_sq * msq + w_abs * mabs))
@@ -376,10 +356,10 @@ def finite_difference_gradient(a, step=DEFAULT.fd_step):
 
     Entry convention matches the analytic path: ``M[al, be]`` differentiates
     with respect to ``A[be, al]``, with real and imaginary parts probed
-    separately.  This is the oracle the analytic gradient is tested against,
+    separately.  This is the oracle the analytic routes are tested against,
     and the fallback at eigenvalue collisions.  All 4 d^2 perturbed chains go
-    through one batched ``eigvals`` call, also for 2 x 2 chains, so the oracle
-    shares no code with the closed form.
+    through one batched ``eigvals`` call: the oracle takes no eigenvectors, no
+    invariants and no zero-root rule.
     """
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
@@ -428,30 +408,11 @@ def _coefficients(chains, lam, tol):
     return 2.0 * np.conj(lam), 2.0 * mod.sum(axis=-1)[..., None] * unit, zero
 
 
-def _gradient_2x2(chains, tol):
-    """Closed-form (M_sq, M_abs, collision mask) of 2 x 2 chains.
-
-    M = c_- Id + (c_+ - c_-) (A - lam_-)/(lam_+ - lam_-): no eig, no inverse.
-    """
-    plus, minus = _roots_2x2(chains)
-    gap = plus - minus
-    bad = np.abs(gap) < tol.eig_collision * (1.0 + np.abs(plus))
-    gap = np.where(bad, 1.0, gap)
-    out = []
-    for c in _coefficients(chains, np.stack([plus, minus], axis=-1), tol)[:2]:
-        slope = (c[..., 0] - c[..., 1]) / gap
-        shift = c[..., 1] - slope * minus
-        m = slope[..., None, None] * chains
-        m[..., 0, 0] += shift
-        m[..., 1, 1] += shift
-        out.append(m)
-    return out[0], out[1], bad
-
-
 def _gradient_eig(chains, tol):
     """(M_sq, M_abs, collision mask) from batched ``eig`` and spectral projectors.
 
-    Serves chains of 2n >= 4 and is the oracle of :func:`_gradient_2x2`.
+    Serves chain matrices of every size, 2 x 2 included; the n = 1 chain pass
+    forms none and is tested against this route.
     """
     lam, vec = np.linalg.eig(chains)
     c_sq, c_abs, zero = _coefficients(chains, lam, tol)
@@ -467,8 +428,7 @@ def _gradient_eig(chains, tol):
 
 def _gradient(chains, tol):
     chains = np.asarray(chains, dtype=complex)
-    route = _gradient_2x2 if chains.shape[-2:] == (2, 2) else _gradient_eig
-    msq, mabs, bad = route(chains, tol)
+    msq, mabs, bad = _gradient_eig(chains, tol)
     for idx in zip(*np.nonzero(bad)):
         msq[idx], mabs[idx] = finite_difference_gradient(chains[idx], tol.fd_step)
     return msq, mabs, bad
@@ -477,14 +437,13 @@ def _gradient(chains, tol):
 def gradient_blocks(chains, tol=DEFAULT):
     """(M_sq, M_abs) for every ordered pair; shape (m, m, 2n, 2n) each.
 
-    Analytic spectral-projector route wherever the chain's roots are simple:
-    the root-based closed form for 2 x 2 chains, batched ``eig`` for 2n >= 4.
-    A simple root with ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and
-    gets the zero subgradient of |lam| in closed form, as do (``eig`` route)
-    the roots of a semisimple zero eigenspace; only pairs with an
-    eigenvalue collision use finite differences.  It takes any chain, not
-    only one of a projector; :class:`ChainPass` serves the solver and is
-    tested against this route.
+    One analytic route for every chain size: batched ``eig`` and spectral
+    projectors wherever the chain's roots are simple.  A simple root with
+    ``|lam| < eig_zero * (1 + ||A||)`` counts as zero and gets the zero
+    subgradient of |lam| in closed form, as do the roots of a semisimple zero
+    eigenspace; only pairs with an eigenvalue collision use finite
+    differences.  It takes any chain, not only one of a projector;
+    :class:`ChainPass` serves the solver and is tested against this route.
     """
     return _gradient(chains, tol)[:2]
 
@@ -555,15 +514,15 @@ def el_residual(projector, mu, tol=DEFAULT):
     X = [P, Q] = PQ(1-P) - (1-P)QP maps im P into its complement and back, so
     its nonzero roots are +/- sqrt(-nu) for the roots nu of X^2 on im P.  In
     the image basis U that is the f x f block U^dag S X^2 U, and the weight is
-    2 sum sqrt|nu|: no eigenproblem of size md.  The block is no chain, so
-    its roots make no chain pass: the 2 x 2 closed form at f = 2, else
-    ``eigvals``.
+    2 sum sqrt|nu|: no eigenproblem of size md.  With U^dag S U = -Id and X
+    anti-self-adjoint (S X^dag S = -X) the block is Hermitian, so ``eigvalsh``
+    takes its roots.
     """
     x = el_commutator(projector, mu, tol)
     u = projector.basis
     su = projector.space.signs[:, None] * u
     h = (su.conj().T @ x) @ (x @ u)
-    nu = np.stack(_roots_2x2(h)) if h.shape == (2, 2) else np.linalg.eigvals(h)
+    nu = np.linalg.eigvalsh(h)
     return 2.0 * float(np.sum(np.sqrt(np.abs(nu))))
 
 

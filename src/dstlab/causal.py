@@ -8,9 +8,9 @@ pairs of different moduli occur away from minimizers).  The tests are applied
 in that order, so an all-real equal-modulus spectrum counts as timelike and
 the classification is deterministic.
 
-Tolerances scale with the spectrum: the thresholds are
+Tolerances scale with the spectrum: the threshold is
 ``tol.causal * (1 + max |lam|)`` for both the imaginary parts and the modulus
-spread; ``classify`` takes absolute ones per call.
+spread.
 """
 
 import enum
@@ -18,10 +18,10 @@ import json
 
 import numpy as np
 
-from .action import chain_blocks, chain_roots, kernel_blocks, multiset_distance
+from .action import _pass_of, multiset_distance
 from .tolerances import DEFAULT
 
-__all__ = ["CausalClass", "classify", "classify_chain", "CausalGraph", "causal_graph"]
+__all__ = ["CausalClass", "classify", "CausalGraph", "causal_graph"]
 
 
 class CausalClass(enum.Enum):
@@ -33,41 +33,19 @@ class CausalClass(enum.Enum):
         return {"timelike": "t", "spacelike": "s", "undetermined": "u"}[self.value]
 
 
-def classify(roots, tau_im=None, tau_mod=None, tol=DEFAULT):
-    """Causal class of a root multiset.
-
-    Parameters
-    ----------
-    roots : array_like of complex
-        Roots of one closed chain.
-    tau_im, tau_mod : float, optional
-        Absolute thresholds for the realness test and for the
-        conjugate-pair / equal-modulus test.  Default: scale-aware
-        ``tol.causal * (1 + max |lam|)``.
-    """
+def classify(roots, tol=DEFAULT):
+    """Causal class of a root multiset (the roots of one closed chain)."""
     lam = np.asarray(roots, dtype=complex).ravel()
     if lam.size == 0:
         raise ValueError("cannot classify an empty root multiset")
-    scale = tol.causal * (1.0 + float(np.max(np.abs(lam))))
-    if tau_im is None:
-        tau_im = scale
-    if tau_mod is None:
-        tau_mod = scale
-    if np.max(np.abs(lam.imag)) <= tau_im:
+    tau = tol.causal * (1.0 + float(np.max(np.abs(lam))))
+    if np.max(np.abs(lam.imag)) <= tau:
         return CausalClass.TIMELIKE
     mod = np.abs(lam)
-    paired = multiset_distance(lam, np.conj(lam)) <= tau_mod
-    if paired and (mod.max() - mod.min()) <= tau_mod:
+    paired = multiset_distance(lam, np.conj(lam)) <= tau
+    if paired and (mod.max() - mod.min()) <= tau:
         return CausalClass.SPACELIKE
     return CausalClass.UNDETERMINED
-
-
-def classify_chain(chain, tol=DEFAULT):
-    """Causal class of a :class:`~dstlab.action.ClosedChain` (or bare matrix)."""
-    roots = getattr(chain, "roots", None)
-    if roots is None:
-        roots = np.linalg.eigvals(np.asarray(chain, dtype=complex))
-    return classify(roots, tol=tol)
 
 
 class CausalGraph:
@@ -136,11 +114,13 @@ class CausalGraph:
 def causal_graph(projector, tol=DEFAULT):
     """Classify every point pair of a fermionic projector.
 
-    The chain roots for (x,y) and (y,x) agree, so the graph is symmetric by
-    construction; classification runs on the upper triangle and mirrors.
+    ``projector`` may be its :class:`~dstlab.action.ChainPass`, whose roots
+    are then reused.  The chain roots for (x,y) and (y,x) agree, so the graph
+    is symmetric by construction; classification runs on the upper triangle
+    and mirrors.
     """
-    roots = chain_roots(chain_blocks(kernel_blocks(projector)))
-    m = projector.space.m
+    roots = _pass_of(projector).roots
+    m = len(roots)
     classes = np.empty((m, m), dtype=object)
     for x in range(m):
         for y in range(x, m):

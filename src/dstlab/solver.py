@@ -58,7 +58,6 @@ from .action import (
     constraint_value,
     el_residual,
     first_variation,
-    invariant_roots,
     q_kernel,
     spectral_weight,
     transported,
@@ -456,10 +455,11 @@ def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
 
     ``family`` maps a parameter value to a projector; grid points where the
     construction fails are recorded with the error message instead of data.
-    The returned records carry the roots (lam_-, lam_+) of the chain between
-    points 0 and 1 for transition plots.  On 2 x 2 chains they come from the
-    chain's trace and determinant: lam_+ of a conjugate pair is the root with
-    Im > 0, and a real pair is ordered by value (``invariant_roots``).
+    The returned records carry the roots of the chain between points 0 and 1
+    for transition plots, sorted by real part, then imaginary part: at n = 1
+    (lam_-, lam_+), with lam_+ of a conjugate pair the root with Im > 0 and a
+    real pair ordered by value.  One chain pass per grid point serves the
+    value, the roots and the causal graph.
     """
     from .causal import causal_graph
 
@@ -472,12 +472,8 @@ def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
             continue
         chains = ChainPass(proj)
         s, t = action_and_constraint(chains, mu)
-        if chains.roots is None:
-            plus, minus = invariant_roots(chains.t[0, 1], chains.delta[0, 1])
-            roots = np.array([minus, plus])
-        else:
-            roots = np.sort_complex(chains.roots[0, 1])
-        graph = causal_graph(proj, tol=tol)
+        roots = np.sort_complex(chains.roots[0, 1])
+        graph = causal_graph(chains, tol=tol)
         off = graph.off_diagonal_class()
         records.append(
             {

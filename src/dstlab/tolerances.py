@@ -23,18 +23,17 @@ class Tolerances:
         |lam| has a kink there, and a zero root gets the zero subgradient in
         closed form (its factor conj(lam)/|lam| is set to 0).  The same
         scale counts the zero singular values that tell a semisimple zero
-        eigenspace from a defective one.  It serves the root routes
-        (``gradient_blocks`` and the 2n >= 4 chain pass) and has no role in
-        the n = 1 chain pass: for a projector delta = |det K_xy|^2 >= 0, so
-        |A|^2 is smooth across delta = 0.
+        eigenspace from a defective one.  It serves the ``eig`` route
+        (``gradient_blocks`` on any chain matrix, and the 2n >= 4 chain
+        pass) and has no role in the n = 1 chain pass: for a projector
+        delta = |det K_xy|^2 >= 0, so |A|^2 is smooth across delta = 0.
     eig_collision : float
         Relative eigenvalue-collision threshold; a near-defective chain
         (two roots closer than ``eig_collision * (1 + max|lam|)``, a zero
         block with a nilpotent part included) is the only case that falls
-        back to the finite-difference gradient on the root routes.  For 2n
-        >= 4 it is the smallest pairwise root distance; two zero roots of a
-        semisimple zero eigenspace do not count.  In the n = 1 chain pass
-        it is the width of the causal-threshold band: where
+        back to the finite-difference gradient on the ``eig`` route; two
+        zero roots of a semisimple zero eigenspace do not count.  In the
+        n = 1 chain pass it is the width of the causal-threshold band: where
         2 sqrt|t^2/4 - delta| < ``eig_collision * (1 + |lam_+|)``, with
         |lam_+| = sqrt(delta) on a conjugate pair, the kernel takes the mean
         of the two branches' slopes; no pair goes to finite differences.

@@ -372,7 +372,7 @@ def test_transported_projector_stays_on_orbit():
     assert q.rank == p.rank
 
 
-# -- closed form for 2 x 2 chains (n = 1) -----------------------------------
+# -- roots and gradients of 2 x 2 chains (n = 1) ----------------------------
 
 
 def _max_root_error(roots, reference):
@@ -388,12 +388,13 @@ def _max_root_error(roots, reference):
 @pytest.mark.parametrize("m, f", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
                                   (9, 1), (9, 2), (9, 3)])
 def test_closed_form_roots_match_eigvals(m, f):
+    # the n = 1 chain pass takes its roots from (t, delta), not from a chain
     from dstlab.correlation import correlation_chain_roots, local_correlations
 
     for seed in range(4):
         p = random_projector(DiscreteSpacetime(1, m), f, seed=seed)
         chains = act.chain_blocks(act.kernel_blocks(p))
-        roots = act.chain_roots(chains)
+        roots = act.ChainPass(p).roots
         assert roots.shape == (m, m, 2)
         assert _max_root_error(roots, np.linalg.eigvals(chains)) <= 1e-12
         if f == 2:
@@ -405,27 +406,6 @@ def test_closed_form_roots_match_eigvals(m, f):
                 for x in range(m)
             ])
             assert _max_root_error(roots, pairs) <= 1e-12
-
-
-def test_closed_form_roots_of_random_and_special_matrices():
-    rng = np.random.default_rng(17)
-    a = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
-    a[:500] *= 10.0 ** rng.uniform(-6, 6, size=(500, 1, 1))
-    special = np.array([
-        np.zeros((2, 2)),
-        [[0, 1], [0, 0]],  # nilpotent: both roots 0
-        [[2, 0], [0, 2]],  # scalar
-        [[1, 0], [0, -1]],  # h = 0
-        [[0, -1], [1, 0]],  # +/- i
-        [[1e-9, 1], [0, -1e-9]],
-    ], dtype=complex)
-    for batch in (a, special, special.real.copy()):
-        roots = act.chain_roots(batch)
-        assert _max_root_error(roots, np.linalg.eigvals(batch)) <= 1e-12
-        # lam_+ is the root of larger modulus
-        assert np.all(np.abs(roots[:, 0]) >= np.abs(roots[:, 1]))
-    single = act.chain_roots(special[4])
-    assert single.shape == (2,)
 
 
 def _chain_with_roots(roots, seed):
@@ -453,11 +433,6 @@ def test_closed_form_gradient_matches_eig_route_and_fd(monkeypatch, kind):
     calls = _count_fd_calls(monkeypatch)
     msq, mabs = act.gradient_blocks(chains)
     assert len(calls) == 0
-    esq, eabs, bad = act._gradient_eig(chains, DEFAULT)
-    assert not np.any(bad)
-    for got, want in ((msq, esq), (mabs, eabs)):
-        scale = np.abs(want).max(axis=(-2, -1))[:, None, None]
-        assert np.all(np.abs(got - want) <= 1e-11 * scale)
     for k, a in enumerate(chains):
         for got, want in zip((msq[k], mabs[k]), oracle(a)):
             assert np.max(np.abs(got - want)) <= 1e-5 * (1.0 + np.max(np.abs(want)))
@@ -495,9 +470,6 @@ def test_closed_form_gradient_at_exact_tetrahedron_minimizer(monkeypatch):
     calls = _count_fd_calls(monkeypatch)
     msq, mabs = act.gradient_blocks(chains)
     assert len(calls) == 0
-    esq, eabs, _ = act._gradient_eig(chains, DEFAULT)
-    assert np.max(np.abs(msq - esq)) <= 1e-12
-    assert np.max(np.abs(mabs - eabs)) <= 1e-12
     for x in range(4):
         for y in range(4):
             fsq, fabs = oracle(chains[x, y])
@@ -520,21 +492,26 @@ def test_chains_of_spin_dimension_four_keep_the_eig_route(monkeypatch):
 
 
 def test_el_residual_matches_commutator_spectrum():
-    # the f x f reduction against the spectral weight of the full md x md [P, Q]
+    # the f x f reduction against the spectral weight of the full md x md [P, Q];
+    # the block U^dag S X^2 U is Hermitian, which lets eigvalsh take its roots
     for n, m, f, mu in [(1, 3, 2, 0.5), (1, 4, 1, 0.5), (1, 9, 3, 0.4), (2, 3, 2, 0.25)]:
         for seed in range(3):
             p = random_projector(DiscreteSpacetime(n, m), f, seed=seed)
-            full = act.spectral_weight(np.linalg.eigvals(act.el_commutator(p, mu)))
+            x = act.el_commutator(p, mu)
+            su = p.space.signs[:, None] * p.basis
+            h = su.conj().T @ x @ x @ p.basis
+            assert np.max(np.abs(h - h.conj().T)) <= 1e-13 * np.max(np.abs(h))
+            full = act.spectral_weight(np.linalg.eigvals(x))
             assert act.el_residual(p, mu) == pytest.approx(full, rel=1e-10)
 
 
 # -- one chain pass on the invariants t = tr A, delta = det A (n = 1) --------
 
 
-def _root_route_q(p, w_sq, w_abs, gradient=act.gradient_blocks):
-    """Two-sided Q from a root or eig route's gradient blocks (the oracle)."""
+def _eig_route_q(p, w_sq, w_abs):
+    """Two-sided Q from the eig route's gradient blocks (the oracle)."""
     k = act.kernel_blocks(p)
-    msq, mabs = gradient(act.chain_blocks(k))[:2]
+    msq, mabs = act.gradient_blocks(act.chain_blocks(k))
     return act.blocks_to_matrix(act.q_blocks(k, w_sq * msq + w_abs * mabs))
 
 
@@ -558,11 +535,8 @@ def test_invariant_pass_matches_the_root_route_and_the_eig_oracle(monkeypatch, m
             assert t == pytest.approx(np.sum(mod.sum(-1) ** 2), rel=1e-13)
             for w_sq, w_abs, q in ((1.0, -mu, act.q_kernel(cp, mu)),
                                    (0.0, 1.0, act.constraint_q_kernel(cp))):
-                root = _root_route_q(p, w_sq, w_abs)
-                eig = _root_route_q(
-                    p, w_sq, w_abs, lambda c: act._gradient_eig(c, DEFAULT))
-                assert np.max(np.abs(q - root)) <= 1e-13 * np.max(np.abs(root))
-                assert np.max(np.abs(q - eig)) <= 1e-10 * np.max(np.abs(eig))
+                eig = _eig_route_q(p, w_sq, w_abs)
+                assert np.max(np.abs(q - eig)) <= 1e-13 * np.max(np.abs(eig))
     assert len(calls) == 0
 
 
@@ -617,19 +591,19 @@ def test_invariant_gradient_at_the_tetrahedron_zero_roots_makes_no_fd_call(monke
     for w_sq, w_abs in ((1.0, -0.5), (1.0, 0.0), (0.0, 1.0)):
         q = cp.q(w_sq, w_abs)
         assert cp.fd_pairs == 0
-        root = _root_route_q(p, w_sq, w_abs)
-        assert np.max(np.abs(q - root)) <= 1e-12 * np.max(np.abs(root))
+        eig = _eig_route_q(p, w_sq, w_abs)
+        assert np.max(np.abs(q - eig)) <= 1e-12 * np.max(np.abs(eig))
     assert len(calls) == 0
 
 
 @pytest.mark.parametrize("collision", [DEFAULT.eig_collision, 1e-4, 1e-2])
 def test_vanishing_discriminant_sends_the_root_routes_pairs_to_fd(monkeypatch, collision):
-    # triangles across the causal threshold: the root route sends the chains
+    # triangles across the causal threshold: the eig route sends the chains
     # whose gap 2 sqrt|t^2/4 - delta| falls under the collision scale to
     # finite differences; the invariant pass takes the mean of the two branch
     # slopes there, which is the mean of the one-sided kernels, and never
-    # calls the oracle.  Off the band it matches the root route, whose
-    # projector (A - lam_-)/(lam_+ - lam_-) loses digits as 1/gap
+    # calls the oracle.  Off the band it matches the eig route, whose
+    # spectral projectors lose digits as 1/gap
     from dstlab import FermionicProjector
     from dstlab.correlation import TRIANGLE_CAUSAL_THRESHOLD, triangle_projector
 
@@ -679,6 +653,10 @@ def _raise_on_call(*args, **kwargs):
     ids=["auxiliary", "constrained"],
 )
 def test_n1_minimize_makes_no_chain_roots_eig_eigvals_or_inv_call(monkeypatch, cfg):
+    from dstlab.causal import causal_graph
+    from dstlab.correlation import triangle_projector
+    from dstlab.solver import landscape_scan
+
     for name in ("chain_roots", "chain_blocks", "finite_difference_gradient"):
         monkeypatch.setattr(act, name, _raise_on_call)
     for name in ("eig", "eigvals", "inv"):
@@ -686,3 +664,8 @@ def test_n1_minimize_makes_no_chain_roots_eig_eigvals_or_inv_call(monkeypatch, c
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     assert np.isfinite(res.action) and np.isfinite(res.residual)
     assert sum(r["iterations"] for r in res.per_seed) > 0
+    assert causal_graph(res.projector).is_symmetric()
+    records = landscape_scan(triangle_projector, np.linspace(0.6, 0.9, 7))
+    # v = 0.6, 0.65 lie below the realizable v >= 2/3
+    assert all(rec["error"].startswith("family needs v >= 2/3") for rec in records[:2])
+    assert all("error" not in rec for rec in records[2:])

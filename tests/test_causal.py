@@ -1,7 +1,8 @@
 import numpy as np
 
 from dstlab import DiscreteSpacetime, FermionicProjector, random_gauge, random_projector
-from dstlab.causal import CausalClass, CausalGraph, causal_graph, classify, classify_chain
+from dstlab.causal import CausalClass, CausalGraph, causal_graph, classify
+from dstlab.tolerances import DEFAULT
 
 
 def test_real_roots_are_timelike():
@@ -40,12 +41,12 @@ def test_explicit_tolerance_overrides_default():
     roots = [1.0 + 1e-12j, 1.0 - 1e-12j]
     assert classify(roots) is CausalClass.TIMELIKE
     # tightening the realness threshold pushes the pair to the conjugate test
-    assert classify(roots, tau_im=1e-15) is CausalClass.SPACELIKE
+    assert classify(roots, tol=DEFAULT.with_(causal=1e-15)) is CausalClass.SPACELIKE
 
 
 def test_classify_chain_accepts_bare_matrix():
     a = np.array([[2.0, -1.0], [1.0, 2.0]])  # eigenvalues 2 +/- i
-    assert classify_chain(a) is CausalClass.SPACELIKE
+    assert classify(np.linalg.eigvals(a)) is CausalClass.SPACELIKE
 
 
 def test_spacelike_chain_from_adjoint_consistent_kernels():

@@ -508,6 +508,16 @@ def test_best_seed_ignores_ulp_ties_and_prefers_a_converged_tie(monkeypatch):
     assert (lower.seed, lower.status) == (0, "max_iterations")
 
 
+def test_landscape_scan_makes_one_chain_pass_per_realizable_point(monkeypatch):
+    # the value, the roots and the causal graph of a grid point share its pass
+    passes = _count_chain_passes(monkeypatch)
+    grid = np.linspace(0.6, 0.9, 7)
+    records = landscape_scan(triangle_projector, grid)
+    ok = [rec for rec in records if "error" not in rec]
+    assert len(ok) == 5  # v = 0.6, 0.65 lie below the realizable v >= 2/3
+    assert len(passes) == len(ok)
+
+
 def test_landscape_labels_lam_plus_by_the_sign_of_its_imaginary_part():
     # fig3's triangle sweep: in every spacelike row lam_+ has Im > 0 and the
     # pair shares its real part; an ulp on the family parameter flips nothing
@@ -532,7 +542,7 @@ def _critical_minimum(m):
     return minimize(DiscreteSpacetime(1, m), 2, cfg)
 
 
-@pytest.mark.parametrize("m", [4, 6, 8, 9])
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 16])
 def test_critical_minimum_is_the_two_design_bound(m):
     # at mu = 1/2, f = 2 the minimum equals the delta = 0 bound 8/(3 m^2)
     # wherever a spherical 2-design of m points exists (correlation.py)
