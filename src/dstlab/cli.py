@@ -358,8 +358,6 @@ def _pauli_csv(corr):
 
 
 def _run_minimize(params, seeds, tol, config_dir):
-    if not seeds:
-        raise CliError(EXIT_VALIDATION, "minimize needs a nonempty seed list")
     space = _space(params["n"], params["m"], params["f"])
     cfg = _solver_config(params, seeds)
     res = minimize(space, params["f"], cfg, tol)

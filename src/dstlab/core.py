@@ -268,6 +268,12 @@ class FermionicProjector:
             return cls.from_dict(json.load(fh), tol)
 
 
+def _gaussian_hermitian(rng, d, scale):
+    """Gaussian Hermitian d x d matrix (x + x^dagger) scale / (2 sqrt d), x = N + iN."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (x + x.conj().T) * (scale / (2.0 * np.sqrt(d)))
+
+
 def random_projector(space, f, seed, boost_scale=1.0, tol=DEFAULT):
     """Seeded random fermionic projector of rank ``f``.
 
@@ -289,9 +295,7 @@ def random_projector(space, f, seed, boost_scale=1.0, tol=DEFAULT):
     raw[neg, :] = rng.normal(size=(d // 2, f)) + 1j * rng.normal(size=(d // 2, f))
     basis = indefinite_orthonormalize(space, raw)
 
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = (x + x.conj().T) * (boost_scale / (2.0 * np.sqrt(d)))
-    b = space.signs[:, None] * h
+    b = space.signs[:, None] * _gaussian_hermitian(rng, d, boost_scale)
     u = scipy.linalg.expm(1j * b)
     return FermionicProjector.from_span(space, u @ basis, tol)
 
@@ -302,10 +306,7 @@ def random_direction(space, seed, scale=1.0):
     exp(i eta B) is then an indefinite unitary for every real eta, so B spans
     tangent directions of the projector orbit.
     """
-    rng = random_generator(seed)
-    d = space.dim
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = (x + x.conj().T) * (scale / (2.0 * np.sqrt(d)))
+    h = _gaussian_hermitian(random_generator(seed), space.dim, scale)
     return space.signs[:, None] * h
 
 
@@ -360,11 +361,9 @@ class GaugeTransform:
 def random_gauge(space, seed, scale=1.0):
     """Seeded random gauge transform, one exp(i S0 H_x) block per point."""
     rng = random_generator(seed)
-    d = space.spin_dim
-    s0 = space.block_signs
-    blocks = []
-    for _ in range(space.m):
-        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (x + x.conj().T) * (scale / (2.0 * np.sqrt(d)))
-        blocks.append(scipy.linalg.expm(1j * (s0[:, None] * h)))
+    s0 = space.block_signs[:, None]
+    blocks = [
+        scipy.linalg.expm(1j * (s0 * _gaussian_hermitian(rng, space.spin_dim, scale)))
+        for _ in range(space.m)
+    ]
     return GaugeTransform(space, np.array(blocks))

@@ -23,10 +23,12 @@ Constrained minimization (fix the spectral-weight constraint T = kappa and
 minimize the plain action) runs penalty rounds at (0, nu, w): the multiplier
 nu is updated between rounds and the penalty weight grows geometrically until
 the constraint holds.  The Lagrange multiplier of the constrained problem is
-recovered as -nu, and independently by least squares on directional
-derivatives.  Every seed goes through one function that runs its rounds and
-returns one record; a feasibility probe on (T-kappa)^2 alone first checks
-that the level is attainable.
+recovered as -nu, and independently as the least-squares fit of the
+commutator [P, Q_S] by [P, Q_T].  Every seed goes through one function that
+runs its rounds and returns one record.  A penalty that cannot reach kappa
+settles at a stationary point of (T-kappa)^2 (Nocedal and Wright, Numerical
+Optimization, 2nd ed., Thm. 17.2), so the seeds' own records say whether the
+level is attainable.
 
 Gradient consistency is asserted against finite differences at the first
 iterate of every seed, and every accepted iterate is kept an exact projector
@@ -41,12 +43,11 @@ A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
 (STALL_WINDOW, STALL_TOL), DIVERGENCE_FLOOR, the penalty schedule
 (PENALTY_START, PENALTY_GROWTH, OUTER_ROUNDS, CONSTRAINT_TOL) and the
-multiplier fit (FIT_DIRECTIONS, FIT_TOL) are module constants, read when a
-solve runs.
+multiplier fit (FIT_TOL) are module constants, read when a solve runs.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .action import (
     spectral_weight,
     transported,
 )
-from .core import random_direction, random_projector
+from .core import random_projector
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -90,7 +91,6 @@ PENALTY_START = 10.0
 PENALTY_GROWTH = 10.0
 OUTER_ROUNDS = 8  # at least one penalty round
 CONSTRAINT_TOL = 1e-6
-FIT_DIRECTIONS = 24
 FIT_TOL = 1e-3
 
 
@@ -114,6 +114,8 @@ class SolverConfig:
         if self.mode == "constrained" and self.kappa is None:
             raise ValueError("constrained mode needs a kappa level")
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        if not self.seeds:
+            raise ValueError("a solve needs a nonempty seed list")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
 
@@ -244,107 +246,83 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
 class _Objective:
     """F = S_mu + nu (T - kappa) + w (T - kappa)^2 on the projector orbit.
 
-    Auxiliary mode descends (mu, nu = w = 0) with no kappa, a penalty round
-    (0, nu, w); the feasibility probe (``feasibility=True``) keeps only
-    (T - kappa)^2.  The objective keeps the chain pass of the projector it
-    saw last, with its S_mu and T.  The line search evaluates every trial, so
-    when ``qmat`` asks about the accepted iterate its pass is there;
-    projectors are immutable, so identity decides, and any other projector
-    gets a pass of its own.  ``fd_pairs`` counts the chain pairs its
-    gradients sent to finite differences.
+    Auxiliary mode descends (mu, nu = w = 0), where the terms in d = T - kappa
+    weigh nothing (T is finite); a penalty round sets (nu, w) at mu = 0.  The
+    objective keeps the chain pass of the projector it saw last, with its S_mu
+    and d, and its gradient operator is the auxiliary Q at the effective
+    weight mu - nu - 2 w d.  The line search evaluates every trial, so when
+    ``qmat`` asks about the accepted iterate its pass is there; projectors are
+    immutable, so identity decides, and any other projector gets a pass of its
+    own.  ``fd_pairs`` counts the chain pairs its gradients sent to finite
+    differences.
     """
 
-    def __init__(self, tol, mu=0.0, kappa=None, nu=0.0, w=0.0, feasibility=False):
+    def __init__(self, tol, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
         self.tol, self.mu, self.kappa, self.nu, self.w = tol, mu, kappa, nu, w
-        self.feasibility = feasibility
-        self.chains, self.s, self.t = None, 0.0, 0.0
+        self.chains, self.s, self.d = None, 0.0, 0.0
         self.fd_pairs = 0
 
     def _see(self, p):
         if self.chains is None or self.chains.projector is not p:
             self.chains = ChainPass(p)
-            self.s, self.t = action_and_constraint(self.chains, self.mu)
+            self.s, t = action_and_constraint(self.chains, self.mu)
+            self.d = t - self.kappa
         return self.chains
 
     def value(self, p):
         self._see(p)
-        if self.kappa is None:
-            return self.s
-        d = self.t - self.kappa
-        return d * d if self.feasibility else self.s + self.nu * d + self.w * d * d
+        return self.s + self.nu * self.d + self.w * self.d * self.d
 
     def qmat(self, p):
         chains = self._see(p)
-        if self.kappa is None:
-            q = q_kernel(chains, self.mu, self.tol)
-        elif self.feasibility:
-            q = 2.0 * (self.t - self.kappa) * constraint_q_kernel(chains, self.tol)
-        else:
-            mu = -(self.nu + 2.0 * self.w * (self.t - self.kappa))
-            q = q_kernel(chains, mu, self.tol)
+        q = q_kernel(chains, self.mu - self.nu - 2.0 * self.w * self.d, self.tol)
         self.fd_pairs += chains.fd_pairs
         return q
-
-
-def _feasibility_precheck(space, f, cfg, tol):
-    """Verify some projector reaches T = kappa, else raise InfeasibleKappa."""
-    probe = _Objective(tol, kappa=cfg.kappa, feasibility=True)
-    probe_cfg = replace(cfg, max_iter=400)
-    threshold = max(1e-4, 10.0 * CONSTRAINT_TOL)
-    best = math.inf
-    for seed in cfg.seeds[:3] or (0,):
-        start = random_projector(space, f, seed, cfg.boost_scale, tol)
-        out = _descend(start, probe.value, probe.qmat, probe_cfg, tol)
-        best = min(best, math.sqrt(max(out["value"], 0.0)))
-        if best <= threshold:
-            return
-    raise InfeasibleKappa(
-        f"no trial projector reaches the constraint level {cfg.kappa}; "
-        f"best |T - kappa| = {best:.3e}"
-    )
 
 
 def _solve_seed(start, cfg, tol):
     """One descent at fixed mu, or the penalty rounds of constrained mode.
 
-    The multiplier is mu in auxiliary mode and -nu in constrained mode; the
-    iterations, Armijo trials, renormalizations and FD pairs are summed over
-    the rounds, whose traces are returned apart.
+    One objective serves every round of the seed; between penalty rounds nu
+    takes the first-order multiplier update and w grows.  The multiplier is
+    mu in auxiliary mode and -nu in constrained mode; the iterations, Armijo
+    trials, renormalizations and FD pairs are summed over the rounds, whose
+    traces are returned apart.  A round that cannot bring T to kappa settles
+    where (T - kappa)^2 is stationary, so the record's constraint and last
+    exit reason tell whether kappa was reached.
     """
     constrained = cfg.mode == "constrained"
-    nu, w = 0.0, PENALTY_START
+    objective = (_Objective(tol, 0.0, cfg.kappa, 0.0, PENALTY_START) if constrained
+                 else _Objective(tol, cfg.mu))
     proj = start
     traces = []
-    counts = {"armijo_trials": 0, "renormalizations": 0, "fd_pairs": 0}
+    counts = {"armijo_trials": 0, "renormalizations": 0}
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
-        objective = (_Objective(tol, 0.0, cfg.kappa, nu, w) if constrained
-                     else _Objective(tol, cfg.mu))
         out = _descend(proj, objective.value, objective.qmat, cfg, tol,
                        check_first=round_idx == 0)
         proj, status = out["projector"], out["status"]
         traces.append(out["trace"])
-        for key in ("armijo_trials", "renormalizations"):
+        for key in counts:
             counts[key] += out[key]
-        counts["fd_pairs"] += objective.fd_pairs
         if not constrained or status == "divergence":
             break
         d = constraint_value(proj) - cfg.kappa
-        nu += 2.0 * w * d
+        objective.nu += 2.0 * objective.w * d
         if abs(d) <= CONSTRAINT_TOL and status == "converged":
             break
         status = "max_iterations"
-        w *= PENALTY_GROWTH
-    mu = -nu if constrained else cfg.mu
-    s, t = action_and_constraint(proj, 0.0 if constrained else mu)
+        objective.w *= PENALTY_GROWTH
+    s, t = action_and_constraint(proj, objective.mu)
     record = {
         "projector": proj,
         "action": s,
         "constraint": t,
-        "multiplier": mu,
+        "multiplier": objective.mu - objective.nu,
         "status": status,
         "exit_reason": out["exit_reason"],
         "iterations": sum(len(trace) - 1 for trace in traces),
         **counts,
+        "fd_pairs": objective.fd_pairs,
         "gradient_norm": out["gradient_norm"],
     }
     return record, traces
@@ -355,16 +333,19 @@ def minimize(space, f, config=None, tol=DEFAULT):
 
     Auxiliary mode descends S_mu at fixed mu (detecting the divergence that
     occurs beyond the critical weight); constrained mode minimizes the plain
-    action subject to T = kappa after verifying the level is attainable.
-    The best seed is chosen deterministically: non-diverged seeds first, then
-    feasible seeds in constrained mode.  Among those, the seeds whose action
-    is within 1e-12 (1 + |S_min|) of the lowest S_min tie, so seeds that reach
-    one symmetric minimizer tie whatever their rounding; the first converged
-    tied seed in seed order is the best, else the first tied seed.
+    action subject to T = kappa.  A seed is feasible when it ends within
+    10 CONSTRAINT_TOL of kappa.  If no seed is feasible and no seed's last
+    round stopped on its iteration budget, the penalty rounds have settled
+    where (T - kappa)^2 is stationary and InfeasibleKappa is raised; a seed
+    that ran out of iterations instead lets the run return its best seed
+    with status "max_iterations".  The best seed is chosen deterministically:
+    non-diverged seeds first, then feasible seeds in constrained mode.  Among
+    those, the seeds whose action is within 1e-12 (1 + |S_min|) of the
+    lowest S_min tie, so seeds that reach one symmetric minimizer tie
+    whatever their rounding; the first converged tied seed in seed order is
+    the best, else the first tied seed.
     """
     cfg = config or SolverConfig()
-    if cfg.mode == "constrained":
-        _feasibility_precheck(space, f, cfg, tol)
     per_seed = []
     traces = {}
     for seed in cfg.seeds:
@@ -372,12 +353,19 @@ def minimize(space, f, config=None, tol=DEFAULT):
         record, traces[seed] = _solve_seed(start, cfg, tol)
         per_seed.append({"seed": seed, **record})
 
-    def rank(rec):
-        infeasible = (
-            cfg.mode == "constrained"
-            and abs(rec["constraint"] - cfg.kappa) > 10.0 * CONSTRAINT_TOL
+    def missed(rec):
+        return (cfg.mode == "constrained"
+                and abs(rec["constraint"] - cfg.kappa) > 10.0 * CONSTRAINT_TOL)
+
+    if all(missed(r) and r["exit_reason"] != "max_iterations" for r in per_seed):
+        miss = min(abs(r["constraint"] - cfg.kappa) for r in per_seed)
+        raise InfeasibleKappa(
+            f"no trial projector reaches the constraint level {cfg.kappa}; "
+            f"best |T - kappa| = {miss:.3e}"
         )
-        return (rec["status"] == "divergence", infeasible)
+
+    def rank(rec):
+        return (rec["status"] == "divergence", missed(rec))
 
     top = min(map(rank, per_seed))
     front = [r for r in per_seed if rank(r) == top]
@@ -415,17 +403,21 @@ class MultiplierEstimate:
 
 
 def lagrange_multiplier_estimate(projector, tol=DEFAULT):
-    """Least-squares fit of dS = mu dT over FIT_DIRECTIONS random orbit directions.
+    """Least-squares fit of dS = mu dT over every orbit direction at once.
 
-    Recovers the Lagrange multiplier at constrained minimizers, which are the
-    stationary points of the auxiliary action where the fit is well posed.
-    Two failure modes are flagged inconclusive: a poor fit residual (the
-    point is not stationary for any multiplier), and dT vanishing in every
-    direction (the point is stationary for the constraint functional itself,
-    e.g. the fully symmetric auxiliary minimizers, where the multiplier is
-    undetermined and the fitted ratio would be pure noise).
+    The first variations along B = S H are linear in the commutators
+    C_S = [P, Q_S] and C_T = [P, Q_T], so the fit over all Hermitian H (the
+    limit of a fit over isotropic random directions) is the Frobenius
+    projection: mu = Re<C_T, C_S> / ||C_T||^2, with relative residual
+    ||C_S - mu C_T|| / ||C_S||.  This recovers the Lagrange multiplier at
+    constrained minimizers, which are the stationary points of the auxiliary
+    action where the fit is well posed.  Two failure modes are flagged
+    inconclusive: a poor fit residual (the point is not stationary for any
+    multiplier), and C_T vanishing (the point is stationary for the
+    constraint functional itself, e.g. the fully symmetric auxiliary
+    minimizers, where the multiplier is undetermined and the fitted ratio
+    would be pure noise).
     """
-    space = projector.space
     chains = ChainPass(projector)
     qs = q_kernel(chains, 0.0, tol)
     qt = constraint_q_kernel(chains, tol)
@@ -433,18 +425,11 @@ def lagrange_multiplier_estimate(projector, tol=DEFAULT):
     cs = p @ qs - qs @ p
     ct = p @ qt - qt @ p
     t_stat = float(np.linalg.norm(ct)) / (1.0 + float(np.linalg.norm(qt)))
-    ds = np.empty(FIT_DIRECTIONS)
-    dt = np.empty(FIT_DIRECTIONS)
-    for k in range(FIT_DIRECTIONS):
-        b = random_direction(space, seed=k)
-        b /= np.linalg.norm(b)
-        ds[k] = first_variation(cs, b)
-        dt[k] = first_variation(ct, b)
     if t_stat < 1e-7:
         return MultiplierEstimate(math.nan, math.inf, "inconclusive", t_stat)
-    value = float(ds @ dt) / float(dt @ dt)
-    residual = float(np.linalg.norm(ds - value * dt)) / max(
-        np.linalg.norm(ds), 1e-300
+    value = float(np.vdot(ct, cs).real) / float(np.vdot(ct, ct).real)
+    residual = float(np.linalg.norm(cs - value * ct)) / max(
+        np.linalg.norm(cs), 1e-300
     )
     status = "ok" if residual <= FIT_TOL else "inconclusive"
     return MultiplierEstimate(value, residual, status, t_stat)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,8 +7,14 @@ import pytest
 
 import dstlab.action
 import dstlab.solver
-from dstlab import DiscreteSpacetime, FermionicProjector, random_projector
-from dstlab.action import constraint_q_kernel, constraint_value, q_kernel
+from dstlab import DiscreteSpacetime, FermionicProjector, random_direction, random_projector
+from dstlab.action import (
+    ChainPass,
+    constraint_q_kernel,
+    constraint_value,
+    first_variation,
+    q_kernel,
+)
 from dstlab.causal import CausalClass, causal_graph
 from dstlab.cli import _SOLVER_PARAMS
 from dstlab.correlation import (
@@ -39,6 +46,8 @@ def test_config_validation():
         assert False, "expected ValueError"
     except ValueError:
         pass
+    with pytest.raises(ValueError, match="nonempty seed list"):
+        SolverConfig(seeds=())
 
 
 @pytest.mark.parametrize(
@@ -60,6 +69,18 @@ def test_descent_constants_are_settings_the_descent_can_run(holds):
     assert holds(dstlab.solver)
 
 
+def test_docstring_lists_every_module_constant():
+    # the module docstring's "... are module constants" sentence names exactly
+    # the UPPER_CASE numeric settings, so a deleted constant cannot linger
+    doc = dstlab.solver.__doc__.split("are module constants")[0].rsplit(".  ", 1)[-1]
+    named = set(re.findall(r"\b[A-Z][A-Z0-9_]*[A-Z0-9]\b", doc))
+    constants = {
+        name for name, v in vars(dstlab.solver).items()
+        if name.isupper() and isinstance(v, (int, float)) and not isinstance(v, bool)
+    }
+    assert named == constants
+
+
 def test_config_fields_are_the_minimize_params():
     # a field that no config can reach would be a setting no run chooses
     assert {f.name for f in fields(SolverConfig)} - {"seeds"} == (
@@ -74,18 +95,10 @@ def _penalty_reference(p):
     return q_kernel(p, -(NU + 2.0 * W * (constraint_value(p) - KAPPA)))
 
 
-def _feasibility_reference(p):
-    return 2.0 * (constraint_value(p) - KAPPA) * constraint_q_kernel(p)
-
-
 @pytest.mark.parametrize(
     "objective, reference",
-    [
-        (lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W), _penalty_reference),
-        (lambda: _Objective(DEFAULT, kappa=KAPPA, feasibility=True),
-         _feasibility_reference),
-    ],
-    ids=["penalty", "feasibility"],
+    [(lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W), _penalty_reference)],
+    ids=["penalty"],
 )
 def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
     monkeypatch, objective, reference
@@ -341,12 +354,26 @@ def test_constrained_triangle_near_threshold():
 
 
 def test_infeasible_constraint_level_rejected():
-    cfg = SolverConfig(mode="constrained", kappa=0.01, seeds=(0, 1))
-    try:
-        minimize(DiscreteSpacetime(1, 3), 2, cfg)
-        assert False, "expected InfeasibleKappa"
-    except InfeasibleKappa:
-        pass
+    # the penalty rounds of every seed settle at T = 2/3 (m = 3) or 1/3
+    # (m = 4), short of kappa, before the budget runs out
+    for m, kappa in [(3, 0.01), (3, 0.66), (3, 0.6666), (4, 0.3)]:
+        cfg = SolverConfig(mode="constrained", kappa=kappa, seeds=(0, 1))
+        with pytest.raises(InfeasibleKappa, match=r"best \|T - kappa\|"):
+            minimize(DiscreteSpacetime(1, m), 2, cfg)
+
+
+def test_constraint_level_just_above_the_bound_is_reached():
+    cfg = SolverConfig(mode="constrained", kappa=0.6667, seeds=(0, 1))
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    assert abs(res.constraint - 0.6667) <= 1e-6
+
+
+def test_infeasible_level_with_a_short_budget_returns_max_iterations():
+    # a seed that ran out of iterations has not settled, so there is no verdict
+    cfg = SolverConfig(mode="constrained", kappa=0.01, seeds=(0, 1), max_iter=30)
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    assert res.status == "max_iterations"
+    assert "max_iterations" in [r["exit_reason"] for r in res.per_seed]
 
 
 def test_multiplier_undetermined_at_symmetric_minimizers():
@@ -365,6 +392,24 @@ def test_multiplier_fit_rejects_non_stationary_points():
     )
     assert est.status == "inconclusive"
     assert est.residual > 1e-2
+
+
+def test_multiplier_fit_is_the_limit_of_random_direction_fits():
+    # the exact fit projects [P, Q_S] on [P, Q_T]; a fit of dS = mu dT over
+    # isotropic random unit directions tends to it
+    p = random_projector(DiscreteSpacetime(1, 3), 2, seed=5)
+    est = lagrange_multiplier_estimate(p)
+    chains = ChainPass(p)
+    qs, qt, pm = q_kernel(chains, 0.0), constraint_q_kernel(chains), p.matrix()
+    cs, ct = pm @ qs - qs @ pm, pm @ qt - qt @ pm
+    ds, dt = np.empty(400), np.empty(400)
+    for k in range(400):
+        b = random_direction(p.space, seed=k)
+        b /= np.linalg.norm(b)
+        ds[k], dt[k] = first_variation(cs, b), first_variation(ct, b)
+    value = ds @ dt / (dt @ dt)
+    assert abs(value - est.value) <= 0.02 * abs(est.value)
+    assert abs(np.linalg.norm(ds - value * dt) / np.linalg.norm(ds) - est.residual) <= 0.02
 
 
 def test_landscape_scan_of_triangle_family():
@@ -428,8 +473,7 @@ def _count_chain_passes(monkeypatch):
 @pytest.mark.parametrize("objective", [
     lambda: _Objective(DEFAULT, 0.5),
     lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W),
-    lambda: _Objective(DEFAULT, kappa=KAPPA, feasibility=True),
-], ids=["auxiliary", "penalty", "feasibility"])
+], ids=["auxiliary", "penalty"])
 def test_one_chain_pass_per_armijo_trial(monkeypatch, objective):
     # the start's value makes one pass and every line-search trial one; the
     # gradient and the commutator of an accepted iterate make none
