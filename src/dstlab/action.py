@@ -87,7 +87,6 @@ import functools
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .core import FermionicProjector
 from .tolerances import DEFAULT
@@ -141,6 +140,9 @@ def multiset_distance(a, b):
     b = np.asarray(b).ravel()
     if a.size != b.size:
         raise ValueError("multisets must have equal size")
+    # scipy.optimize loads only here, so importing dstlab.cli does not pay for it
+    import scipy.optimize
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

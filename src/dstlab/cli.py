@@ -478,11 +478,13 @@ def _run_lattice(params, seeds, tol, config_dir):
         "global_minima": [list(m) for m in scan.global_minima],
         "origin": origin,
     }
+    # each grid value is formatted once, as _csv_bytes would format the float
+    tau_text = np.array([repr(t) for t in scan.tau_values.tolist()])
     outputs = {
         "surface.csv": _csv_bytes(
             ("tau1", "tau2", "S"),
-            (np.repeat(scan.tau_values, scan.tau_values.size),
-             np.tile(scan.tau_values, scan.tau_values.size), scan.surface.ravel()),
+            (np.repeat(tau_text, tau_text.size), np.tile(tau_text, tau_text.size),
+             scan.surface.ravel()),
         ),
         "minima.json": _json_bytes(minima),
     }

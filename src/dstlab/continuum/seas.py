@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 
 class NotRegularizable(ValueError):
@@ -97,6 +96,9 @@ def regularized_action(
     eps_sequence, Richardson-extrapolated, must agree with the subtracted
     value to rel_tol.
     """
+    # scipy.integrate loads only here, so importing dstlab.cli does not pay for it
+    from scipy import integrate
+
     m3 = float(m3)
     m5 = float(m5)
     if z_max < 1.0:

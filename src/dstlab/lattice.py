@@ -35,18 +35,21 @@ phi K1 e (e the time phase).  The closed chain A = P Pbar is
     delta = 2 Re(c conj(b)),        eps = 2i Im(a conj(b)).
 
 The three generators anticommute and square to +1, -1 and +1, so
-(A - alpha)^2 = D := beta^2 - delta^2 + eps^2, a real number.  The chain
-roots are therefore lam_pm = alpha +- sqrt(D), each of multiplicity two, and
-the critical Lagrangian at mu = 1/4 (four spin dimensions) reduces to
-(|lam_+| - |lam_-|)^2, which vanishes for D < 0 (a spacelike pair of equal
-modulus).  The action weights each point by configurable time/radius
-measures.
+(A - alpha)^2 = D := beta^2 - delta^2 + eps^2 is real and the chain has the
+double roots alpha +- sqrt(D).  As ||alpha + s| - |alpha - s|| =
+2 min(|alpha|, s) for s >= 0, and a pair with D < 0 has equal moduli, the
+critical Lagrangian (|lam_+| - |lam_-|)^2 at mu = 1/4 (four spin dimensions)
+is L = 4 min(alpha^2, max(D, 0)), a polynomial in the real and imaginary
+parts of (c, a, b).  Points where alpha or D is not finite (a boost too large
+for floating point), which are the points where alpha +- sqrt(D) is not
+finite, are refused with a RuntimeError.  The action weights each point by
+configurable time/radius measures.
 
-``lattice_action`` and ``landscape_scan_2d`` use only this closed form.  The
-general 4x4 route (``lattice_kernel``, ``closed_chain_field``,
-``chain_root_field``, ``critical_lagrangian_field``) builds the matrices and
-calls an eigenvalue solver; it is kept as the reference the tests compare
-the closed form against.
+``lattice_action`` and ``landscape_scan_2d`` use only this closed form,
+``critical_lagrangian``.  The general 4x4 route (``lattice_kernel``,
+``closed_chain_field``, ``chain_root_field``, ``critical_lagrangian_field``)
+builds the matrices and calls an eigenvalue solver; it is kept as the
+reference the tests compare the closed form against.
 """
 
 import math
@@ -143,8 +146,7 @@ def _state_fields(geom, state):
 def kernel_coefficients(geom, states):
     """Coefficient fields (c, a, b) of P = c + a gamma^t + b gamma^r.
 
-    Each is an (n_t, n_r) complex field.  A boost too large for floating
-    point gives non-finite coefficients, which ``chain_root_pairs`` refuses.
+    Each is an (n_t, n_r) complex field.
     """
     _validate_occupation(geom, states)
     c, a, b = (np.zeros((geom.n_t, geom.n_r), dtype=complex) for _ in range(3))
@@ -190,32 +192,22 @@ def critical_lagrangian_field(roots):
     return np.sum(diff * diff, axis=(-2, -1)) / 8.0
 
 
-def chain_root_pairs(c, a, b):
-    """Closed-form roots (lam_+, lam_-) of A = P Pbar, shape (..., 2).
+def critical_lagrangian(c, a, b):
+    """L = 4 min(alpha^2, max(D, 0)) pointwise over coefficient fields (c, a, b).
 
-    Each root has multiplicity two in the 4x4 chain.  Raises RuntimeError
-    naming the first points (indices into the coefficient fields) where a
-    root is not finite.
+    Raises RuntimeError naming the first points where alpha or D is not finite.
     """
-    alpha = (c * c.conj() + a * a.conj() - b * b.conj()).real
-    beta = 2.0 * (c * a.conj()).real
-    delta = 2.0 * (c * b.conj()).real
-    eps_im = 2.0 * (a * b.conj()).imag  # eps = i * eps_im
-    root = np.sqrt((beta * beta - delta * delta - eps_im * eps_im).astype(complex))
-    roots = np.stack((alpha + root, alpha - root), axis=-1)
-    finite = np.all(np.isfinite(roots), axis=-1)
-    if not np.all(finite):
+    cr, ci, ar, ai, br, bi = c.real, c.imag, a.real, a.imag, b.real, b.imag
+    alpha = cr * cr + ci * ci + (ar * ar + ai * ai) - (br * br + bi * bi)
+    beta = 2.0 * (cr * ar + ci * ai)
+    delta = 2.0 * (cr * br + ci * bi)
+    eps_im = 2.0 * (ai * br - ar * bi)  # eps = i * eps_im
+    disc = beta * beta - delta * delta - eps_im * eps_im
+    finite = np.isfinite(alpha) & np.isfinite(disc)
+    if not finite.all():
         bad = np.argwhere(~finite)[:5].tolist()
-        raise RuntimeError(f"chain roots are not finite at lattice points {bad}")
-    return roots
-
-
-def _pair_lagrangian(roots):
-    # (1/8) sum_{i,j} (|lam_i| - |lam_j|)^2 over the four roots lam_+, lam_+,
-    # lam_-, lam_-; a conjugate pair (D < 0) has bit-equal moduli, so 0 exactly
-    mods = np.abs(roots)
-    diff = mods[..., 0] - mods[..., 1]
-    return diff * diff
+        raise RuntimeError(f"chain invariants are not finite at lattice points {bad}")
+    return 4.0 * np.minimum(alpha * alpha, np.maximum(disc, 0.0))
 
 
 def _radial_cell_measure(n_r):
@@ -278,7 +270,7 @@ def lattice_action(geom, states, weights="sphere"):
     if not states:
         lag = np.zeros((geom.n_t, geom.n_r))
         return LatticeAction(lag, rho_t, rho_r, 0.0)
-    lag = _pair_lagrangian(chain_root_pairs(*kernel_coefficients(geom, states)))
+    lag = critical_lagrangian(*kernel_coefficients(geom, states))
     total = float(np.einsum("t,r,tr->", rho_t, rho_r, lag))
     return LatticeAction(lag, rho_t, rho_r, total)
 
@@ -353,7 +345,7 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
         # a time keeps the temporaries at (grid, n_t, n_r)
         coeff_t = ch[i] * scalar_a + ch[:, None, None] * scalar_b
         coeff_r = sh[i] * radial_a + sh[:, None, None] * radial_b
-        lag = _pair_lagrangian(chain_root_pairs(scalar_sum, coeff_t, coeff_r))
+        lag = critical_lagrangian(scalar_sum, coeff_t, coeff_r)
         surface[i] = np.einsum("t,r,gtr->g", rho_t, rho_r, lag)
     minima = _grid_local_minima(tau_values, surface)
     floor = min(rec[2] for rec in minima) if minima else float(np.min(surface))

@@ -11,6 +11,7 @@ import pytest
 
 from dstlab import cli
 from dstlab.cli import main
+from dstlab.lattice import LatticeGeometry, OccupiedState, landscape_scan_2d
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -150,9 +151,11 @@ def test_removed_projector_tolerance_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_importing_the_cli_does_not_load_sympy():
-    # sympy is needed by lightcone-check alone, which imports it when it runs
-    code = "import sys, dstlab.cli; print('sympy' in sys.modules)"
+@pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.integrate"])
+def test_importing_the_cli_does_not_load(module):
+    # each is imported by its one user when that runs: sympy by lightcone-check,
+    # scipy.optimize by multiset_distance, scipy.integrate by regularized_action
+    code = f"import sys, dstlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -362,6 +365,22 @@ def test_lattice_scan_reports_origin_and_wells(tmp_path):
     assert minima["origin"]["is_local_minimum"] is True
     assert minima["origin"]["is_global_minimum"] is False
     assert len(minima["global_minima"]) == 2
+
+
+def test_lattice_surface_csv_matches_the_float_columns(tmp_path):
+    scan = {"start": -2.1, "stop": 0.7, "num": 29}
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", _lattice_config(tmp_path, scan),
+                 "--out", str(out)]) == 0
+    taus = np.linspace(scan["start"], scan["stop"], scan["num"])
+    surface = landscape_scan_2d(
+        LatticeGeometry(8, 6), OccupiedState(-1, 1), OccupiedState(-2, 2), taus
+    ).surface
+    expected = cli._csv_bytes(
+        ("tau1", "tau2", "S"),
+        (np.repeat(taus, taus.size), np.tile(taus, taus.size), surface.ravel()),
+    )
+    assert (out / "surface.csv").read_bytes() == expected
 
 
 def _lattice_config(tmp_path, scan):

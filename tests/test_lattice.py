@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 import dstlab.lattice
-from dstlab.action import multiset_distance
 from dstlab.lattice import (
     CRITICAL_MU,
     LatticeGeometry,
     OccupiedState,
     WEIGHT_PRESETS,
     chain_root_field,
-    chain_root_pairs,
     closed_chain_field,
+    critical_lagrangian,
     critical_lagrangian_field,
     enforce_trace,
-    kernel_coefficients,
     landscape_scan_2d,
     lattice_action,
     lattice_kernel,
@@ -314,17 +312,14 @@ def test_closed_form_matches_the_4x4_eigenvalue_route():
     spacelike_points = 0
     for _ in range(40):
         states = _random_occupation(rng)
-        pairs = chain_root_pairs(*kernel_coefficients(GEOM, states))
         oracle = chain_root_field(closed_chain_field(lattice_kernel(GEOM, states)))
-        # each closed-form root is a double root of the 4x4 chain
-        doubled = np.repeat(pairs, 2, axis=-1).reshape(-1, 4)
-        for lam, ref in zip(doubled, oracle.reshape(-1, 4)):
-            assert multiset_distance(lam, ref) <= 1e-12 * (1.0 + np.abs(ref).max())
         lag = lattice_action(GEOM, states).lagrangian
         ref_lag = critical_lagrangian_field(oracle)
         assert np.abs(lag - ref_lag).max() <= 1e-13 * ref_lag.max()
-        # D < 0: a conjugate pair of equal modulus, no contribution at all
-        spacelike = pairs[..., 0].imag != 0.0
+        # D < 0: the oracle's roots are a conjugate pair of equal modulus (all
+        # four well off the real axis), and the closed form gives exactly 0
+        scale = 1.0 + np.abs(oracle).max(axis=-1)
+        spacelike = np.abs(oracle.imag).min(axis=-1) > 1e-6 * scale
         assert np.all(lag[spacelike] == 0.0)
         spacelike_points += int(spacelike.sum())
     assert spacelike_points > 0
@@ -349,13 +344,18 @@ def test_production_path_builds_no_4x4_chain(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_boost_is_refused_not_returned_as_nan():
     # tau = 1000 overflows the coefficients themselves; tau = 500 leaves them
-    # finite but overflows |a|^2 in the roots
+    # finite but overflows |a|^2 in alpha
     for tau in (1000.0, 500.0):
         bad_points = r"not finite at lattice points \[\[0, 0\]"
         with pytest.raises(RuntimeError, match=bad_points):
             lattice_action(GEOM, [OccupiedState(-1, 1, tau=tau), STATE_B])
     with pytest.raises(RuntimeError, match="not finite at lattice points"):
         landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-800.0, 800.0, 5))
+    # alpha = inf and D = -inf: 4 min(alpha^2, max(D, 0)) alone would read 0
+    one_point = [np.array([[value]], dtype=complex) for value in (1e-10, 1e160, 1j)]
+    only_origin = r"not finite at lattice points \[\[0, 0\]\]"
+    with pytest.raises(RuntimeError, match=only_origin):
+        critical_lagrangian(*one_point)
 
 
 def test_grid_minima_order_ignores_ulp_noise_between_antipodal_minima():
