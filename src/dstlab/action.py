@@ -81,14 +81,22 @@ from (t, delta) on demand (:func:`invariant_roots`), so a pass that only
 values a projector computes none.  The ``eig`` route of
 :func:`gradient_blocks` and the finite-difference gradient are the oracles of
 the invariant route.
+
+Line-search trials
+------------------
+:func:`transported` conjugates the image basis by exp(i eta B).  Given a 1-D
+array of steps it makes a :class:`TrialStack`, one ``expm`` call on the
+stacked generators and one batched product, and the :class:`ChainPass` of a
+stack runs the formulas above over its leading axis: each slice is bit for
+bit the pass of that trial alone, so a line search can value a batch of
+steps at once and keep only the one it accepts.
 """
 
 import functools
 
 import numpy as np
-import scipy.linalg
 
-from .core import FermionicProjector
+from .core import FermionicProjector, projector_matrix
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -110,6 +118,7 @@ __all__ = [
     "invariant_weights",
     "invariant_roots",
     "ChainPass",
+    "TrialStack",
     "lagrangian_gradient",
     "gradient_blocks",
     "finite_difference_gradient",
@@ -183,10 +192,14 @@ def pairwise_critical_lagrangian(roots):
 
 
 def kernel_blocks(projector):
-    """All discrete kernels P(x,y) as an (m, m, 2n, 2n) array."""
+    """All discrete kernels P(x,y) as an (m, m, 2n, 2n) array.
+
+    ``projector`` may be a :class:`TrialStack`; the kernels then carry its
+    leading axis.
+    """
     m, d = projector.space.m, projector.space.spin_dim
     p = projector.matrix()
-    return np.ascontiguousarray(p.reshape(m, d, m, d).transpose(0, 2, 1, 3))
+    return np.ascontiguousarray(p.reshape(*p.shape[:-2], m, d, m, d).swapaxes(-3, -2))
 
 
 def discrete_kernel(projector, x, y):
@@ -196,8 +209,8 @@ def discrete_kernel(projector, x, y):
 
 
 def chain_blocks(kernels):
-    """Closed chains A_xy = P(x,y) P(y,x) for all ordered pairs."""
-    return np.einsum("xyij,yxjk->xyik", kernels, kernels)
+    """Closed chains A_xy = P(x,y) P(y,x) for all ordered pairs (any leading axes)."""
+    return np.einsum("...xyij,...yxjk->...xyik", kernels, kernels)
 
 
 def chain_roots(chains):
@@ -238,9 +251,14 @@ def constraint_value(projector):
 
 
 def action_and_constraint(projector, mu):
-    """(S_mu, T) from one chain pass; ``projector`` may be its :class:`ChainPass`."""
+    """(S_mu, T) from one chain pass; ``projector`` may be its :class:`ChainPass`.
+
+    A stacked pass (of a :class:`TrialStack`) gives one (S_mu, T) per trial,
+    as two arrays.
+    """
     sq, ab = _pass_of(projector).weights()
-    return float(np.sum(sq - mu * ab)), float(np.sum(ab))
+    s, t = (sq - mu * ab).sum(axis=(-2, -1)), ab.sum(axis=(-2, -1))
+    return (float(s), float(t)) if s.ndim == 0 else (s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +306,12 @@ class ChainPass:
     2n) is formed on first use, at n = 1 as (lam_+, lam_-) from (t, delta).
     ``fd_pairs`` is the number of ordered pairs the last gradient sent to
     finite differences, always 0 at n = 1.
+
+    The pass of a :class:`TrialStack` is stacked: every array carries the
+    stack's leading axis, and each slice is bit for bit the pass of that
+    trial alone.  ``weights`` and :func:`action_and_constraint` serve it
+    whole.  Indexed by j it gives the pass of trial j (views of its arrays,
+    no new work), whose ``projector`` is ``stack[j]``; that pass serves ``q``.
     """
 
     def __init__(self, projector):
@@ -296,12 +320,21 @@ class ChainPass:
         self.fd_pairs = 0
         m = projector.space.m
         if projector.space.n == 1:
-            self.t = (p * p.T).reshape(m, 2, m, 2).sum(axis=(1, 3)).real
-            self.det = p[::2, ::2] * p[1::2, 1::2] - p[::2, 1::2] * p[1::2, ::2]
-            self.delta = (self.det * self.det.T).real
+            pair = p * p.swapaxes(-1, -2)
+            self.t = pair.reshape(p.shape[:-2] + (m, 2, m, 2)).sum(axis=(-3, -1)).real
+            self.det = (p[..., ::2, ::2] * p[..., 1::2, 1::2]
+                        - p[..., ::2, 1::2] * p[..., 1::2, ::2])
+            self.delta = (self.det * self.det.swapaxes(-1, -2)).real
         else:
             self.kernels = kernel_blocks(projector)
             self.chains = chain_blocks(self.kernels)
+
+    def __getitem__(self, j):
+        part = object.__new__(ChainPass)
+        vars(part).update({name: value[j] if isinstance(value, np.ndarray) else value
+                           for name, value in vars(self).items()})
+        part.projector = self.projector[j]
+        return part
 
     @functools.cached_property
     def roots(self):
@@ -314,7 +347,7 @@ class ChainPass:
         if self.projector.space.n == 1:
             return invariant_weights(self.t, self.delta)
         mod = np.abs(self.roots)
-        return np.sum(mod * mod, axis=2), np.sum(mod, axis=2) ** 2
+        return np.sum(mod * mod, axis=-1), np.sum(mod, axis=-1) ** 2
 
     def q(self, w_sq, w_abs, tol=DEFAULT):
         """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs."""
@@ -322,8 +355,8 @@ class ChainPass:
             msq, mabs, bad = _gradient(self.chains, tol)
             self.fd_pairs = int(np.count_nonzero(bad))
             return blocks_to_matrix(q_blocks(self.kernels, w_sq * msq + w_abs * mabs))
-        t, delta, p = self.t, self.delta, self.p
-        m, signs = len(t), self.projector.space.signs
+        t, delta = self.t, self.delta
+        m, s2 = len(t), self.projector.space.block_signs
         disc = 0.25 * t * t - delta
         half_gap = np.sqrt(np.abs(disc))  # |lam_+ - lam_-| / 2
         big = np.where(disc < 0.0, np.sqrt(np.abs(delta)), 0.5 * np.abs(t) + half_gap)
@@ -336,12 +369,11 @@ class ChainPass:
                    + real * (2.0 * w_abs * np.sign(delta) - 2.0 * (w_sq + w_abs)))
         # Q(x,y) = [(L_t,xy + L_t,yx) K_xy + (L_d,xy + L_d,yx) det K_xy adj K_yx]/4;
         # block (x,y) of S P^T S with rows and columns swapped in pairs is adj K_yx
-        swap = np.arange(2 * m) ^ 1
-        adj = signs[:, None] * p.T[swap][:, swap] * signs
+        p = self.p.reshape(m, 2, m, 2)
+        adj = s2[:, None, None] * p.transpose(2, 3, 0, 1)[:, ::-1, :, ::-1] * s2
         lt = 0.25 * (l_t + l_t.T)
         ld = 0.25 * (l_delta + l_delta.T) * self.det
-        return (lt[:, None, :, None] * p.reshape(m, 2, m, 2)
-                + ld[:, None, :, None] * adj.reshape(m, 2, m, 2)).reshape(2 * m, 2 * m)
+        return (lt[:, None, :, None] * p + ld[:, None, :, None] * adj).reshape(2 * m, 2 * m)
 
 
 def _pass_of(source):
@@ -534,13 +566,55 @@ def first_variation(commutator, b):
     Equals 4i Tr([P,Q] B); real for self-adjoint B (the imaginary part is
     discarded, it sits at rounding level).
     """
-    return float(np.real(4j * np.trace(commutator @ np.asarray(b))))
+    return float((4j * (commutator @ np.asarray(b)).trace()).real)
+
+
+class TrialStack:
+    """The projectors exp(i eta B) P exp(-i eta B) for a 1-D array of steps eta.
+
+    One ``scipy.linalg.expm`` call on the (k, md, md) stack of generators
+    (it runs its one-matrix algorithm on every slice) and one batched product
+    with the image basis give the (k, md, f) stack ``bases``, and one batched
+    product the read-only (k, md, md) stack ``dense`` of dense matrices that
+    ``matrix()`` returns, so the :class:`ChainPass` of the stack is one
+    stacked pass.  ``stack[j]`` is trial j as a validated
+    :class:`~dstlab.core.FermionicProjector`, made on first use, whose dense
+    matrix is its slice of ``dense``.
+    """
+
+    def __init__(self, projector, b, etas):
+        # scipy.linalg loads at its first use, so importing dstlab.cli does not pay for it
+        import scipy.linalg
+
+        self.space, self.tol = projector.space, projector.tol
+        generators = np.multiply.outer([1j * eta for eta in etas], b)
+        self.bases = scipy.linalg.expm(generators) @ projector.basis
+        self.dense = projector_matrix(self.space, self.bases)
+        self.dense.flags.writeable = False
+        self._made = {}
+
+    def matrix(self):
+        return self.dense
+
+    def __getitem__(self, j):
+        if j not in self._made:
+            self._made[j] = FermionicProjector(self.space, self.bases[j], self.tol, self.dense[j])
+        return self._made[j]
+
+    def index(self, projector):
+        """j where ``projector`` is ``stack[j]``, else None."""
+        return next((j for j, made in self._made.items() if made is projector), None)
 
 
 def transported(projector, b, eta):
-    """exp(i eta B) P exp(-i eta B) as a new projector (basis conjugated)."""
-    u = scipy.linalg.expm(1j * eta * np.asarray(b))
-    return FermionicProjector(projector.space, u @ projector.basis, projector.tol)
+    """exp(i eta B) P exp(-i eta B) as a new projector (basis conjugated).
+
+    A 1-D array of steps gives their :class:`TrialStack`; one step is its
+    one-trial case.
+    """
+    if np.ndim(eta):
+        return TrialStack(projector, b, eta)
+    return TrialStack(projector, b, [eta])[0]
 
 
 def orbit_derivative_fd(projector, mu, b, step=1e-6):

@@ -27,11 +27,10 @@ platform.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import DEFAULT, Tolerances
 
@@ -120,6 +119,11 @@ def _gram(space, basis):
     return basis.conj().T @ (space.signs[:, None] * basis)
 
 
+def projector_matrix(space, basis):
+    """Dense P = -U U^dagger S of an image basis U, or of a stack (..., dim, f) of them."""
+    return -basis @ (basis.conj().swapaxes(-1, -2) * space.signs)
+
+
 def indefinite_orthonormalize(space, vectors):
     """Return a basis spanning ``vectors`` with Gram matrix exactly -Id.
 
@@ -140,6 +144,9 @@ def indefinite_orthonormalize(space, vectors):
         chol = np.linalg.cholesky(-g)
     except np.linalg.LinAlgError:
         raise ValueError("span is not negative definite; cannot orthonormalize") from None
+    # scipy.linalg loads at its first use, so importing dstlab.cli does not pay for it
+    import scipy.linalg
+
     # L^{-dagger} by a triangular solve, not a general LU inverse
     return basis @ scipy.linalg.solve_triangular(chol.conj().T, np.eye(len(chol)))
 
@@ -155,16 +162,19 @@ class FermionicProjector:
     :meth:`from_span` over building the array by hand.
 
     ``gram_dev`` is the largest entry of |<u_i|u_j> + delta_ij|, measured
-    once when the projector is built (the basis is read-only).
+    once when the projector is built (the basis is read-only).  ``dense``,
+    when given, is the read-only :func:`projector_matrix` of ``basis``
+    already formed (a slice of a stacked one), which :meth:`matrix` returns.
     """
 
     space: DiscreteSpacetime
     basis: np.ndarray
     tol: Tolerances = DEFAULT
     gram_dev: float = field(init=False, repr=False)
+    dense: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        basis = np.ascontiguousarray(np.asarray(self.basis, dtype=complex))
+    def __post_init__(self, dense):
+        basis = np.ascontiguousarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.space.dim:
             raise ValueError(f"basis must have shape ({self.space.dim}, f), got {basis.shape}")
         if not 1 <= basis.shape[1] <= self.space.n * self.space.m:
@@ -172,7 +182,7 @@ class FermionicProjector:
                 f"rank f={basis.shape[1]} outside 1..{self.space.n * self.space.m} "
                 "(a negative definite subspace has dimension at most nm)"
             )
-        gram_dev = np.max(np.abs(_gram(self.space, basis) + np.eye(basis.shape[1])))
+        gram_dev = np.abs(_gram(self.space, basis) + np.eye(basis.shape[1])).max()
         if gram_dev > 1e3 * self.tol.gram:
             raise ValueError(
                 f"basis Gram deviates from -Id by {gram_dev:.3e}; "
@@ -181,6 +191,8 @@ class FermionicProjector:
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram_dev", float(gram_dev))
+        if dense is not None:
+            object.__setattr__(self, "_dense", dense)
 
     @classmethod
     def from_span(cls, space, vectors, tol=DEFAULT):
@@ -197,7 +209,7 @@ class FermionicProjector:
 
     @cached_property
     def _dense(self):
-        p = -self.basis @ (self.basis.conj().T * self.space.signs[None, :])
+        p = projector_matrix(self.space, self.basis)
         p.flags.writeable = False
         return p
 
@@ -286,6 +298,8 @@ def random_projector(space, f, seed, boost_scale=1.0, tol=DEFAULT):
 
     Deterministic: the same seed always returns the same projector.
     """
+    import scipy.linalg
+
     if not 1 <= f <= space.n * space.m:
         raise ValueError(f"rank f={f} outside 1..{space.n * space.m}")
     rng = random_generator(seed)
@@ -336,6 +350,8 @@ class GaugeTransform:
         object.__setattr__(self, "blocks", blocks)
 
     def matrix(self):
+        import scipy.linalg
+
         return scipy.linalg.block_diag(*self.blocks)
 
     def inverse(self):
@@ -360,6 +376,8 @@ class GaugeTransform:
 
 def random_gauge(space, seed, scale=1.0):
     """Seeded random gauge transform, one exp(i S0 H_x) block per point."""
+    import scipy.linalg
+
     rng = random_generator(seed)
     s0 = space.block_signs[:, None]
     blocks = [

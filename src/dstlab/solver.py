@@ -15,6 +15,12 @@ orthogonality constraints, Wen and Yin, Math. Program. 142, 2013): with s the
 last accepted move -eta K/||K|| and y the change in K since, the step along
 the unit direction is ||s||^2/Re<s,y> ||K||, capped at MAX_STEP.  Where
 Re<s,y> <= 0 (no positive curvature seen) the last step grows by STEP_GROW.
+The backtracking steps eta, eta STEP_SHRINK, ... are known before any of them
+is evaluated, so the search evaluates them in batches of 1, 2, 4, ... trials,
+each batch one stacked orbit step and one stacked chain pass
+(``dstlab.action.TrialStack``), and accepts the first step in order that
+passes Armijo: the iterates are bit for bit those of a search that tries one
+step at a time.
 
 Both modes descend one objective, F = S_mu + nu (T-kappa) + w (T-kappa)^2,
 whose gradient operator is the auxiliary Q at the effective weight
@@ -34,10 +40,12 @@ Gradient consistency is asserted against finite differences at the first
 iterate of every seed, and every accepted iterate is kept an exact projector
 by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
 check reads the Gram deviation each projector measured at construction
-(``FermionicProjector.gram_dev``).  The objective keeps the chain pass
-(``dstlab.action.ChainPass``) of the last projector it evaluated, so the
-gradient at the accepted line-search trial makes no chain pass of its own,
-and the commutator reuses the dense P the pass read.
+(``FermionicProjector.gram_dev``).  Only the accepted trial of a batch becomes
+a validated projector.  The objective keeps the chain pass
+(``dstlab.action.ChainPass``) of the last batch it evaluated, and the
+accepted trial's pass is its slice of it, so the gradient at the accepted
+trial makes no chain pass of its own, and the commutator reuses the dense P
+the pass read.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
@@ -53,6 +61,7 @@ import numpy as np
 
 from .action import (
     ChainPass,
+    TrialStack,
     action,  # unused here; perfbench/tracing.py wraps it as dstlab.solver.action
     action_and_constraint,
     constraint_q_kernel,
@@ -137,13 +146,39 @@ class SolverResult:
 
 def _check_slope(proj, value, b, slope, tol):
     h = tol.fd_step
-    fd = (value(transported(proj, b, h)) - value(transported(proj, b, -h))) / (2.0 * h)
+    plus, minus = value(transported(proj, b, [h, -h]))
+    fd = (plus - minus) / (2.0 * h)
     rel = abs(fd - slope) / max(abs(fd), abs(slope))
     if rel > tol.grad_check:
         raise RuntimeError(
             f"first-iterate derivative check failed: analytic {slope:.6e}, "
             f"finite difference {fd:.6e}, relative error {rel:.2e}"
         )
+
+
+def _backtrack(proj, value, b, step, current, slope):
+    """Armijo backtracking from ``step`` along B, in batches of 1, 2, 4, ... trials.
+
+    The steps are step, step STEP_SHRINK, ... down to ``MIN_STEP``; each
+    batch is one stacked orbit step and one ``value`` call on it.  Returns
+    (trial, value, step, examined) for the first step in order that passes
+    Armijo, with ``examined`` the steps the rule looked at up to it, or
+    (None, current, step, examined) when none passes.
+    """
+    examined, size = 0, 1
+    while step >= MIN_STEP:
+        etas = []
+        while len(etas) < size and step >= MIN_STEP:
+            etas.append(step)
+            step *= STEP_SHRINK
+        batch = transported(proj, b, etas)
+        values = value(batch)
+        for j, eta in enumerate(etas):
+            examined += 1
+            if values[j] <= current + ARMIJO * eta * slope:
+                return batch[j], float(values[j]), eta, examined
+        size *= 2
+    return None, current, step, examined
 
 
 def _descend(proj, value, qmat, cfg, tol, check_first=False):
@@ -153,43 +188,55 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     BB1 step min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
     the last accepted step times ``STEP_GROW`` (capped the same way).
-    Trials then shrink by ``STEP_SHRINK`` until Armijo accepts one.
+    Trials then shrink by ``STEP_SHRINK`` until Armijo accepts one; they are
+    evaluated in batches of 1, 2, 4, ... (:func:`_backtrack`).
     ``exit_reason`` says why the loop ended: "converged", "divergence",
     "line_search_floor" (no trial accepted down to ``MIN_STEP``), "stalled"
     (no descent over the stall window) or "max_iterations".  ``status``
     folds the last three into "max_iterations".  ``armijo_trials`` counts the
-    line search's trial projectors (not the two of the derivative check) and
-    ``renormalizations`` the re-orthonormalized iterates.
+    steps the Armijo rule examined in order, up to the one it accepted: not
+    the rest of that step's batch, which was evaluated and discarded, nor
+    the two steps of the derivative check.  ``renormalizations`` counts the
+    re-orthonormalized iterates, and ``gradient_norm`` is 4 ||[P, Q]||_F at
+    the returned iterate (before its final re-orthonormalization).
     """
+    def gradient(p):
+        # ([P, Q], 4 ||[P, Q]||_F), the norm by np.linalg.norm's own arithmetic
+        # without its dispatch, which costs more than the sums on small dims
+        q = qmat(p)
+        pm = p.matrix()
+        comm = pm @ q - q @ pm
+        flat = comm.ravel()
+        return comm, 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
     signs = proj.space.signs
+    neg_signs = -signs[:, None]
     current = value(proj)
     trace = [current]
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
     exit_reason = "max_iterations"
-    grad_norm = math.inf
+    graded = None  # the iterate whose gradient norm grad_norm is
     trials = renormalizations = 0
     for _ in range(cfg.max_iter):
         if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
             break
-        q = qmat(proj)
-        p = proj.matrix()
-        comm = p @ q - q @ p
-        grad_norm = 4.0 * float(np.linalg.norm(comm))
+        (comm, grad_norm), graded = gradient(proj), proj
         if grad_norm <= cfg.residual_tol:
             exit_reason = "converged"
             break
         # B = -S K/||K|| with K = 4i [P,Q] S; symmetrizing K kills the
         # rounding-level non-Hermitian part so exp(i eta B) stays exactly
         # Gram-preserving even when ||Q|| >> ||[P,Q]|| (late penalty rounds)
-        k = (4j / grad_norm) * (comm * signs[None, :])
+        k = (4j / grad_norm) * (comm * signs)
         k = 0.5 * (k + k.conj().T)
-        b = -signs[:, None] * k
+        b = neg_signs * k
+        grad = grad_norm * k
         if moved is not None:
             # BB1 on the Hermitian coordinates, scaled to the unit direction
             s, grad_old = moved
-            sy = float(np.vdot(s, grad_norm * k - grad_old).real)
+            sy = float(np.vdot(s, grad - grad_old).real)
             if sy > 0.0:
                 step = float(np.vdot(s, s).real) / sy * grad_norm
             else:
@@ -199,19 +246,12 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
             _check_slope(proj, value, b, slope, tol)
             check_first = False
-        accepted = False
-        while step >= MIN_STEP:
-            trials += 1
-            trial = transported(proj, b, step)
-            trial_value = value(trial)
-            if trial_value <= current + ARMIJO * step * slope:
-                proj, current = trial, trial_value
-                accepted = True
-                break
-            step *= STEP_SHRINK
-        if not accepted:
+        trial, current, step, examined = _backtrack(proj, value, b, step, current, slope)
+        trials += examined
+        if trial is None:
             exit_reason = "line_search_floor"  # keep the best iterate
             break
+        proj = trial
         trace.append(current)
         if (
             len(trace) > STALL_WINDOW
@@ -220,10 +260,13 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         ):
             exit_reason = "stalled"  # flattened out below resolution
             break
-        moved = (-step * k, grad_norm * k)
+        moved = (-step * k, grad)
         if proj.gram_dev > tol.gram:
             proj = proj.renormalized()
             renormalizations += 1
+    if graded is not proj:
+        # the loop ended on an iterate it has not differentiated yet
+        grad_norm = gradient(proj)[1]
     if proj.gram_dev > 1e-14:
         proj = proj.renormalized()
         renormalizations += 1
@@ -248,12 +291,14 @@ class _Objective:
 
     Auxiliary mode descends (mu, nu = w = 0), where the terms in d = T - kappa
     weigh nothing (T is finite); a penalty round sets (nu, w) at mu = 0.  The
-    objective keeps the chain pass of the projector it saw last, with its S_mu
-    and d, and its gradient operator is the auxiliary Q at the effective
-    weight mu - nu - 2 w d.  The line search evaluates every trial, so when
-    ``qmat`` asks about the accepted iterate its pass is there; projectors are
-    immutable, so identity decides, and any other projector gets a pass of its
-    own.  ``fd_pairs`` counts the chain pairs its gradients sent to finite
+    objective keeps the chain pass of what it saw last, a projector or a
+    ``TrialStack`` of line-search trials, with its S_mu and d (one per trial),
+    and its gradient operator is the auxiliary Q at the effective weight
+    mu - nu - 2 w d.  ``value`` of a stack returns one value per trial.  The
+    accepted iterate is a trial of the last stack, so when ``qmat`` asks
+    about it its pass is that stack's slice; projectors are immutable, so
+    identity decides, and any other projector gets a pass of its own.
+    ``fd_pairs`` counts the chain pairs its gradients sent to finite
     differences.
     """
 
@@ -263,15 +308,30 @@ class _Objective:
         self.fd_pairs = 0
 
     def _see(self, p):
-        if self.chains is None or self.chains.projector is not p:
+        chains = self.chains
+        if chains is not None and chains.projector is p:
+            return chains
+        stack = chains.projector if chains is not None else None
+        j = stack.index(p) if isinstance(stack, TrialStack) else None
+        if j is None:
             self.chains = ChainPass(p)
-            self.s, t = action_and_constraint(self.chains, self.mu)
-            self.d = t - self.kappa
+            s, t = action_and_constraint(self.chains, self.mu)
+            if isinstance(p, TrialStack):  # float arithmetic per trial beats tiny arrays
+                self.s, self.d = s.tolist(), [t_j - self.kappa for t_j in t.tolist()]
+            else:
+                self.s, self.d = s, t - self.kappa
+        else:
+            self.chains, self.s, self.d = chains[j], self.s[j], self.d[j]
         return self.chains
+
+    def _combine(self, s, d):
+        return s + self.nu * d + self.w * d * d
 
     def value(self, p):
         self._see(p)
-        return self.s + self.nu * self.d + self.w * self.d * self.d
+        if isinstance(p, TrialStack):
+            return np.array(list(map(self._combine, self.s, self.d)))
+        return self._combine(self.s, self.d)
 
     def qmat(self, p):
         chains = self._see(p)

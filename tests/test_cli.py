@@ -151,10 +151,12 @@ def test_removed_projector_tolerance_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.integrate",
+                                    "scipy.linalg"])
 def test_importing_the_cli_does_not_load(module):
-    # each is imported by its one user when that runs: sympy by lightcone-check,
-    # scipy.optimize by multiset_distance, scipy.integrate by regularized_action
+    # each is imported by its users when they run: sympy by lightcone-check,
+    # scipy.optimize by multiset_distance, scipy.integrate by regularized_action,
+    # scipy.linalg by the orbit step, the orthonormalization and the gauge blocks
     code = f"import sys, dstlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -164,6 +166,26 @@ def test_importing_the_cli_does_not_load(module):
         env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["reproduce", "lattice"])
+def test_the_lattice_landscape_loads_no_scipy_module(tmp_path, command):
+    # the lattice landscape is numpy arithmetic only
+    out = str(tmp_path / "out")
+    argv = (["reproduce", "--figure", "fig5", "--out", out] if command == "reproduce" else
+            ["lattice", "--config", _lattice_config(tmp_path, {"start": -1.0, "stop": 1.0,
+                                                               "num": 5}), "--out", out])
+    code = ("import sys; from dstlab.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, any(m.startswith('scipy') for m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_schemas_are_valid_draft_2020_12():

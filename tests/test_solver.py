@@ -10,10 +10,13 @@ import dstlab.solver
 from dstlab import DiscreteSpacetime, FermionicProjector, random_direction, random_projector
 from dstlab.action import (
     ChainPass,
+    TrialStack,
+    action_and_constraint,
     constraint_q_kernel,
     constraint_value,
     first_variation,
     q_kernel,
+    transported,
 )
 from dstlab.causal import CausalClass, causal_graph
 from dstlab.cli import _SOLVER_PARAMS
@@ -175,27 +178,50 @@ def test_descent_reports_why_it_stopped(
     assert out["iterations"] == iterations == len(out["trace"]) - 1
 
 
-def _first_trials(monkeypatch, value, qmat, start, max_iter):
-    """Descend with spies on ``transported`` and ``qmat``.
-
-    For every iterate after the first, returns (Re<s, y>, the step rule's
-    first trial, the first step ``transported`` received), with s the last
-    accepted move -eta k in Hermitian coordinates and y the change in the
-    Hermitian gradient K = 4i [P,Q] S, both recomputed from the iterates.
-    """
-    trials, iterates = [], []
+def _spy_batches(monkeypatch):
+    """Record (projector, steps, TrialStack) of every stacked orbit step the solver makes."""
+    batches = []
     transported = dstlab.solver.transported
 
-    def spy_transported(proj, b, eta):
-        trial = transported(proj, b, eta)
-        trials.append((proj, eta, trial))
-        return trial
+    def spy(proj, b, etas):
+        batches.append((proj, list(etas), transported(proj, b, etas)))
+        return batches[-1][2]
+
+    monkeypatch.setattr(dstlab.solver, "transported", spy)
+    return batches
+
+
+def _spy_accepted(monkeypatch):
+    """{id(stack): j} of the first trial each TrialStack made a projector of.
+
+    The line search makes a projector of the trial it accepts and of no other.
+    """
+    taken = {}
+    getitem = TrialStack.__getitem__
+
+    def spy(self, j):
+        taken.setdefault(id(self), j)
+        return getitem(self, j)
+
+    monkeypatch.setattr(TrialStack, "__getitem__", spy)
+    return taken
+
+
+def _first_trials(monkeypatch, value, qmat, start, max_iter):
+    """Descend with spies on the stacked orbit step ``transported`` and ``qmat``.
+
+    For every iterate after the first, returns (Re<s, y>, the step rule's
+    first trial, the first step of the first batch ``transported`` received),
+    with s the last accepted move -eta k in Hermitian coordinates and y the
+    change in the Hermitian gradient K = 4i [P,Q] S, both recomputed from the
+    iterates.
+    """
+    batches, iterates = _spy_batches(monkeypatch), []
 
     def spy_qmat(p):
         iterates.append((p, qmat(p)))
         return iterates[-1][1]
 
-    monkeypatch.setattr(dstlab.solver, "transported", spy_transported)
     out = _descend(start, value, spy_qmat, SolverConfig(max_iter=max_iter), DEFAULT)
     assert np.all(np.diff(out["trace"]) <= 0.0)  # monotone descent
     grads = []
@@ -205,9 +231,11 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
         grads.append(0.5 * (k + k.conj().T))
     rows = []
     for i in range(1, len(iterates)):
-        eta, accepted = [(e, t) for p, e, t in trials if p is iterates[i - 1][0]][-1]
-        assert accepted is iterates[i][0]  # no renormalization in between
-        first = [e for p, e, _ in trials if p is iterates[i][0]][:1]
+        _, etas, stack = [t for t in batches if t[0] is iterates[i - 1][0]][-1]
+        j = stack.index(iterates[i][0])
+        assert j is not None  # no renormalization in between
+        eta = etas[j]
+        first = [e[0] for p, e, _ in batches if p is iterates[i][0]][:1]
         if not first:
             break  # converged at this iterate
         s = -eta * grads[i - 1] / np.linalg.norm(grads[i - 1])
@@ -432,25 +460,22 @@ def test_landscape_scan_of_triangle_family():
 
 @pytest.mark.parametrize("gram", [DEFAULT.gram, 1e-16], ids=["default", "tight_gram"])
 def test_per_seed_counts_armijo_trials_and_renormalizations(monkeypatch, gram):
-    # every line-search trial is one transported call; the first-iterate
-    # derivative check of each seed adds two more
-    trials, renormalized = [], []
-    transported = dstlab.solver.transported
+    # the line search examines the steps of each stacked transported call up
+    # to the trial it accepts, the only one it makes a projector of (all of
+    # them when it accepts none); the first-iterate derivative check of each
+    # seed adds a batch of two
+    batches, taken, renormalized = _spy_batches(monkeypatch), _spy_accepted(monkeypatch), []
     original = FermionicProjector.renormalized
-
-    def counted_transport(*args):
-        trials.append(1)
-        return transported(*args)
 
     def counted_renormalized(self):
         renormalized.append(1)
         return original(self)
 
-    monkeypatch.setattr(dstlab.solver, "transported", counted_transport)
     monkeypatch.setattr(FermionicProjector, "renormalized", counted_renormalized)
     cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=3)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg, DEFAULT.with_(gram=gram))
-    assert sum(r["armijo_trials"] for r in res.per_seed) == len(trials) - 2 * 2
+    examined = sum(taken.get(id(stack), len(etas) - 1) + 1 for _, etas, stack in batches)
+    assert sum(r["armijo_trials"] for r in res.per_seed) == examined - 2 * 2
     assert sum(r["renormalizations"] for r in res.per_seed) == len(renormalized)
     for rec in res.per_seed:
         assert rec["armijo_trials"] >= rec["iterations"] == 3
@@ -474,15 +499,185 @@ def _count_chain_passes(monkeypatch):
     lambda: _Objective(DEFAULT, 0.5),
     lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W),
 ], ids=["auxiliary", "penalty"])
-def test_one_chain_pass_per_armijo_trial(monkeypatch, objective):
-    # the start's value makes one pass and every line-search trial one; the
-    # gradient and the commutator of an accepted iterate make none
-    passes = _count_chain_passes(monkeypatch)
+def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
+    # the start's value makes one pass and every batch of line-search trials
+    # one stacked pass; the gradient and the commutator of an accepted
+    # iterate make none
+    passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
     built = objective()
     out = _descend(random_projector(DiscreteSpacetime(1, 3), 2, seed=2), built.value,
                    built.qmat, SolverConfig(max_iter=25), DEFAULT)
     assert out["iterations"] > 10 and out["renormalizations"] == 0
-    assert len(passes) == 1 + out["armijo_trials"]
+    assert len(passes) == 1 + len(batches)
+    assert all(p is stack for p, (_, _, stack) in zip(passes[1:], batches))
+
+
+def _sequential_descent(proj, value, qmat, cfg, tol):
+    """The descent with one transported and one value call per Armijo trial.
+
+    Returns (projector, trace, Armijo trials, exit reason).
+    """
+    sv = dstlab.solver
+    signs = proj.space.signs
+    current = value(proj)
+    trace, step, moved, reason, trials = [current], sv.INITIAL_STEP, None, "max_iterations", 0
+    for _ in range(cfg.max_iter):
+        if current < sv.DIVERGENCE_FLOOR:
+            reason = "divergence"
+            break
+        q, p = qmat(proj), proj.matrix()
+        comm = p @ q - q @ p
+        grad_norm = 4.0 * float(np.linalg.norm(comm))
+        if grad_norm <= cfg.residual_tol:
+            reason = "converged"
+            break
+        k = (4j / grad_norm) * (comm * signs[None, :])
+        k = 0.5 * (k + k.conj().T)
+        b = -signs[:, None] * k
+        if moved is not None:
+            s, grad_old = moved
+            sy = float(np.vdot(s, grad_norm * k - grad_old).real)
+            step = (float(np.vdot(s, s).real) / sy * grad_norm if sy > 0.0
+                    else step * sv.STEP_GROW)
+            step = min(step, sv.MAX_STEP)
+        slope = first_variation(comm, b)
+        while step >= sv.MIN_STEP:
+            trials += 1
+            trial = transported(proj, b, step)
+            trial_value = value(trial)
+            if trial_value <= current + sv.ARMIJO * step * slope:
+                proj, current = trial, trial_value
+                break
+            step *= sv.STEP_SHRINK
+        else:
+            reason = "line_search_floor"
+            break
+        trace.append(current)
+        if (len(trace) > sv.STALL_WINDOW and trace[-1 - sv.STALL_WINDOW] - current
+                <= sv.STALL_TOL * (1.0 + abs(current))):
+            reason = "stalled"
+            break
+        moved = (-step * k, grad_norm * k)
+        if proj.gram_dev > tol.gram:
+            proj = proj.renormalized()
+    if proj.gram_dev > 1e-14:
+        proj = proj.renormalized()
+    return proj, np.array(trace), trials, reason
+
+
+def _second_penalty_round(monkeypatch):
+    """Start and (nu, w) of seed 0's second penalty round at m = 3, kappa = 0.85."""
+    rounds = []
+    descend = dstlab.solver._descend
+
+    def recorded(proj, value, qmat, cfg, tol, check_first=False):
+        rounds.append((proj, value.__self__.nu, value.__self__.w))
+        return descend(proj, value, qmat, cfg, tol, check_first)
+
+    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
+    monkeypatch.setattr(dstlab.solver, "_descend", recorded)
+    dstlab.solver._solve_seed(random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
+                              SolverConfig(mode="constrained", kappa=KAPPA), DEFAULT)
+    monkeypatch.setattr(dstlab.solver, "_descend", descend)
+    return rounds[1]
+
+
+@pytest.mark.parametrize("case", ["auxiliary_m4", "penalty_floor", "n2_m3"])
+def test_batched_backtracking_matches_the_sequential_search(monkeypatch, case):
+    # the batches change what is evaluated, not what is accepted: iterates,
+    # trace, trials and exit reason equal one trial at a time bit for bit
+    cfg = SolverConfig(max_iter=2000)
+    if case == "auxiliary_m4":
+        start, objective = random_projector(DiscreteSpacetime(1, 4), 2, seed=0), (0.5,)
+    elif case == "penalty_floor":
+        start, nu, w = _second_penalty_round(monkeypatch)
+        objective = (0.0, KAPPA, nu, w)
+    else:
+        start, objective = random_projector(DiscreteSpacetime(2, 3), 3, seed=0), (0.25,)
+        cfg = SolverConfig(max_iter=40)
+    batched = _Objective(DEFAULT, *objective)
+    out = _descend(start, batched.value, batched.qmat, cfg, DEFAULT)
+    single = _Objective(DEFAULT, *objective)
+    proj, trace, trials, reason = _sequential_descent(start, single.value, single.qmat,
+                                                      cfg, DEFAULT)
+    assert out["exit_reason"] == reason
+    assert (case == "penalty_floor") == (reason == "line_search_floor")
+    assert out["armijo_trials"] == trials
+    assert np.array_equal(out["trace"], trace)
+    assert np.array_equal(out["projector"].basis, proj.basis)
+
+
+@pytest.mark.parametrize("n, m, f", [(1, 4, 1), (1, 4, 2), (1, 4, 3), (2, 3, 3)])
+def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
+    start = random_projector(DiscreteSpacetime(n, m), f, seed=1)
+    b = random_direction(start.space, seed=2)
+    b /= np.linalg.norm(b)
+    steps = [0.9 * 0.5 ** j for j in range(5)]
+    stack = transported(start, b, steps)
+    stacked = ChainPass(stack)
+    s, t = action_and_constraint(stacked, 0.3)
+    names = ("p", "t", "det", "delta") if n == 1 else ("p", "kernels", "chains")
+    for j, eta in enumerate(steps):
+        single = ChainPass(transported(start, b, eta))
+        part = stacked[j]
+        assert part.projector is stack[j]
+        assert np.array_equal(stack[j].basis, single.projector.basis)
+        for name in names:
+            assert np.array_equal(getattr(part, name), getattr(single, name)), name
+        assert (s[j], t[j]) == action_and_constraint(single, 0.3)
+        assert np.array_equal(part.roots, single.roots)
+        assert np.array_equal(part.q(1.0, -0.3), single.q(1.0, -0.3))
+
+
+def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
+    # a penalty round that ends on a floor search: every search evaluates
+    # batches of 1, 2, 4, ... of its successive steps, none below MIN_STEP,
+    # and at most 2 trials - 1 slices for the trials it examined
+    start, nu, w = _second_penalty_round(monkeypatch)
+    batches, taken = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
+    objective = _Objective(DEFAULT, 0.0, KAPPA, nu, w)
+    out = _descend(start, objective.value, objective.qmat, SolverConfig(), DEFAULT)
+    assert out["exit_reason"] == "line_search_floor"
+    searches = {}
+    for proj, etas, stack in batches:
+        searches.setdefault(id(proj), []).append((etas, stack))
+    assert len(searches) == out["iterations"] + 1
+    examined = 0
+    for groups in searches.values():
+        sizes = [len(etas) for etas, _ in groups]
+        assert sizes[:-1] == [2 ** i for i in range(len(groups) - 1)]
+        assert 1 <= sizes[-1] <= 2 ** (len(groups) - 1)
+        steps = [eta for etas, _ in groups for eta in etas]
+        assert min(steps) >= dstlab.solver.MIN_STEP
+        assert steps[1:] == [eta * dstlab.solver.STEP_SHRINK for eta in steps[:-1]]
+        # every step up to the accepted one, or every step of a floor search
+        trials = sum(sizes[:-1]) + taken.get(id(groups[-1][1]), sizes[-1] - 1) + 1
+        assert len(steps) <= 2 * trials - 1
+        examined += trials
+    assert examined == out["armijo_trials"]
+    # the floor search examines every step it evaluates, down to MIN_STEP
+    floor = [eta for etas, _ in list(searches.values())[-1] for eta in etas]
+    assert floor[-1] * dstlab.solver.STEP_SHRINK < dstlab.solver.MIN_STEP
+
+
+@pytest.mark.parametrize("settings, constants, reason", [
+    ({"max_iter": 40}, {}, "max_iterations"),
+    ({}, {"STALL_WINDOW": 1, "STALL_TOL": 1e9}, "stalled"),
+], ids=["max_iterations", "stalled"])
+def test_gradient_norm_is_the_returned_projectors(monkeypatch, settings, constants, reason):
+    # a descent that stops after an accepted step reports the gradient norm
+    # of the iterate it returns, not of the one before it
+    for name, value in constants.items():
+        monkeypatch.setattr(dstlab.solver, name, value)
+    for seed in (0, 1):
+        objective = _Objective(DEFAULT, 0.5)
+        out = _descend(random_projector(DiscreteSpacetime(1, 5), 2, seed=seed),
+                       objective.value, objective.qmat, SolverConfig(**settings), DEFAULT)
+        assert out["exit_reason"] == reason
+        proj = out["projector"]
+        q, p = q_kernel(proj, 0.5), proj.matrix()
+        assert out["gradient_norm"] == pytest.approx(
+            4.0 * np.linalg.norm(p @ q - q @ p), rel=1e-9)
 
 
 def test_per_seed_fd_pairs_count_the_collision_fallback(monkeypatch):
