@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dstlab.action
 import dstlab.solver
@@ -622,6 +623,8 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
         part = stacked[j]
         assert part.projector is stack[j]
         assert np.array_equal(stack[j].basis, single.projector.basis)
+        # the one-matrix orbit step exp(i eta B) U
+        assert np.array_equal(stack[j].basis, scipy.linalg.expm(1j * eta * b) @ start.basis)
         for name in names:
             assert np.array_equal(getattr(part, name), getattr(single, name)), name
         assert (s[j], t[j]) == action_and_constraint(single, 0.3)
