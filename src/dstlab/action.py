@@ -88,8 +88,10 @@ Line-search trials
 array of steps it makes a :class:`TrialStack`, one ``expm`` call on the
 stacked generators and one batched product, and the :class:`ChainPass` of a
 stack runs the formulas above over its leading axis: each slice is bit for
-bit the pass of that trial alone, so a line search can value a batch of
-steps at once and keep only the one it accepts.
+bit the pass of that trial alone.  A line search values a batch of steps in
+one pass and takes the slice ``ChainPass(stack)[j]`` of the step it accepts
+as its next iterate, so the iterate carries the pass its gradient reads, and
+only that trial becomes a projector.
 """
 
 import functools
@@ -106,12 +108,9 @@ __all__ = [
     "spectral_weight_sq",
     "lagrangian",
     "pairwise_critical_lagrangian",
-    "ClosedChain",
-    "closed_chain",
     "kernel_blocks",
     "chain_blocks",
     "chain_roots",
-    "discrete_kernel",
     "action",
     "constraint_value",
     "action_and_constraint",
@@ -202,12 +201,6 @@ def kernel_blocks(projector):
     return np.ascontiguousarray(p.reshape(*p.shape[:-2], m, d, m, d).swapaxes(-3, -2))
 
 
-def discrete_kernel(projector, x, y):
-    """The 2n x 2n block P(x,y) = E_x P E_y."""
-    sp = projector.space
-    return projector.matrix()[sp.point_slice(x), sp.point_slice(y)]
-
-
 def chain_blocks(kernels):
     """Closed chains A_xy = P(x,y) P(y,x) for all ordered pairs (any leading axes)."""
     return np.einsum("...xyij,...yxjk->...xyik", kernels, kernels)
@@ -216,28 +209,6 @@ def chain_blocks(kernels):
 def chain_roots(chains):
     """Roots of every chain matrix by batched ``eigvals``; shape (..., 2n)."""
     return np.linalg.eigvals(chains)
-
-
-class ClosedChain:
-    """One closed chain A_xy with its root multiset.
-
-    Attributes: ``x``, ``y``, ``matrix`` (2n x 2n), ``roots`` (length 2n).
-    """
-
-    def __init__(self, x, y, matrix):
-        self.x = int(x)
-        self.y = int(y)
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.roots = np.linalg.eigvals(self.matrix)
-
-    def __repr__(self):
-        return f"ClosedChain(x={self.x}, y={self.y}, roots={np.round(self.roots, 6)})"
-
-
-def closed_chain(projector, x, y):
-    kxy = discrete_kernel(projector, x, y)
-    kyx = discrete_kernel(projector, y, x)
-    return ClosedChain(x, y, kxy @ kyx)
 
 
 def action(projector, mu):
@@ -312,6 +283,7 @@ class ChainPass:
     trial alone.  ``weights`` and :func:`action_and_constraint` serve it
     whole.  Indexed by j it gives the pass of trial j (views of its arrays,
     no new work), whose ``projector`` is ``stack[j]``; that pass serves ``q``.
+    An array a caller leaves on the stacked pass is sliced the same way.
     """
 
     def __init__(self, projector):
@@ -600,10 +572,6 @@ class TrialStack:
         if j not in self._made:
             self._made[j] = FermionicProjector(self.space, self.bases[j], self.tol, self.dense[j])
         return self._made[j]
-
-    def index(self, projector):
-        """j where ``projector`` is ``stack[j]``, else None."""
-        return next((j for j, made in self._made.items() if made is projector), None)
 
 
 def transported(projector, b, eta):

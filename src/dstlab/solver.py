@@ -40,12 +40,15 @@ Gradient consistency is asserted against finite differences at the first
 iterate of every seed, and every accepted iterate is kept an exact projector
 by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
 check reads the Gram deviation each projector measured at construction
-(``FermionicProjector.gram_dev``).  Only the accepted trial of a batch becomes
-a validated projector.  The objective keeps the chain pass
-(``dstlab.action.ChainPass``) of the last batch it evaluated, and the
-accepted trial's pass is its slice of it, so the gradient at the accepted
-trial makes no chain pass of its own, and the commutator reuses the dense P
-the pass read.
+(``FermionicProjector.gram_dev``).  The iterate is a chain pass
+(``dstlab.action.ChainPass``): the descent takes the start's pass, moves to
+the accepted trial's slice of its batch's stacked pass, and returns the last
+pass.  The objective's value leaves T - kappa on the pass it values, and its
+gradient reads it there, so the gradient at the accepted trial makes no chain
+pass of its own and the commutator reuses the dense P the pass read.  Only
+the accepted trial of a batch becomes a validated projector; a renormalized
+iterate gets one pass of its own, and the next round and the seed's record
+read the last pass.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
@@ -61,8 +64,9 @@ import numpy as np
 
 from .action import (
     ChainPass,
-    TrialStack,
-    action,  # unused here; perfbench/tracing.py wraps it as dstlab.solver.action
+    # action and constraint_value are unused here; perfbench/tracing.py wraps
+    # them as dstlab.solver.action and dstlab.solver.constraint_value
+    action,
     action_and_constraint,
     constraint_q_kernel,
     constraint_value,
@@ -144,9 +148,9 @@ class SolverResult:
     traces: dict  # seed -> list of per-round objective traces
 
 
-def _check_slope(proj, value, b, slope, tol):
+def _check_slope(chains, value, b, slope, tol):
     h = tol.fd_step
-    plus, minus = value(transported(proj, b, [h, -h]))
+    plus, minus = value(ChainPass(transported(chains.projector, b, [h, -h])))
     fd = (plus - minus) / (2.0 * h)
     rel = abs(fd - slope) / max(abs(fd), abs(slope))
     if rel > tol.grad_check:
@@ -156,14 +160,15 @@ def _check_slope(proj, value, b, slope, tol):
         )
 
 
-def _backtrack(proj, value, b, step, current, slope):
+def _backtrack(chains, value, b, step, current, slope):
     """Armijo backtracking from ``step`` along B, in batches of 1, 2, 4, ... trials.
 
     The steps are step, step STEP_SHRINK, ... down to ``MIN_STEP``; each
-    batch is one stacked orbit step and one ``value`` call on it.  Returns
-    (trial, value, step, examined) for the first step in order that passes
-    Armijo, with ``examined`` the steps the rule looked at up to it, or
-    (None, current, step, examined) when none passes.
+    batch is one stacked orbit step and one ``value`` call on its stacked
+    chain pass.  Returns (trial, value, step, examined) for the first step in
+    order that passes Armijo, with ``trial`` its slice of the stacked pass and
+    ``examined`` the steps the rule looked at up to it, or (None, current,
+    step, examined) when none passes.
     """
     examined, size = 0, 1
     while step >= MIN_STEP:
@@ -171,7 +176,7 @@ def _backtrack(proj, value, b, step, current, slope):
         while len(etas) < size and step >= MIN_STEP:
             etas.append(step)
             step *= STEP_SHRINK
-        batch = transported(proj, b, etas)
+        batch = ChainPass(transported(chains.projector, b, etas))
         values = value(batch)
         for j, eta in enumerate(etas):
             examined += 1
@@ -181,11 +186,13 @@ def _backtrack(proj, value, b, step, current, slope):
     return None, current, step, examined
 
 
-def _descend(proj, value, qmat, cfg, tol, check_first=False):
-    """Backtracking descent of one scalar objective from one start.
+def _descend(chains, value, qmat, cfg, tol, check_first=False):
+    """Backtracking descent of one scalar objective from the pass of one start.
 
-    The first iterate tries ``INITIAL_STEP``; every later one first tries the
-    BB1 step min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
+    The iterate is a ``ChainPass``; ``value`` and ``qmat`` take one, and
+    ``qmat`` only one that ``value`` has seen.  The first iterate tries
+    ``INITIAL_STEP``; every later one first tries the BB1 step
+    min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
     the last accepted step times ``STEP_GROW`` (capped the same way).
     Trials then shrink by ``STEP_SHRINK`` until Armijo accepts one; they are
@@ -198,20 +205,27 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
     the rest of that step's batch, which was evaluated and discarded, nor
     the two steps of the derivative check.  ``renormalizations`` counts the
     re-orthonormalized iterates, and ``gradient_norm`` is 4 ||[P, Q]||_F at
-    the returned iterate (before its final re-orthonormalization).
+    the returned iterate (before its final re-orthonormalization).  ``chains``
+    is the valued pass of the returned projector.
     """
-    def gradient(p):
+    def gradient(chains):
         # ([P, Q], 4 ||[P, Q]||_F), the norm by np.linalg.norm's own arithmetic
         # without its dispatch, which costs more than the sums on small dims
-        q = qmat(p)
-        pm = p.matrix()
+        q = qmat(chains)
+        pm = chains.p
         comm = pm @ q - q @ pm
         flat = comm.ravel()
         return comm, 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
-    signs = proj.space.signs
+    def renormalized(chains):
+        # the trace keeps the accepted value; the value call leaves T - kappa
+        chains = ChainPass(chains.projector.renormalized())
+        value(chains)
+        return chains
+
+    signs = chains.projector.space.signs
     neg_signs = -signs[:, None]
-    current = value(proj)
+    current = value(chains)
     trace = [current]
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
@@ -222,7 +236,7 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
         if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
             break
-        (comm, grad_norm), graded = gradient(proj), proj
+        (comm, grad_norm), graded = gradient(chains), chains
         if grad_norm <= cfg.residual_tol:
             exit_reason = "converged"
             break
@@ -244,14 +258,14 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
             step = min(step, MAX_STEP)
         slope = first_variation(comm, b)
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
-            _check_slope(proj, value, b, slope, tol)
+            _check_slope(chains, value, b, slope, tol)
             check_first = False
-        trial, current, step, examined = _backtrack(proj, value, b, step, current, slope)
+        trial, current, step, examined = _backtrack(chains, value, b, step, current, slope)
         trials += examined
         if trial is None:
             exit_reason = "line_search_floor"  # keep the best iterate
             break
-        proj = trial
+        chains = trial
         trace.append(current)
         if (
             len(trace) > STALL_WINDOW
@@ -261,20 +275,20 @@ def _descend(proj, value, qmat, cfg, tol, check_first=False):
             exit_reason = "stalled"  # flattened out below resolution
             break
         moved = (-step * k, grad)
-        if proj.gram_dev > tol.gram:
-            proj = proj.renormalized()
+        if chains.projector.gram_dev > tol.gram:
+            chains = renormalized(chains)
             renormalizations += 1
-    if graded is not proj:
+    if graded is not chains:
         # the loop ended on an iterate it has not differentiated yet
-        grad_norm = gradient(proj)[1]
-    if proj.gram_dev > 1e-14:
-        proj = proj.renormalized()
+        grad_norm = gradient(chains)[1]
+    if chains.projector.gram_dev > 1e-14:
+        chains = renormalized(chains)
         renormalizations += 1
     status = exit_reason
     if status not in ("converged", "divergence"):
         status = "max_iterations"
     return {
-        "projector": proj,
+        "chains": chains,
         "value": current,
         "status": status,
         "exit_reason": exit_reason,
@@ -290,52 +304,26 @@ class _Objective:
     """F = S_mu + nu (T - kappa) + w (T - kappa)^2 on the projector orbit.
 
     Auxiliary mode descends (mu, nu = w = 0), where the terms in d = T - kappa
-    weigh nothing (T is finite); a penalty round sets (nu, w) at mu = 0.  The
-    objective keeps the chain pass of what it saw last, a projector or a
-    ``TrialStack`` of line-search trials, with its S_mu and d (one per trial),
-    and its gradient operator is the auxiliary Q at the effective weight
-    mu - nu - 2 w d.  ``value`` of a stack returns one value per trial.  The
-    accepted iterate is a trial of the last stack, so when ``qmat`` asks
-    about it its pass is that stack's slice; projectors are immutable, so
-    identity decides, and any other projector gets a pass of its own.
-    ``fd_pairs`` counts the chain pairs its gradients sent to finite
-    differences.
+    weigh nothing (T is finite); a penalty round sets (nu, w) at mu = 0.  Both
+    methods take a ``ChainPass``.  ``value`` returns F, one value per trial of
+    a stacked pass, and leaves d on the pass (an array on a stacked pass,
+    whose slices carry their own d).  ``qmat`` is the auxiliary Q at the
+    effective weight mu - nu - 2 w d, with d read off the pass, so it takes a
+    pass ``value`` has seen and makes no pass of its own.  ``fd_pairs`` counts
+    the chain pairs its gradients sent to finite differences.
     """
 
     def __init__(self, tol, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
         self.tol, self.mu, self.kappa, self.nu, self.w = tol, mu, kappa, nu, w
-        self.chains, self.s, self.d = None, 0.0, 0.0
         self.fd_pairs = 0
 
-    def _see(self, p):
-        chains = self.chains
-        if chains is not None and chains.projector is p:
-            return chains
-        stack = chains.projector if chains is not None else None
-        j = stack.index(p) if isinstance(stack, TrialStack) else None
-        if j is None:
-            self.chains = ChainPass(p)
-            s, t = action_and_constraint(self.chains, self.mu)
-            if isinstance(p, TrialStack):  # float arithmetic per trial beats tiny arrays
-                self.s, self.d = s.tolist(), [t_j - self.kappa for t_j in t.tolist()]
-            else:
-                self.s, self.d = s, t - self.kappa
-        else:
-            self.chains, self.s, self.d = chains[j], self.s[j], self.d[j]
-        return self.chains
-
-    def _combine(self, s, d):
+    def value(self, chains):
+        s, t = action_and_constraint(chains, self.mu)
+        chains.d = d = t - self.kappa
         return s + self.nu * d + self.w * d * d
 
-    def value(self, p):
-        self._see(p)
-        if isinstance(p, TrialStack):
-            return np.array(list(map(self._combine, self.s, self.d)))
-        return self._combine(self.s, self.d)
-
-    def qmat(self, p):
-        chains = self._see(p)
-        q = q_kernel(chains, self.mu - self.nu - 2.0 * self.w * self.d, self.tol)
+    def qmat(self, chains):
+        q = q_kernel(chains, self.mu - self.nu - 2.0 * self.w * chains.d, self.tol)
         self.fd_pairs += chains.fd_pairs
         return q
 
@@ -349,32 +337,32 @@ def _solve_seed(start, cfg, tol):
     trials, renormalizations and FD pairs are summed over the rounds, whose
     traces are returned apart.  A round that cannot bring T to kappa settles
     where (T - kappa)^2 is stationary, so the record's constraint and last
-    exit reason tell whether kappa was reached.
+    exit reason tell whether kappa was reached.  The last pass of a round
+    starts the next, and its T and the record's (S, T) are read off it.
     """
     constrained = cfg.mode == "constrained"
     objective = (_Objective(tol, 0.0, cfg.kappa, 0.0, PENALTY_START) if constrained
                  else _Objective(tol, cfg.mu))
-    proj = start
+    chains = ChainPass(start)
     traces = []
     counts = {"armijo_trials": 0, "renormalizations": 0}
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
-        out = _descend(proj, objective.value, objective.qmat, cfg, tol,
+        out = _descend(chains, objective.value, objective.qmat, cfg, tol,
                        check_first=round_idx == 0)
-        proj, status = out["projector"], out["status"]
+        chains, status = out["chains"], out["status"]
         traces.append(out["trace"])
         for key in counts:
             counts[key] += out[key]
         if not constrained or status == "divergence":
             break
-        d = constraint_value(proj) - cfg.kappa
-        objective.nu += 2.0 * objective.w * d
-        if abs(d) <= CONSTRAINT_TOL and status == "converged":
+        objective.nu += 2.0 * objective.w * chains.d
+        if abs(chains.d) <= CONSTRAINT_TOL and status == "converged":
             break
         status = "max_iterations"
         objective.w *= PENALTY_GROWTH
-    s, t = action_and_constraint(proj, objective.mu)
+    s, t = action_and_constraint(chains, objective.mu)
     record = {
-        "projector": proj,
+        "projector": chains.projector,
         "action": s,
         "constraint": t,
         "multiplier": objective.mu - objective.nu,

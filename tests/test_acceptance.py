@@ -243,8 +243,9 @@ def _sample_chain(seed, m=4, f=2):
     sp = DiscreteSpacetime(1, m)
     p = random_projector(sp, f, seed=seed)
     rng = np.random.default_rng(seed)
-    x, y = rng.integers(0, m, size=2)
-    return act.closed_chain(p, int(x), int(y)).matrix
+    x, y = (sp.point_slice(int(i)) for i in rng.integers(0, m, size=2))
+    pm = p.matrix()
+    return pm[x, y] @ pm[y, x]  # A_xy from two point blocks of the dense P
 
 
 def test_gradient_and_first_variation_oracles():

@@ -107,28 +107,19 @@ def _penalty_reference(p):
 def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
     monkeypatch, objective, reference
 ):
-    # a chain pass is one ChainPass built; the accepted iterate's Q reuses
-    # the pass of its value call, a renormalized projector needs its own
-    calls = []
-    init = dstlab.action.ChainPass.__init__
-
-    def counted(self, projector):
-        calls.append(1)
-        init(self, projector)
-
-    monkeypatch.setattr(dstlab.action.ChainPass, "__init__", counted)
+    # a chain pass is one ChainPass built; Q of a valued pass reads the
+    # T - kappa its value call left there and builds no pass, for a
+    # renormalized projector's own pass too
+    calls = _count_chain_passes(monkeypatch)
     p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
     built = objective()
-    value, qmat = built.value, built.qmat
-    value(p)
-    before = len(calls)
-    q = qmat(p)
-    assert len(calls) == before
-    renormalized = p.renormalized()
-    q_renormalized = qmat(renormalized)
-    assert len(calls) == before + 1
-    assert np.array_equal(q, reference(p))
-    assert np.array_equal(q_renormalized, reference(renormalized))
+    for proj in (p, p.renormalized()):
+        chains = ChainPass(proj)
+        built.value(chains)
+        before = len(calls)
+        q = built.qmat(chains)
+        assert len(calls) == before
+        assert np.array_equal(q, reference(proj))
 
 
 @pytest.mark.parametrize(
@@ -168,7 +159,7 @@ def test_descent_reports_why_it_stopped(
     value, qmat = objective.value, objective.qmat
     sign = -1.0 if flip else 1.0
     out = _descend(
-        random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
+        ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0)),
         value,
         lambda p: sign * qmat(p),
         SolverConfig(mu=0.5, **settings),
@@ -209,7 +200,7 @@ def _spy_accepted(monkeypatch):
 
 
 def _first_trials(monkeypatch, value, qmat, start, max_iter):
-    """Descend with spies on the stacked orbit step ``transported`` and ``qmat``.
+    """Descend from the pass ``start`` with spies on ``transported``, the trials and ``qmat``.
 
     For every iterate after the first, returns (Re<s, y>, the step rule's
     first trial, the first step of the first batch ``transported`` received),
@@ -217,10 +208,10 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
     change in the Hermitian gradient K = 4i [P,Q] S, both recomputed from the
     iterates.
     """
-    batches, iterates = _spy_batches(monkeypatch), []
+    batches, taken, iterates = _spy_batches(monkeypatch), _spy_accepted(monkeypatch), []
 
-    def spy_qmat(p):
-        iterates.append((p, qmat(p)))
+    def spy_qmat(chains):
+        iterates.append((chains.projector, qmat(chains)))
         return iterates[-1][1]
 
     out = _descend(start, value, spy_qmat, SolverConfig(max_iter=max_iter), DEFAULT)
@@ -233,8 +224,8 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
     rows = []
     for i in range(1, len(iterates)):
         _, etas, stack = [t for t in batches if t[0] is iterates[i - 1][0]][-1]
-        j = stack.index(iterates[i][0])
-        assert j is not None  # no renormalization in between
+        j = taken[id(stack)]
+        assert stack[j] is iterates[i][0]  # no renormalization in between
         eta = etas[j]
         first = [e[0] for p, e, _ in batches if p is iterates[i][0]][:1]
         if not first:
@@ -252,7 +243,7 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
 
 def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
     objective = _Objective(DEFAULT, 0.5)
-    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=2)
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2))
     out, rows = _first_trials(monkeypatch, objective.value, objective.qmat, start, 40)
     assert out["iterations"] == 40 and len(rows) == 39
     for sy, rule, first in rows:
@@ -264,7 +255,7 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
     # climbing S (value -S, qmat -Q) meets only Re<s, y> <= 0 before its
     # divergence floor: each first trial is the last step times STEP_GROW
     objective = _Objective(DEFAULT, 0.5)
-    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
     out, rows = _first_trials(monkeypatch, lambda p: -objective.value(p),
                               lambda p: -objective.qmat(p), start, 20)
     assert out["exit_reason"] == "divergence" and len(rows) >= 2
@@ -280,7 +271,7 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
 def test_first_trial_switches_rules_with_the_sign_of_the_curvature(monkeypatch):
     # beyond the critical weight the descent meets both signs of Re<s, y>
     objective = _Objective(DEFAULT, 0.7)
-    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
     out, rows = _first_trials(monkeypatch, objective.value, objective.qmat, start, 20)
     assert out["exit_reason"] == "divergence"
     assert {sy > 0.0 for sy, _, _ in rows} == {True, False}
@@ -297,7 +288,7 @@ def test_first_iterate_derivative_check(scale, fails):
 
     def descend():
         return _descend(
-            random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
+            ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0)),
             objective.value,
             lambda p: scale * objective.qmat(p),
             SolverConfig(mu=0.5, max_iter=2),
@@ -506,27 +497,47 @@ def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
     # iterate make none
     passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
     built = objective()
-    out = _descend(random_projector(DiscreteSpacetime(1, 3), 2, seed=2), built.value,
-                   built.qmat, SolverConfig(max_iter=25), DEFAULT)
+    out = _descend(ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2)),
+                   built.value, built.qmat, SolverConfig(max_iter=25), DEFAULT)
     assert out["iterations"] > 10 and out["renormalizations"] == 0
     assert len(passes) == 1 + len(batches)
     assert all(p is stack for p, (_, _, stack) in zip(passes[1:], batches))
 
 
-def _sequential_descent(proj, value, qmat, cfg, tol):
-    """The descent with one transported and one value call per Armijo trial.
+@pytest.mark.parametrize("gram", [DEFAULT.gram, 1e-16], ids=["default", "tight_gram"])
+def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(monkeypatch, gram):
+    # the start, every stacked orbit step (line-search batches and the
+    # derivative check) and every renormalized iterate make one pass each; the
+    # next round, the multiplier update and the record read the last pass
+    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
+    passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
+    tol = DEFAULT.with_(gram=gram)
+    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
+    record, traces = dstlab.solver._solve_seed(
+        start, SolverConfig(mode="constrained", kappa=KAPPA, max_iter=30), tol)
+    assert len(traces) == 2
+    assert len(passes) == 1 + len(batches) + record["renormalizations"]
+    if gram < DEFAULT.gram:
+        assert record["renormalizations"] > 0
+    monkeypatch.undo()
+    assert (record["action"], record["constraint"]) == action_and_constraint(
+        record["projector"], 0.0)
+
+
+def _sequential_descent(chains, value, qmat, cfg, tol):
+    """The descent with one transported, one chain pass and one value call per Armijo trial.
 
     Returns (projector, trace, Armijo trials, exit reason).
     """
     sv = dstlab.solver
-    signs = proj.space.signs
-    current = value(proj)
+    signs = chains.projector.space.signs
+    current = value(chains)
     trace, step, moved, reason, trials = [current], sv.INITIAL_STEP, None, "max_iterations", 0
     for _ in range(cfg.max_iter):
         if current < sv.DIVERGENCE_FLOOR:
             reason = "divergence"
             break
-        q, p = qmat(proj), proj.matrix()
+        q, p = qmat(chains), chains.projector.matrix()
         comm = p @ q - q @ p
         grad_norm = 4.0 * float(np.linalg.norm(comm))
         if grad_norm <= cfg.residual_tol:
@@ -544,10 +555,10 @@ def _sequential_descent(proj, value, qmat, cfg, tol):
         slope = first_variation(comm, b)
         while step >= sv.MIN_STEP:
             trials += 1
-            trial = transported(proj, b, step)
+            trial = ChainPass(transported(chains.projector, b, step))
             trial_value = value(trial)
             if trial_value <= current + sv.ARMIJO * step * slope:
-                proj, current = trial, trial_value
+                chains, current = trial, trial_value
                 break
             step *= sv.STEP_SHRINK
         else:
@@ -559,21 +570,23 @@ def _sequential_descent(proj, value, qmat, cfg, tol):
             reason = "stalled"
             break
         moved = (-step * k, grad_norm * k)
-        if proj.gram_dev > tol.gram:
-            proj = proj.renormalized()
+        if chains.projector.gram_dev > tol.gram:
+            chains = ChainPass(chains.projector.renormalized())
+            value(chains)
+    proj = chains.projector
     if proj.gram_dev > 1e-14:
         proj = proj.renormalized()
     return proj, np.array(trace), trials, reason
 
 
 def _second_penalty_round(monkeypatch):
-    """Start and (nu, w) of seed 0's second penalty round at m = 3, kappa = 0.85."""
+    """Start pass and (nu, w) of seed 0's second penalty round at m = 3, kappa = 0.85."""
     rounds = []
     descend = dstlab.solver._descend
 
-    def recorded(proj, value, qmat, cfg, tol, check_first=False):
-        rounds.append((proj, value.__self__.nu, value.__self__.w))
-        return descend(proj, value, qmat, cfg, tol, check_first)
+    def recorded(chains, value, qmat, cfg, tol, check_first=False):
+        rounds.append((chains, value.__self__.nu, value.__self__.w))
+        return descend(chains, value, qmat, cfg, tol, check_first)
 
     monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
     monkeypatch.setattr(dstlab.solver, "_descend", recorded)
@@ -589,12 +602,12 @@ def test_batched_backtracking_matches_the_sequential_search(monkeypatch, case):
     # trace, trials and exit reason equal one trial at a time bit for bit
     cfg = SolverConfig(max_iter=2000)
     if case == "auxiliary_m4":
-        start, objective = random_projector(DiscreteSpacetime(1, 4), 2, seed=0), (0.5,)
+        start, objective = ChainPass(random_projector(DiscreteSpacetime(1, 4), 2, seed=0)), (0.5,)
     elif case == "penalty_floor":
         start, nu, w = _second_penalty_round(monkeypatch)
         objective = (0.0, KAPPA, nu, w)
     else:
-        start, objective = random_projector(DiscreteSpacetime(2, 3), 3, seed=0), (0.25,)
+        start, objective = ChainPass(random_projector(DiscreteSpacetime(2, 3), 3, seed=0)), (0.25,)
         cfg = SolverConfig(max_iter=40)
     batched = _Objective(DEFAULT, *objective)
     out = _descend(start, batched.value, batched.qmat, cfg, DEFAULT)
@@ -605,7 +618,7 @@ def test_batched_backtracking_matches_the_sequential_search(monkeypatch, case):
     assert (case == "penalty_floor") == (reason == "line_search_floor")
     assert out["armijo_trials"] == trials
     assert np.array_equal(out["trace"], trace)
-    assert np.array_equal(out["projector"].basis, proj.basis)
+    assert np.array_equal(out["chains"].projector.basis, proj.basis)
 
 
 @pytest.mark.parametrize("n, m, f", [(1, 4, 1), (1, 4, 2), (1, 4, 3), (2, 3, 3)])
@@ -617,6 +630,9 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
     stack = transported(start, b, steps)
     stacked = ChainPass(stack)
     s, t = action_and_constraint(stacked, 0.3)
+    # the objective leaves T - kappa on the stacked pass, and its slices carry theirs
+    objective = _Objective(DEFAULT, 0.3, KAPPA, NU, W)
+    values = objective.value(stacked)
     names = ("p", "t", "det", "delta") if n == 1 else ("p", "kernels", "chains")
     for j, eta in enumerate(steps):
         single = ChainPass(transported(start, b, eta))
@@ -630,6 +646,7 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
         assert (s[j], t[j]) == action_and_constraint(single, 0.3)
         assert np.array_equal(part.roots, single.roots)
         assert np.array_equal(part.q(1.0, -0.3), single.q(1.0, -0.3))
+        assert values[j] == objective.value(single) and part.d == single.d
 
 
 def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
@@ -674,10 +691,10 @@ def test_gradient_norm_is_the_returned_projectors(monkeypatch, settings, constan
         monkeypatch.setattr(dstlab.solver, name, value)
     for seed in (0, 1):
         objective = _Objective(DEFAULT, 0.5)
-        out = _descend(random_projector(DiscreteSpacetime(1, 5), 2, seed=seed),
+        out = _descend(ChainPass(random_projector(DiscreteSpacetime(1, 5), 2, seed=seed)),
                        objective.value, objective.qmat, SolverConfig(**settings), DEFAULT)
         assert out["exit_reason"] == reason
-        proj = out["projector"]
+        proj = out["chains"].projector
         q, p = q_kernel(proj, 0.5), proj.matrix()
         assert out["gradient_norm"] == pytest.approx(
             4.0 * np.linalg.norm(p @ q - q @ p), rel=1e-9)
