@@ -90,8 +90,8 @@ stacked generators and one batched product, and the :class:`ChainPass` of a
 stack runs the formulas above over its leading axis: each slice is bit for
 bit the pass of that trial alone.  A line search values a batch of steps in
 one pass and takes the slice ``ChainPass(stack)[j]`` of the step it accepts
-as its next iterate, so the iterate carries the pass its gradient reads, and
-only that trial becomes a projector.
+as its next iterate, so the iterate carries the pass, T included, that its
+gradient reads, and only that trial becomes a projector.
 """
 
 import functools
@@ -227,8 +227,8 @@ def action_and_constraint(projector, mu):
     A stacked pass (of a :class:`TrialStack`) gives one (S_mu, T) per trial,
     as two arrays.
     """
-    sq, ab = _pass_of(projector).weights()
-    s, t = (sq - mu * ab).sum(axis=(-2, -1)), ab.sum(axis=(-2, -1))
+    chains = _pass_of(projector)
+    s, t = (chains.sq - mu * chains.ab).sum(axis=(-2, -1)), chains.constraint
     return (float(s), float(t)) if s.ndim == 0 else (s, t)
 
 
@@ -273,17 +273,19 @@ class ChainPass:
     Chains of spin dimension 2 (n = 1) are kept as the real (m, m) arrays
     ``t`` = tr A_xy and ``delta`` = det K_xy det K_yx, with ``det`` = det
     K_xy, K_xy = P(x,y); the value needs no chain matrix, root or square
-    root.  Larger chains keep ``kernels`` and ``chains``.  ``roots`` (m, m,
-    2n) is formed on first use, at n = 1 as (lam_+, lam_-) from (t, delta).
+    root.  Larger chains keep ``kernels``, ``chains`` and their ``roots``
+    (m, m, 2n); at n = 1 ``roots`` is (lam_+, lam_-) from (t, delta), formed
+    on first use.  ``sq`` and ``ab`` are the weights |A^2| and |A|^2 of every
+    chain, (m, m) each, and ``constraint`` is T, the sum of ``ab``.
     ``fd_pairs`` is the number of ordered pairs the last gradient sent to
     finite differences, always 0 at n = 1.
 
     The pass of a :class:`TrialStack` is stacked: every array carries the
-    stack's leading axis, and each slice is bit for bit the pass of that
-    trial alone.  ``weights`` and :func:`action_and_constraint` serve it
-    whole.  Indexed by j it gives the pass of trial j (views of its arrays,
-    no new work), whose ``projector`` is ``stack[j]``; that pass serves ``q``.
-    An array a caller leaves on the stacked pass is sliced the same way.
+    stack's leading axis, so ``constraint`` holds one T per trial, and each
+    slice is bit for bit the pass of that trial alone.
+    :func:`action_and_constraint` serves it whole.  Indexed by j it gives the
+    pass of trial j (views of its arrays, no new work), whose ``projector``
+    is ``stack[j]``; that pass serves ``q``.
     """
 
     def __init__(self, projector):
@@ -297,9 +299,13 @@ class ChainPass:
             self.det = (p[..., ::2, ::2] * p[..., 1::2, 1::2]
                         - p[..., ::2, 1::2] * p[..., 1::2, ::2])
             self.delta = (self.det * self.det.swapaxes(-1, -2)).real
+            self.sq, self.ab = invariant_weights(self.t, self.delta)
         else:
             self.kernels = kernel_blocks(projector)
             self.chains = chain_blocks(self.kernels)
+            mod = np.abs(self.roots)
+            self.sq, self.ab = np.sum(mod * mod, axis=-1), np.sum(mod, axis=-1) ** 2
+        self.constraint = self.ab.sum(axis=(-2, -1))
 
     def __getitem__(self, j):
         part = object.__new__(ChainPass)
@@ -313,13 +319,6 @@ class ChainPass:
         if self.projector.space.n == 1:
             return np.stack(invariant_roots(self.t, self.delta), axis=-1)
         return chain_roots(self.chains)
-
-    def weights(self):
-        """(|A^2|, |A|^2) of every chain, (m, m) each."""
-        if self.projector.space.n == 1:
-            return invariant_weights(self.t, self.delta)
-        mod = np.abs(self.roots)
-        return np.sum(mod * mod, axis=-1), np.sum(mod, axis=-1) ** 2
 
     def q(self, w_sq, w_abs, tol=DEFAULT):
         """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs."""
@@ -549,9 +548,8 @@ class TrialStack:
     with the image basis give the (k, md, f) stack ``bases``, and one batched
     product the read-only (k, md, md) stack ``dense`` of dense matrices that
     ``matrix()`` returns, so the :class:`ChainPass` of the stack is one
-    stacked pass.  ``stack[j]`` is trial j as a validated
-    :class:`~dstlab.core.FermionicProjector`, made on first use, whose dense
-    matrix is its slice of ``dense``.
+    stacked pass.  ``stack[j]`` makes trial j a validated
+    :class:`~dstlab.core.FermionicProjector` of its basis ``bases[j]``.
     """
 
     def __init__(self, projector, b, etas):
@@ -563,15 +561,12 @@ class TrialStack:
         self.bases = scipy.linalg.expm(generators) @ projector.basis
         self.dense = projector_matrix(self.space, self.bases)
         self.dense.flags.writeable = False
-        self._made = {}
 
     def matrix(self):
         return self.dense
 
     def __getitem__(self, j):
-        if j not in self._made:
-            self._made[j] = FermionicProjector(self.space, self.bases[j], self.tol, self.dense[j])
-        return self._made[j]
+        return FermionicProjector(self.space, self.bases[j], self.tol)
 
 
 def transported(projector, b, eta):

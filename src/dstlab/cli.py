@@ -84,12 +84,13 @@ _SOLVER_PARAMS = {
     "residual_tol": {"type": "number", "exclusiveMinimum": 0},
 }
 
+# [numerator, denominator]; a zero denominator is no number
 _RATIONAL_PAIR = {
     "oneOf": [
         {"type": "integer"},
         {
             "type": "array",
-            "items": {"type": "integer"},
+            "prefixItems": [{"type": "integer"}, {"type": "integer", "not": {"const": 0}}],
             "minItems": 2,
             "maxItems": 2,
         },
@@ -521,8 +522,9 @@ def _run_state_stability(params, seeds, tol, config_dir):
     if not path.is_file():
         raise CliError(EXIT_VALIDATION, f"table file not found: {path}")
     try:
-        table = np.genfromtxt(path, delimiter=",", names=True)
-    except ValueError as exc:
+        # a one-row table parses to a 0-d record
+        table = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    except (ValueError, IndexError) as exc:  # IndexError: an empty file
         raise CliError(EXIT_VALIDATION, f"cannot parse table {path}: {exc}")
     names = table.dtype.names
     if names is None or set(names) != {"qsq", "a", "b"}:
@@ -530,6 +532,8 @@ def _run_state_stability(params, seeds, tol, config_dir):
             EXIT_VALIDATION,
             f"table needs columns qsq,a,b; found {names}",
         )
+    if table.size == 0:
+        raise CliError(EXIT_VALIDATION, f"table {path} has a header but no rows")
     report = state_stability_check(
         table["qsq"], table["a"], table["b"],
         params["masses"], tol=params.get("tol", 1e-9),

@@ -203,6 +203,8 @@ def _symbol_substitutions(values):
         if name not in lookup:
             raise ValueError(f"unknown coefficient name {name!r}")
         if isinstance(value, (list, tuple)):
+            if int(value[1]) == 0:
+                raise ValueError(f"coefficient {name} has denominator 0")
             value = sympy.Rational(int(value[0]), int(value[1]))
         else:
             value = sympy.nsimplify(value, rational=True)

@@ -176,13 +176,16 @@ def state_stability_check(qsq, a, b, masses, tol=1e-9):
     ``a`` must be nonnegative on the grid, and a + b must attain its
     infimum on every mass shell q^2 = m^2 (linear interpolation within one
     grid cell).  Returns a verdict dict with the violating cells; masses
-    not covered by the grid raise GridCoverage.
+    not covered by the grid raise GridCoverage, and an empty grid raises
+    ValueError.
     """
     qsq = np.asarray(qsq, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if qsq.ndim != 1 or qsq.shape != a.shape or qsq.shape != b.shape:
         raise ValueError("qsq, a, b must be equal-length 1D arrays")
+    if qsq.size == 0:
+        raise ValueError("qsq, a, b are empty: the grid needs at least one sample")
     if np.any(qsq <= 0.0):
         raise ValueError("the grid parametrizes q^2 > 0")
     if np.any(np.diff(qsq) <= 0.0):

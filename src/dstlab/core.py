@@ -27,7 +27,7 @@ platform.
 """
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -162,18 +162,16 @@ class FermionicProjector:
     :meth:`from_span` over building the array by hand.
 
     ``gram_dev`` is the largest entry of |<u_i|u_j> + delta_ij|, measured
-    once when the projector is built (the basis is read-only).  ``dense``,
-    when given, is the read-only :func:`projector_matrix` of ``basis``
-    already formed (a slice of a stacked one), which :meth:`matrix` returns.
+    once when the projector is built (the basis is read-only).  The dense
+    matrix is formed on the first :meth:`matrix` call.
     """
 
     space: DiscreteSpacetime
     basis: np.ndarray
     tol: Tolerances = DEFAULT
     gram_dev: float = field(init=False, repr=False)
-    dense: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, dense):
+    def __post_init__(self):
         basis = np.ascontiguousarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.space.dim:
             raise ValueError(f"basis must have shape ({self.space.dim}, f), got {basis.shape}")
@@ -191,8 +189,6 @@ class FermionicProjector:
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram_dev", float(gram_dev))
-        if dense is not None:
-            object.__setattr__(self, "_dense", dense)
 
     @classmethod
     def from_span(cls, space, vectors, tol=DEFAULT):

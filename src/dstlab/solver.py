@@ -43,12 +43,12 @@ check reads the Gram deviation each projector measured at construction
 (``FermionicProjector.gram_dev``).  The iterate is a chain pass
 (``dstlab.action.ChainPass``): the descent takes the start's pass, moves to
 the accepted trial's slice of its batch's stacked pass, and returns the last
-pass.  The objective's value leaves T - kappa on the pass it values, and its
-gradient reads it there, so the gradient at the accepted trial makes no chain
-pass of its own and the commutator reuses the dense P the pass read.  Only
-the accepted trial of a batch becomes a validated projector; a renormalized
-iterate gets one pass of its own, and the next round and the seed's record
-read the last pass.
+pass.  A pass holds its own constraint value T, so the objective's value and
+gradient both read T - kappa off it, in either order: the gradient at the
+accepted trial makes no chain pass of its own and the commutator reuses the
+dense P the pass read.  Only the accepted trial of a batch becomes a
+validated projector; a renormalized iterate gets one pass of its own, and the
+multiplier update, the next round and the seed's record read the last pass.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
@@ -189,8 +189,8 @@ def _backtrack(chains, value, b, step, current, slope):
 def _descend(chains, value, qmat, cfg, tol, check_first=False):
     """Backtracking descent of one scalar objective from the pass of one start.
 
-    The iterate is a ``ChainPass``; ``value`` and ``qmat`` take one, and
-    ``qmat`` only one that ``value`` has seen.  The first iterate tries
+    The iterate is a ``ChainPass``; ``value`` and ``qmat`` take one, in any
+    order, and neither writes onto it.  The first iterate tries
     ``INITIAL_STEP``; every later one first tries the BB1 step
     min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
@@ -204,24 +204,21 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
     steps the Armijo rule examined in order, up to the one it accepted: not
     the rest of that step's batch, which was evaluated and discarded, nor
     the two steps of the derivative check.  ``renormalizations`` counts the
-    re-orthonormalized iterates, and ``gradient_norm`` is 4 ||[P, Q]||_F at
-    the returned iterate (before its final re-orthonormalization).  ``chains``
-    is the valued pass of the returned projector.
+    re-orthonormalized iterates, ``fd_pairs`` the chain pairs the gradients
+    sent to finite differences, and ``gradient_norm`` is 4 ||[P, Q]||_F at
+    the returned iterate (before its final re-orthonormalization).
+    ``chains`` is the pass of the returned projector.
     """
     def gradient(chains):
         # ([P, Q], 4 ||[P, Q]||_F), the norm by np.linalg.norm's own arithmetic
         # without its dispatch, which costs more than the sums on small dims
+        nonlocal fd_pairs
         q = qmat(chains)
+        fd_pairs += chains.fd_pairs
         pm = chains.p
         comm = pm @ q - q @ pm
         flat = comm.ravel()
         return comm, 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-
-    def renormalized(chains):
-        # the trace keeps the accepted value; the value call leaves T - kappa
-        chains = ChainPass(chains.projector.renormalized())
-        value(chains)
-        return chains
 
     signs = chains.projector.space.signs
     neg_signs = -signs[:, None]
@@ -231,7 +228,7 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
     moved = None  # (s, K) of the last accepted step
     exit_reason = "max_iterations"
     graded = None  # the iterate whose gradient norm grad_norm is
-    trials = renormalizations = 0
+    trials = renormalizations = fd_pairs = 0
     for _ in range(cfg.max_iter):
         if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
@@ -276,25 +273,26 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
             break
         moved = (-step * k, grad)
         if chains.projector.gram_dev > tol.gram:
-            chains = renormalized(chains)
+            # the trace keeps the accepted value
+            chains = ChainPass(chains.projector.renormalized())
             renormalizations += 1
     if graded is not chains:
         # the loop ended on an iterate it has not differentiated yet
         grad_norm = gradient(chains)[1]
     if chains.projector.gram_dev > 1e-14:
-        chains = renormalized(chains)
+        chains = ChainPass(chains.projector.renormalized())
         renormalizations += 1
     status = exit_reason
     if status not in ("converged", "divergence"):
         status = "max_iterations"
     return {
         "chains": chains,
-        "value": current,
         "status": status,
         "exit_reason": exit_reason,
         "iterations": len(trace) - 1,
         "armijo_trials": trials,
         "renormalizations": renormalizations,
+        "fd_pairs": fd_pairs,
         "gradient_norm": grad_norm,
         "trace": np.array(trace),
     }
@@ -305,27 +303,23 @@ class _Objective:
 
     Auxiliary mode descends (mu, nu = w = 0), where the terms in d = T - kappa
     weigh nothing (T is finite); a penalty round sets (nu, w) at mu = 0.  Both
-    methods take a ``ChainPass``.  ``value`` returns F, one value per trial of
-    a stacked pass, and leaves d on the pass (an array on a stacked pass,
-    whose slices carry their own d).  ``qmat`` is the auxiliary Q at the
-    effective weight mu - nu - 2 w d, with d read off the pass, so it takes a
-    pass ``value`` has seen and makes no pass of its own.  ``fd_pairs`` counts
-    the chain pairs its gradients sent to finite differences.
+    methods take a ``ChainPass`` and read d off its ``constraint``.  ``value``
+    returns F, one value per trial of a stacked pass.  ``qmat`` is the
+    auxiliary Q at the effective weight mu - nu - 2 w d and makes no pass of
+    its own.
     """
 
     def __init__(self, tol, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
         self.tol, self.mu, self.kappa, self.nu, self.w = tol, mu, kappa, nu, w
-        self.fd_pairs = 0
 
     def value(self, chains):
         s, t = action_and_constraint(chains, self.mu)
-        chains.d = d = t - self.kappa
+        d = t - self.kappa
         return s + self.nu * d + self.w * d * d
 
     def qmat(self, chains):
-        q = q_kernel(chains, self.mu - self.nu - 2.0 * self.w * chains.d, self.tol)
-        self.fd_pairs += chains.fd_pairs
-        return q
+        d = chains.constraint - self.kappa
+        return q_kernel(chains, self.mu - self.nu - 2.0 * self.w * d, self.tol)
 
 
 def _solve_seed(start, cfg, tol):
@@ -345,7 +339,7 @@ def _solve_seed(start, cfg, tol):
                  else _Objective(tol, cfg.mu))
     chains = ChainPass(start)
     traces = []
-    counts = {"armijo_trials": 0, "renormalizations": 0}
+    counts = dict.fromkeys(("iterations", "armijo_trials", "renormalizations", "fd_pairs"), 0)
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
         out = _descend(chains, objective.value, objective.qmat, cfg, tol,
                        check_first=round_idx == 0)
@@ -355,8 +349,9 @@ def _solve_seed(start, cfg, tol):
             counts[key] += out[key]
         if not constrained or status == "divergence":
             break
-        objective.nu += 2.0 * objective.w * chains.d
-        if abs(chains.d) <= CONSTRAINT_TOL and status == "converged":
+        d = chains.constraint - cfg.kappa
+        objective.nu += 2.0 * objective.w * d
+        if abs(d) <= CONSTRAINT_TOL and status == "converged":
             break
         status = "max_iterations"
         objective.w *= PENALTY_GROWTH
@@ -368,9 +363,7 @@ def _solve_seed(start, cfg, tol):
         "multiplier": objective.mu - objective.nu,
         "status": status,
         "exit_reason": out["exit_reason"],
-        "iterations": sum(len(trace) - 1 for trace in traces),
         **counts,
-        "fd_pairs": objective.fd_pairs,
         "gradient_norm": out["gradient_norm"],
     }
     return record, traces

@@ -533,6 +533,19 @@ def test_lightcone_check_requires_all_coefficients(tmp_path):
     assert main(["lightcone-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_lightcone_check_zero_denominator_is_validation_error(tmp_path, capsys):
+    values = {name: 1 for name in ("C0", "C1", "C2", "C3", "D0", "D1", "D2", "D3")}
+    values["D2"] = [3, 0]
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "lightcone-check", "params": {"values": values}},
+    )
+    out = tmp_path / "o"
+    assert main(["lightcone-check", "--config", cfg, "--out", str(out)]) == 2
+    assert "params/values/D2/1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # state-stability
 
@@ -586,6 +599,38 @@ def test_state_stability_mass_outside_grid_is_validation_error(tmp_path, capsys)
     rc = main(["state-stability", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "outside the sampled grid" in capsys.readouterr().err
+
+
+def test_state_stability_one_row_table(tmp_path):
+    # a one-row table parses to a 0-d record; its one sample is the shell
+    rel = _stability_table(tmp_path, [(1.0, 0.0, 0.5)])
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "state-stability", "params": {"table": rel, "masses": [1.0]}},
+    )
+    out = tmp_path / "out"
+    assert main(["state-stability", "--config", cfg, "--out", str(out)]) == 0
+    report = load(out / "stability.json")
+    assert report["stable"] is True
+    assert report["shell_values"] == [{"mass": 1.0, "value": 0.5}]
+
+
+@pytest.mark.filterwarnings("ignore:genfromtxt")  # numpy warns of the empty file
+@pytest.mark.parametrize("text, message", [("qsq,a,b\n", "has a header but no rows"),
+                                           ("", "cannot parse table")],
+                         ids=["header_only", "empty_file"])
+def test_state_stability_table_without_rows_is_validation_error(tmp_path, capsys, text,
+                                                                message):
+    (tmp_path / "table.csv").write_text(text)
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "state-stability", "params": {"table": "table.csv", "masses": [1.0]}},
+    )
+    out = tmp_path / "o"
+    assert main(["state-stability", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "table.csv" in err
+    assert not out.exists()
 
 
 def test_state_stability_missing_table(tmp_path):

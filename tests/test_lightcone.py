@@ -85,6 +85,11 @@ def test_unrepresentable_product_raises():
         expansion_product(logs, logs)
 
 
+def test_zero_denominator_is_rejected():
+    with pytest.raises(ValueError, match="C1 has denominator 0"):
+        standard_expansion({"C0": [1, 2], "C1": [3, 0]})
+
+
 def test_rational_serialization_round_trip():
     values = {
         "C0": [1, 2],

@@ -128,6 +128,11 @@ def test_stability_interpolates_between_cells():
     assert verdict["stable"]
 
 
+def test_stability_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        state_stability_check([], [], [], masses=[1.0])
+
+
 def test_grid_coverage_error():
     qsq = np.linspace(0.5, 4.0, 50)
     with pytest.raises(GridCoverage):

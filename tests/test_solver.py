@@ -122,6 +122,25 @@ def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
         assert np.array_equal(q, reference(proj))
 
 
+def test_qmat_needs_no_value_call_and_valuing_writes_nothing():
+    # the pass owns its constraint value: valuing it leaves its attributes
+    # as they were, and Q of a pass that was never valued is the reference,
+    # for a fresh pass, a renormalized projector's pass and a stacked slice
+    p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
+    b = random_direction(p.space, seed=5)
+    stack = transported(p, b / np.linalg.norm(b), [0.4, 0.2])
+    built = _Objective(DEFAULT, 0.0, KAPPA, NU, W)
+    for chains in (ChainPass(p), ChainPass(stack)):
+        before = dict(vars(chains))
+        built.value(chains)
+        assert vars(chains).keys() == before.keys()
+        assert all(vars(chains)[name] is value for name, value in before.items())
+    passes = [(ChainPass(proj), proj) for proj in (p, p.renormalized())]
+    passes.append((ChainPass(stack)[1], stack[1]))
+    for chains, proj in passes:
+        assert np.array_equal(built.qmat(chains), _penalty_reference(proj))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -225,7 +244,8 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
     for i in range(1, len(iterates)):
         _, etas, stack = [t for t in batches if t[0] is iterates[i - 1][0]][-1]
         j = taken[id(stack)]
-        assert stack[j] is iterates[i][0]  # no renormalization in between
+        # no renormalization in between
+        assert np.array_equal(stack.bases[j], iterates[i][0].basis)
         eta = etas[j]
         first = [e[0] for p, e, _ in batches if p is iterates[i][0]][:1]
         if not first:
@@ -630,14 +650,16 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
     stack = transported(start, b, steps)
     stacked = ChainPass(stack)
     s, t = action_and_constraint(stacked, 0.3)
-    # the objective leaves T - kappa on the stacked pass, and its slices carry theirs
+    # the stacked pass holds one T per trial, and its slices carry theirs
     objective = _Objective(DEFAULT, 0.3, KAPPA, NU, W)
     values = objective.value(stacked)
     names = ("p", "t", "det", "delta") if n == 1 else ("p", "kernels", "chains")
     for j, eta in enumerate(steps):
         single = ChainPass(transported(start, b, eta))
         part = stacked[j]
-        assert part.projector is stack[j]
+        assert np.array_equal(part.projector.basis, stack.bases[j])
+        # the trial's own dense P is its slice of the stacked one
+        assert np.array_equal(part.projector.matrix(), stack.dense[j])
         assert np.array_equal(stack[j].basis, single.projector.basis)
         # the one-matrix orbit step exp(i eta B) U
         assert np.array_equal(stack[j].basis, scipy.linalg.expm(1j * eta * b) @ start.basis)
@@ -646,7 +668,7 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
         assert (s[j], t[j]) == action_and_constraint(single, 0.3)
         assert np.array_equal(part.roots, single.roots)
         assert np.array_equal(part.q(1.0, -0.3), single.q(1.0, -0.3))
-        assert values[j] == objective.value(single) and part.d == single.d
+        assert values[j] == objective.value(single) and part.constraint == single.constraint
 
 
 def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
