@@ -84,14 +84,14 @@ the invariant route.
 
 Line-search trials
 ------------------
-:func:`transported` conjugates the image basis by exp(i eta B).  Given a 1-D
-array of steps it makes a :class:`TrialStack`, one ``expm`` call on the
-stacked generators and one batched product, and the :class:`ChainPass` of a
-stack runs the formulas above over its leading axis: each slice is bit for
-bit the pass of that trial alone.  A line search values a batch of steps in
-one pass and takes the slice ``ChainPass(stack)[j]`` of the step it accepts
-as its next iterate, so the iterate carries the pass, T included, that its
-gradient reads, and only that trial becomes a projector.
+:func:`transported` conjugates the image basis by exp(i eta B).  A
+:class:`TrialStack` holds the steps of one or several searches (the seeds of
+a solve), one ``expm`` call and one batched product, and the
+:class:`ChainPass` of a stack runs the formulas above, Q included, over its
+leading axis: each slice is bit for bit the pass of that trial alone.  A line
+search takes the slice ``ChainPass(stack)[j]`` of the step it accepts as its
+next iterate, so the iterate carries the pass, T included, that its gradient
+reads, and only that trial becomes a projector.
 """
 
 import functools
@@ -225,9 +225,11 @@ def action_and_constraint(projector, mu):
     """(S_mu, T) from one chain pass; ``projector`` may be its :class:`ChainPass`.
 
     A stacked pass (of a :class:`TrialStack`) gives one (S_mu, T) per trial,
-    as two arrays.
+    as two arrays; ``mu`` is then a number or a 1-D array, one per trial.
     """
     chains = _pass_of(projector)
+    if isinstance(mu, np.ndarray):
+        mu = mu.reshape(-1, 1, 1)
     s, t = (chains.sq - mu * chains.ab).sum(axis=(-2, -1)), chains.constraint
     return (float(s), float(t)) if s.ndim == 0 else (s, t)
 
@@ -269,7 +271,7 @@ def invariant_roots(t, delta):
 class ChainPass:
     """The closed chains of one projector, formed once for S, T and Q.
 
-    ``projector`` is the projector of the pass and ``p`` its dense matrix.
+    ``projector`` is the projector of the pass, ``p`` its dense matrix.
     Chains of spin dimension 2 (n = 1) are kept as the real (m, m) arrays
     ``t`` = tr A_xy and ``delta`` = det K_xy det K_yx, with ``det`` = det
     K_xy, K_xy = P(x,y); the value needs no chain matrix, root or square
@@ -285,11 +287,12 @@ class ChainPass:
     slice is bit for bit the pass of that trial alone.
     :func:`action_and_constraint` serves it whole.  Indexed by j it gives the
     pass of trial j (views of its arrays, no new work), whose ``projector``
-    is ``stack[j]``; that pass serves ``q``.
+    is ``stack[j]``.  ``q`` of a stacked pass, or of the passes of several
+    projectors joined by :meth:`stacked`, is one Q and FD count per slice.
     """
 
     def __init__(self, projector):
-        self.projector = projector
+        self.projector, self.space = projector, projector.space
         self.p = p = projector.matrix()
         self.fd_pairs = 0
         m = projector.space.m
@@ -314,20 +317,38 @@ class ChainPass:
         part.projector = self.projector[j]
         return part
 
+    @classmethod
+    def stacked(cls, passes):
+        """The passes of projectors of one space stacked for ``q``; no projector."""
+        part = object.__new__(cls)
+        part.projector, part.space = None, passes[0].space
+        part.fd_pairs = np.zeros(len(passes), dtype=int)
+        names = ("t", "det", "delta") if part.space.n == 1 else ("kernels", "chains")
+        for name in ("p", "constraint", *names):
+            setattr(part, name, np.array([getattr(c, name) for c in passes]))
+        return part
+
     @functools.cached_property
     def roots(self):
-        if self.projector.space.n == 1:
+        if self.space.n == 1:
             return np.stack(invariant_roots(self.t, self.delta), axis=-1)
         return chain_roots(self.chains)
 
     def q(self, w_sq, w_abs, tol=DEFAULT):
-        """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs."""
-        if self.projector.space.n > 1:
+        """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs.
+
+        A stacked pass gives one Q per slice, and ``w_abs`` may then be a 1-D
+        array, one weight per slice.
+        """
+        n = self.space.n
+        if isinstance(w_abs, np.ndarray):
+            w_abs = w_abs.reshape((-1,) + (1,) * (2 if n == 1 else 4))
+        if n > 1:
             msq, mabs, bad = _gradient(self.chains, tol)
-            self.fd_pairs = int(np.count_nonzero(bad))
+            self.fd_pairs = np.count_nonzero(bad, axis=(-2, -1))
             return blocks_to_matrix(q_blocks(self.kernels, w_sq * msq + w_abs * mabs))
         t, delta = self.t, self.delta
-        m, s2 = len(t), self.projector.space.block_signs
+        m, s2 = t.shape[-1], self.space.block_signs
         disc = 0.25 * t * t - delta
         half_gap = np.sqrt(np.abs(disc))  # |lam_+ - lam_-| / 2
         big = np.where(disc < 0.0, np.sqrt(np.abs(delta)), 0.5 * np.abs(t) + half_gap)
@@ -340,11 +361,11 @@ class ChainPass:
                    + real * (2.0 * w_abs * np.sign(delta) - 2.0 * (w_sq + w_abs)))
         # Q(x,y) = [(L_t,xy + L_t,yx) K_xy + (L_d,xy + L_d,yx) det K_xy adj K_yx]/4;
         # block (x,y) of S P^T S with rows and columns swapped in pairs is adj K_yx
-        p = self.p.reshape(m, 2, m, 2)
-        adj = s2[:, None, None] * p.transpose(2, 3, 0, 1)[:, ::-1, :, ::-1] * s2
-        lt = 0.25 * (l_t + l_t.T)
-        ld = 0.25 * (l_delta + l_delta.T) * self.det
-        return (lt[:, None, :, None] * p + ld[:, None, :, None] * adj).reshape(2 * m, 2 * m)
+        p = self.p.reshape(t.shape[:-2] + (m, 2, m, 2))
+        adj = s2[:, None, None] * p.swapaxes(-4, -2).swapaxes(-3, -1)[..., ::-1, :, ::-1] * s2
+        lt = 0.25 * (l_t + l_t.swapaxes(-1, -2))
+        ld = 0.25 * (l_delta + l_delta.swapaxes(-1, -2)) * self.det
+        return (lt[..., None, :, None] * p + ld[..., None, :, None] * adj).reshape(self.p.shape)
 
 
 def _pass_of(source):
@@ -473,16 +494,16 @@ def lagrangian_gradient(a, mu, tol=DEFAULT):
 
 
 def q_blocks(kernels, mgrad):
-    """Q(x,y) = (M[A_xy] P(x,y) + P(x,y) M[A_yx]) / 4 for all ordered pairs."""
-    left = np.einsum("xyij,xyjk->xyik", mgrad, kernels)
-    right = np.einsum("xyij,yxjk->xyik", kernels, mgrad)
+    """Q(x,y) = (M[A_xy] P(x,y) + P(x,y) M[A_yx]) / 4 for all ordered pairs (x,y) and slices."""
+    left = np.einsum("...xyij,...xyjk->...xyik", mgrad, kernels)
+    right = np.einsum("...xyij,...yxjk->...xyik", kernels, mgrad)
     return 0.25 * (left + right)
 
 
 def blocks_to_matrix(blocks):
-    """Reassemble (m, m, d, d) point blocks into the full (md, md) operator."""
-    m, _, d, _ = blocks.shape
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(m * d, m * d))
+    """Reassemble (..., m, m, d, d) point blocks into the full (..., md, md) operators."""
+    *lead, m, _, d, _ = blocks.shape
+    return np.ascontiguousarray(blocks.swapaxes(-3, -2).reshape(*lead, m * d, m * d))
 
 
 def q_kernel(projector, mu, tol=DEFAULT):
@@ -541,24 +562,30 @@ def first_variation(commutator, b):
 
 
 class TrialStack:
-    """The projectors exp(i eta B) P exp(-i eta B) for a 1-D array of steps eta.
+    """The projectors exp(i eta B) P exp(-i eta B) for the steps eta of one or more searches.
 
-    One ``scipy.linalg.expm`` call on the (k, md, md) stack of generators
-    (it runs its one-matrix algorithm on every slice) and one batched product
-    with the image basis give the (k, md, f) stack ``bases``, and one batched
-    product the read-only (k, md, md) stack ``dense`` of dense matrices that
-    ``matrix()`` returns, so the :class:`ChainPass` of the stack is one
-    stacked pass.  ``stack[j]`` makes trial j a validated
-    :class:`~dstlab.core.FermionicProjector` of its basis ``bases[j]``.
+    ``moves`` holds (P, B, 1-D steps) per search, all of one space.  One
+    ``scipy.linalg.expm`` call on the (k, md, md) stack of all generators
+    (it runs its one-matrix algorithm on every slice) and one batched
+    product with the image bases (one search's own, else one per trial) give
+    the (k, md, f) stack ``bases``, and one batched product the read-only
+    (k, md, md) stack ``dense`` that ``matrix()`` returns, so the
+    :class:`ChainPass` of the stack is one stacked pass.  ``stack[j]`` makes
+    trial j a validated :class:`~dstlab.core.FermionicProjector`.
     """
 
-    def __init__(self, projector, b, etas):
+    def __init__(self, moves):
         # scipy.linalg loads at its first use, so importing dstlab.cli does not pay for it
         import scipy.linalg
 
-        self.space, self.tol = projector.space, projector.tol
-        generators = np.multiply.outer([1j * eta for eta in etas], b)
-        self.bases = scipy.linalg.expm(generators) @ projector.basis
+        self.space, self.tol = moves[0][0].space, moves[0][0].tol
+        generators = [np.multiply.outer([1j * eta for eta in etas], b) for _, b, etas in moves]
+        if len(moves) == 1:
+            generators, bases = generators[0], moves[0][0].basis
+        else:
+            generators = np.concatenate(generators)
+            bases = np.array([proj.basis for proj, _, etas in moves for _ in etas])
+        self.bases = scipy.linalg.expm(generators) @ bases
         self.dense = projector_matrix(self.space, self.bases)
         self.dense.flags.writeable = False
 
@@ -575,9 +602,8 @@ def transported(projector, b, eta):
     A 1-D array of steps gives their :class:`TrialStack`; one step is its
     one-trial case.
     """
-    if np.ndim(eta):
-        return TrialStack(projector, b, eta)
-    return TrialStack(projector, b, [eta])[0]
+    stack = TrialStack([(projector, b, eta if np.ndim(eta) else [eta])])
+    return stack if np.ndim(eta) else stack[0]
 
 
 def orbit_derivative_fd(projector, mu, b, step=1e-6):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -61,7 +62,7 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # config schemas
 
-_SEED_ARRAY = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+_SEED_ARRAY = {"type": "array", "uniqueItems": True, "items": {"type": "integer", "minimum": 0}}
 
 _TOLERANCE_BLOCK = {
     "type": "object",
@@ -748,9 +749,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process: reproduce plans and benchmark passes call main repeatedly
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.subcommand == "reproduce":
             return _run_reproduce(args)

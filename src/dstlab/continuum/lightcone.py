@@ -25,6 +25,7 @@ basis (cone-supported products, powers of logs) raises UnimplementedProduct.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import sympy
@@ -203,7 +204,14 @@ def _symbol_substitutions(values):
         if name not in lookup:
             raise ValueError(f"unknown coefficient name {name!r}")
         if isinstance(value, (list, tuple)):
-            if int(value[1]) == 0:
+            if len(value) != 2 or not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
+            ):
+                raise ValueError(
+                    f"coefficient {name} needs a [numerator, denominator] pair of "
+                    f"integers, got {value!r}"
+                )
+            if value[1] == 0:
                 raise ValueError(f"coefficient {name} has denominator 0")
             value = sympy.Rational(int(value[0]), int(value[1]))
         else:

@@ -16,11 +16,16 @@ last accepted move -eta K/||K|| and y the change in K since, the step along
 the unit direction is ||s||^2/Re<s,y> ||K||, capped at MAX_STEP.  Where
 Re<s,y> <= 0 (no positive curvature seen) the last step grows by STEP_GROW.
 The backtracking steps eta, eta STEP_SHRINK, ... are known before any of them
-is evaluated, so the search evaluates them in batches of 1, 2, 4, ... trials,
-each batch one stacked orbit step and one stacked chain pass
-(``dstlab.action.TrialStack``), and accepts the first step in order that
-passes Armijo: the iterates are bit for bit those of a search that tries one
-step at a time.
+is evaluated, so the search evaluates them in batches of 1, 2, 4, ... trials
+and accepts the first step in order that passes Armijo: the iterates are bit
+for bit those of a search that tries one step at a time.
+
+The seeds of a solve descend in lockstep: each seed is a generator that asks
+for its gradients and trial batches, and one loop (``_lockstep``) evaluates
+the batches of all live seeds as one stacked orbit step and chain pass
+(``TrialStack``) valued with per-trial (mu, kappa, nu, w), and their
+gradients as one stacked Q and commutator, each slice bit for bit its
+one-seed evaluation.  Step control, exits, norms and multipliers stay per seed.
 
 Both modes descend one objective, F = S_mu + nu (T-kappa) + w (T-kappa)^2,
 whose gradient operator is the auxiliary Q at the effective weight
@@ -42,13 +47,14 @@ by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
 check reads the Gram deviation each projector measured at construction
 (``FermionicProjector.gram_dev``).  The iterate is a chain pass
 (``dstlab.action.ChainPass``): the descent takes the start's pass, moves to
-the accepted trial's slice of its batch's stacked pass, and returns the last
-pass.  A pass holds its own constraint value T, so the objective's value and
-gradient both read T - kappa off it, in either order: the gradient at the
-accepted trial makes no chain pass of its own and the commutator reuses the
-dense P the pass read.  Only the accepted trial of a batch becomes a
-validated projector; a renormalized iterate gets one pass of its own, and the
-multiplier update, the next round and the seed's record read the last pass.
+the accepted trial's slice of the stacked pass of its round, and returns the
+last pass.  A pass holds its own constraint value T, so the objective's value
+and gradient both read T - kappa off it, in either order: the gradient makes
+no chain pass of its own, only a stacked copy of the seeds' passes when
+several seeds ask together, and the commutator reuses the dense P the pass
+read.  Only the accepted trial of a batch becomes a validated projector; a
+renormalized iterate gets one pass of its own, and the multiplier update, the
+next round and the seed's record read the last pass.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
@@ -64,8 +70,9 @@ import numpy as np
 
 from .action import (
     ChainPass,
-    # action and constraint_value are unused here; perfbench/tracing.py wraps
-    # them as dstlab.solver.action and dstlab.solver.constraint_value
+    TrialStack,
+    # action, constraint_value and transported are unused here;
+    # perfbench/tracing.py wraps them as attributes of dstlab.solver
     action,
     action_and_constraint,
     constraint_q_kernel,
@@ -129,6 +136,8 @@ class SolverConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError("a solve needs a nonempty seed list")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"repeated seed in {list(self.seeds)}")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
 
@@ -148,9 +157,9 @@ class SolverResult:
     traces: dict  # seed -> list of per-round objective traces
 
 
-def _check_slope(chains, value, b, slope, tol):
+def _check_slope(chains, objective, b, slope, tol):
     h = tol.fd_step
-    plus, minus = value(ChainPass(transported(chains.projector, b, [h, -h])))
+    (plus, minus), _ = yield objective, chains.projector, b, [h, -h]
     fd = (plus - minus) / (2.0 * h)
     rel = abs(fd - slope) / max(abs(fd), abs(slope))
     if rel > tol.grad_check:
@@ -160,15 +169,14 @@ def _check_slope(chains, value, b, slope, tol):
         )
 
 
-def _backtrack(chains, value, b, step, current, slope):
+def _backtrack(chains, objective, b, step, current, slope):
     """Armijo backtracking from ``step`` along B, in batches of 1, 2, 4, ... trials.
 
     The steps are step, step STEP_SHRINK, ... down to ``MIN_STEP``; each
-    batch is one stacked orbit step and one ``value`` call on its stacked
-    chain pass.  Returns (trial, value, step, examined) for the first step in
-    order that passes Armijo, with ``trial`` its slice of the stacked pass and
-    ``examined`` the steps the rule looked at up to it, or (None, current,
-    step, examined) when none passes.
+    batch is one trials request (:func:`_lockstep`).  Returns (trial,
+    value, step, examined) for the first step in order that passes Armijo,
+    with ``trial`` its pass and ``examined`` the steps the rule looked at up
+    to it, or (None, current, step, examined) when none passes.
     """
     examined, size = 0, 1
     while step >= MIN_STEP:
@@ -176,21 +184,20 @@ def _backtrack(chains, value, b, step, current, slope):
         while len(etas) < size and step >= MIN_STEP:
             etas.append(step)
             step *= STEP_SHRINK
-        batch = ChainPass(transported(chains.projector, b, etas))
-        values = value(batch)
+        values, trial = yield objective, chains.projector, b, etas
         for j, eta in enumerate(etas):
             examined += 1
             if values[j] <= current + ARMIJO * eta * slope:
-                return batch[j], float(values[j]), eta, examined
+                return trial(j), float(values[j]), eta, examined
         size *= 2
     return None, current, step, examined
 
 
-def _descend(chains, value, qmat, cfg, tol, check_first=False):
-    """Backtracking descent of one scalar objective from the pass of one start.
+def _descend(chains, objective, cfg, tol, check_first=False):
+    """Backtracking descent of one ``_Objective`` from the pass of one start.
 
-    The iterate is a ``ChainPass``; ``value`` and ``qmat`` take one, in any
-    order, and neither writes onto it.  The first iterate tries
+    A seed generator (:func:`_lockstep`).  The iterate is a ``ChainPass``,
+    which no evaluation writes onto.  The first iterate tries
     ``INITIAL_STEP``; every later one first tries the BB1 step
     min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
@@ -213,16 +220,14 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
         # ([P, Q], 4 ||[P, Q]||_F), the norm by np.linalg.norm's own arithmetic
         # without its dispatch, which costs more than the sums on small dims
         nonlocal fd_pairs
-        q = qmat(chains)
-        fd_pairs += chains.fd_pairs
-        pm = chains.p
-        comm = pm @ q - q @ pm
+        comm, fd = yield objective, chains
+        fd_pairs += int(fd)
         flat = comm.ravel()
         return comm, 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
     signs = chains.projector.space.signs
     neg_signs = -signs[:, None]
-    current = value(chains)
+    current = objective.value(chains)
     trace = [current]
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
@@ -233,7 +238,7 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
         if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
             break
-        (comm, grad_norm), graded = gradient(chains), chains
+        (comm, grad_norm), graded = (yield from gradient(chains)), chains
         if grad_norm <= cfg.residual_tol:
             exit_reason = "converged"
             break
@@ -255,9 +260,10 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
             step = min(step, MAX_STEP)
         slope = first_variation(comm, b)
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
-            _check_slope(chains, value, b, slope, tol)
+            yield from _check_slope(chains, objective, b, slope, tol)
             check_first = False
-        trial, current, step, examined = _backtrack(chains, value, b, step, current, slope)
+        trial, current, step, examined = yield from _backtrack(
+            chains, objective, b, step, current, slope)
         trials += examined
         if trial is None:
             exit_reason = "line_search_floor"  # keep the best iterate
@@ -278,7 +284,7 @@ def _descend(chains, value, qmat, cfg, tol, check_first=False):
             renormalizations += 1
     if graded is not chains:
         # the loop ended on an iterate it has not differentiated yet
-        grad_norm = gradient(chains)[1]
+        grad_norm = (yield from gradient(chains))[1]
     if chains.projector.gram_dev > 1e-14:
         chains = ChainPass(chains.projector.renormalized())
         renormalizations += 1
@@ -306,7 +312,8 @@ class _Objective:
     methods take a ``ChainPass`` and read d off its ``constraint``.  ``value``
     returns F, one value per trial of a stacked pass.  ``qmat`` is the
     auxiliary Q at the effective weight mu - nu - 2 w d and makes no pass of
-    its own.
+    its own.  Its parameters may be arrays, one (mu, kappa, nu, w) per slice
+    of a stacked pass.
     """
 
     def __init__(self, tol, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
@@ -322,12 +329,71 @@ class _Objective:
         return q_kernel(chains, self.mu - self.nu - 2.0 * self.w * d, self.tol)
 
 
-def _solve_seed(start, cfg, tol):
-    """One descent at fixed mu, or the penalty rounds of constrained mode.
+def _evaluate(requests):
+    """The replies to requests of one kind (:func:`_lockstep`), in order.
 
-    One objective serves every round of the seed; between penalty rounds nu
-    takes the first-order multiplier update and w grows.  The multiplier is
-    mu in auxiliary mode and -nu in constrained mode; the iterations, Armijo
+    One request is evaluated alone, with nothing stacked.  Several share one
+    new ``_Objective`` with every slice's (mu, kappa, nu, w), so an objective
+    counts only through these, and one evaluation: their gradients one
+    stacked pass, Q and commutator, their trials one ``TrialStack``, stacked
+    pass and value call.
+    """
+    if len(requests) == 1:
+        objective, *request = requests[0]
+        if len(request) == 1:
+            q = objective.qmat(request[0])
+            return [(request[0].p @ q - q @ request[0].p, request[0].fd_pairs)]
+        batch = ChainPass(TrialStack([request]))
+        return [(objective.value(batch), batch.__getitem__)]
+    sizes = [len(request[3]) if len(request) == 4 else 1 for request in requests]
+    params = [(request[0].mu, request[0].kappa, request[0].nu, request[0].w)
+              for request, size in zip(requests, sizes) for _ in range(size)]
+    objective = _Objective(requests[0][0].tol, *np.array(params).T)
+    if len(requests[0]) == 2:
+        chains = ChainPass.stacked([request[1] for request in requests])
+        q = objective.qmat(chains)
+        return list(zip(chains.p @ q - q @ chains.p, chains.fd_pairs))
+    batch = ChainPass(TrialStack([request[1:] for request in requests]))
+    values = objective.value(batch)
+    starts = np.cumsum([0, *sizes]).tolist()
+    return [(values[o:o + c], lambda j, o=o: batch[o + j]) for o, c in zip(starts, sizes)]
+
+
+def _lockstep(solves):
+    """Run the seed generators ``solves`` together; returns their results in order.
+
+    A seed yields requests and is sent replies: (objective, pass) asks for
+    [P, Q] at the pass and its FD pair count, (objective, projector, B,
+    steps) for the trials' values and a function giving trial j's pass.  Each
+    round evaluates the gradient requests of all live seeds, or, when none is
+    left, their trial requests, and replies in seed order, so the seeds'
+    trials meet in one stack; a round with one live seed stacks nothing.  An
+    exception ends the run: of the seeds raising in its earliest round, the
+    first does.
+    """
+    results = [None] * len(solves)
+    live = [[i, gen, None] for i, gen in enumerate(solves)]  # [index, generator, request]
+    group, replies = live, [None] * len(live)
+    while True:
+        for seed, reply in zip(group, replies):
+            try:
+                seed[2] = seed[1].send(reply)
+            except StopIteration as stop:
+                results[seed[0]] = stop.value
+                live = [other for other in live if other is not seed]
+        if not live:
+            return results
+        group = [seed for seed in live if len(seed[2]) == 2] or live  # gradients first
+        replies = _evaluate([seed[2] for seed in group])
+
+
+def _solve_seed(start, cfg, tol):
+    """One seed's descent at fixed mu, or its penalty rounds in constrained mode.
+
+    A seed generator (:func:`_lockstep`) that returns (record, traces).  One
+    objective serves every round; between penalty rounds nu takes the
+    first-order multiplier update and w grows.  The multiplier is mu in
+    auxiliary mode and -nu in constrained mode; the iterations, Armijo
     trials, renormalizations and FD pairs are summed over the rounds, whose
     traces are returned apart.  A round that cannot bring T to kappa settles
     where (T - kappa)^2 is stationary, so the record's constraint and last
@@ -341,8 +407,7 @@ def _solve_seed(start, cfg, tol):
     traces = []
     counts = dict.fromkeys(("iterations", "armijo_trials", "renormalizations", "fd_pairs"), 0)
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
-        out = _descend(chains, objective.value, objective.qmat, cfg, tol,
-                       check_first=round_idx == 0)
+        out = yield from _descend(chains, objective, cfg, tol, check_first=round_idx == 0)
         chains, status = out["chains"], out["status"]
         traces.append(out["trace"])
         for key in counts:
@@ -384,15 +449,16 @@ def minimize(space, f, config=None, tol=DEFAULT):
     those, the seeds whose action is within 1e-12 (1 + |S_min|) of the
     lowest S_min tie, so seeds that reach one symmetric minimizer tie
     whatever their rounding; the first converged tied seed in seed order is
-    the best, else the first tied seed.
+    the best, else the first tied seed.  The seeds descend in lockstep, each
+    record and trace bit for bit that of a solve of its seed alone.  An
+    exception in a seed ends the solve; when several seeds would raise, the
+    first in seed order at the earliest step does.
     """
     cfg = config or SolverConfig()
-    per_seed = []
-    traces = {}
-    for seed in cfg.seeds:
-        start = random_projector(space, f, seed, cfg.boost_scale, tol)
-        record, traces[seed] = _solve_seed(start, cfg, tol)
-        per_seed.append({"seed": seed, **record})
+    starts = [random_projector(space, f, seed, cfg.boost_scale, tol) for seed in cfg.seeds]
+    solved = _lockstep([_solve_seed(start, cfg, tol) for start in starts])
+    per_seed = [{"seed": seed, **record} for seed, (record, _) in zip(cfg.seeds, solved)]
+    traces = {seed: rounds for seed, (_, rounds) in zip(cfg.seeds, solved)}
 
     def missed(rec):
         return (cfg.mode == "constrained"

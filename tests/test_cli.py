@@ -82,6 +82,23 @@ def test_missing_or_unparsable_config(tmp_path):
     assert main(["minimize", "--config", str(bad)]) == 2
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["reproduce", "--figure", "fig9", "--out", str(tmp_path / "o")]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_unknown_figure_rejected(tmp_path, capsys):
     rc = main(["reproduce", "--figure", "fig9", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -276,6 +293,19 @@ def test_negative_seed_list_override_fails_validation(tmp_path, capsys):
     )
     assert rc == 2
     assert "config invalid at seeds/0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_seed_list_override_fails_validation(tmp_path, capsys):
+    # the solver keys each seed's traces by its seed, so a repeated seed is invalid
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "minimize", "params": {"n": 1, "f": 2, "m": 3}, "seeds": [0]},
+    )
+    out = tmp_path / "out"
+    rc = main(["minimize", "--config", cfg, "--out", str(out), "--seed-list", "0", "0"])
+    assert rc == 2
+    assert "config invalid at seeds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -90,6 +90,15 @@ def test_zero_denominator_is_rejected():
         standard_expansion({"C0": [1, 2], "C1": [3, 0]})
 
 
+@pytest.mark.parametrize("pair", [(1.5, 2), [1, 2.0], (True, 2), [1, False], (1, 2, 3), (1,)],
+                         ids=["float_numerator", "float_denominator", "bool_numerator",
+                              "bool_denominator", "three_entries", "one_entry"])
+def test_non_integer_pair_is_rejected(pair):
+    # int() would truncate 1.5 to 1 and give C1 = 1/2 without a word
+    with pytest.raises(ValueError, match=r"coefficient C1 needs a \[numerator, denominator\]"):
+        standard_expansion({"C1": pair})
+
+
 def test_rational_serialization_round_trip():
     values = {
         "C0": [1, 2],

@@ -31,6 +31,7 @@ from dstlab.solver import (
     InfeasibleKappa,
     SolverConfig,
     _descend,
+    _lockstep,
     _Objective,
     lagrange_multiplier_estimate,
     landscape_scan,
@@ -52,6 +53,12 @@ def test_config_validation():
         pass
     with pytest.raises(ValueError, match="nonempty seed list"):
         SolverConfig(seeds=())
+
+
+def test_config_rejects_a_repeated_seed():
+    # traces are keyed by seed, and a repeated seed would descend the same start twice
+    with pytest.raises(ValueError, match=r"repeated seed in \[0, 1, 0\]"):
+        SolverConfig(seeds=(0, 1, 0))
 
 
 @pytest.mark.parametrize(
@@ -159,6 +166,24 @@ def test_descent_reads_the_stored_gram_drift(monkeypatch, cfg):
     assert res.projector.gram_dev <= 1e-14
 
 
+def _run(descent):
+    """What one seed's generator returns when it runs alone."""
+    return _lockstep([descent])[0]
+
+
+def _negate(monkeypatch, value=False):
+    """Negate Q of every ``_Objective``, so its descent direction climbs; with
+    ``value``, negate F too, so a descent climbs F.
+
+    The patch is on the class: a lone seed's objective and the one objective
+    several seeds share in a stacked evaluation both take it.
+    """
+    qmat, val = _Objective.qmat, _Objective.value
+    monkeypatch.setattr(_Objective, "qmat", lambda self, chains: -qmat(self, chains))
+    if value:
+        monkeypatch.setattr(_Objective, "value", lambda self, chains: -val(self, chains))
+
+
 @pytest.mark.parametrize(
     "settings, constants, flip, reason, iterations",
     [
@@ -174,36 +199,43 @@ def test_descent_reports_why_it_stopped(
 ):
     for name, value in constants.items():
         monkeypatch.setattr(dstlab.solver, name, value)
-    objective = _Objective(DEFAULT, 0.5)
-    value, qmat = objective.value, objective.qmat
-    sign = -1.0 if flip else 1.0
-    out = _descend(
-        ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0)),
-        value,
-        lambda p: sign * qmat(p),
-        SolverConfig(mu=0.5, **settings),
-        DEFAULT,
-    )
-    assert out["exit_reason"] == reason
-    assert out["status"] == "max_iterations"
-    assert out["iterations"] == iterations == len(out["trace"]) - 1
+    if flip:
+        _negate(monkeypatch)
+    # alone, and with a second seed whose requests share its evaluations
+    for seeds in ((0,), (0, 1)):
+        for out in _lockstep([_descend(
+            ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed)),
+            _Objective(DEFAULT, 0.5),
+            SolverConfig(mu=0.5, **settings),
+            DEFAULT,
+        ) for seed in seeds]):
+            assert out["exit_reason"] == reason
+            assert out["status"] == "max_iterations"
+            assert out["iterations"] == iterations == len(out["trace"]) - 1
 
 
 def _spy_batches(monkeypatch):
-    """Record (projector, steps, TrialStack) of every stacked orbit step the solver makes."""
+    """Record (projector, steps, TrialStack, offset) of every search's batch.
+
+    A stacked orbit step holds the batches of one or more searches, each at
+    its offset in the stack.
+    """
     batches = []
-    transported = dstlab.solver.transported
+    init = TrialStack.__init__
 
-    def spy(proj, b, etas):
-        batches.append((proj, list(etas), transported(proj, b, etas)))
-        return batches[-1][2]
+    def spy(self, moves):
+        init(self, moves)
+        offset = 0
+        for proj, _, etas in moves:
+            batches.append((proj, list(etas), self, offset))
+            offset += len(etas)
 
-    monkeypatch.setattr(dstlab.solver, "transported", spy)
+    monkeypatch.setattr(TrialStack, "__init__", spy)
     return batches
 
 
 def _spy_accepted(monkeypatch):
-    """{id(stack): j} of the first trial each TrialStack made a projector of.
+    """A function of a batch that gives the first of its trials made a projector, or None.
 
     The line search makes a projector of the trial it accepts and of no other.
     """
@@ -211,29 +243,41 @@ def _spy_accepted(monkeypatch):
     getitem = TrialStack.__getitem__
 
     def spy(self, j):
-        taken.setdefault(id(self), j)
+        taken.setdefault(id(self), []).append(j)
         return getitem(self, j)
 
+    def accepted(proj, etas, stack, offset):
+        mine = [j - offset for j in taken.get(id(stack), []) if 0 <= j - offset < len(etas)]
+        return mine[0] if mine else None
+
     monkeypatch.setattr(TrialStack, "__getitem__", spy)
-    return taken
+    return accepted
 
 
-def _first_trials(monkeypatch, value, qmat, start, max_iter):
-    """Descend from the pass ``start`` with spies on ``transported``, the trials and ``qmat``.
+def _examined(accepted, batch):
+    """The steps of a batch the Armijo rule examined: all, when it accepted none."""
+    j = accepted(*batch)
+    return len(batch[1]) if j is None else j + 1
+
+
+def _first_trials(monkeypatch, objective, start, max_iter):
+    """Descend from the pass ``start`` with spies on the trial stacks and ``_Objective.qmat``.
 
     For every iterate after the first, returns (Re<s, y>, the step rule's
-    first trial, the first step of the first batch ``transported`` received),
+    first trial, the first step of the first batch made from it),
     with s the last accepted move -eta k in Hermitian coordinates and y the
     change in the Hermitian gradient K = 4i [P,Q] S, both recomputed from the
     iterates.
     """
-    batches, taken, iterates = _spy_batches(monkeypatch), _spy_accepted(monkeypatch), []
+    batches, accepted, iterates = _spy_batches(monkeypatch), _spy_accepted(monkeypatch), []
+    qmat = _Objective.qmat
 
-    def spy_qmat(chains):
-        iterates.append((chains.projector, qmat(chains)))
+    def spy_qmat(self, chains):
+        iterates.append((chains.projector, qmat(self, chains)))
         return iterates[-1][1]
 
-    out = _descend(start, value, spy_qmat, SolverConfig(max_iter=max_iter), DEFAULT)
+    monkeypatch.setattr(_Objective, "qmat", spy_qmat)
+    out = _run(_descend(start, objective, SolverConfig(max_iter=max_iter), DEFAULT))
     assert np.all(np.diff(out["trace"]) <= 0.0)  # monotone descent
     grads = []
     for p, q in iterates:
@@ -242,12 +286,13 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
         grads.append(0.5 * (k + k.conj().T))
     rows = []
     for i in range(1, len(iterates)):
-        _, etas, stack = [t for t in batches if t[0] is iterates[i - 1][0]][-1]
-        j = taken[id(stack)]
+        batch = [t for t in batches if t[0] is iterates[i - 1][0]][-1]
+        _, etas, stack, offset = batch
+        j = accepted(*batch)
         # no renormalization in between
-        assert np.array_equal(stack.bases[j], iterates[i][0].basis)
+        assert np.array_equal(stack.bases[offset + j], iterates[i][0].basis)
         eta = etas[j]
-        first = [e[0] for p, e, _ in batches if p is iterates[i][0]][:1]
+        first = [e[0] for p, e, _, _ in batches if p is iterates[i][0]][:1]
         if not first:
             break  # converged at this iterate
         s = -eta * grads[i - 1] / np.linalg.norm(grads[i - 1])
@@ -262,9 +307,8 @@ def _first_trials(monkeypatch, value, qmat, start, max_iter):
 
 
 def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
-    objective = _Objective(DEFAULT, 0.5)
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2))
-    out, rows = _first_trials(monkeypatch, objective.value, objective.qmat, start, 40)
+    out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.5), start, 40)
     assert out["iterations"] == 40 and len(rows) == 39
     for sy, rule, first in rows:
         assert sy > 0.0
@@ -274,10 +318,9 @@ def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
 def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch):
     # climbing S (value -S, qmat -Q) meets only Re<s, y> <= 0 before its
     # divergence floor: each first trial is the last step times STEP_GROW
-    objective = _Objective(DEFAULT, 0.5)
+    _negate(monkeypatch, value=True)
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
-    out, rows = _first_trials(monkeypatch, lambda p: -objective.value(p),
-                              lambda p: -objective.qmat(p), start, 20)
+    out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.5), start, 20)
     assert out["exit_reason"] == "divergence" and len(rows) >= 2
     for sy, rule, first in rows:
         assert sy <= 0.0
@@ -290,37 +333,48 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
 
 def test_first_trial_switches_rules_with_the_sign_of_the_curvature(monkeypatch):
     # beyond the critical weight the descent meets both signs of Re<s, y>
-    objective = _Objective(DEFAULT, 0.7)
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
-    out, rows = _first_trials(monkeypatch, objective.value, objective.qmat, start, 20)
+    out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.7), start, 20)
     assert out["exit_reason"] == "divergence"
     assert {sy > 0.0 for sy, _, _ in rows} == {True, False}
     for sy, rule, first in rows:
         assert first == pytest.approx(rule, rel=1e-12)
 
 
-@pytest.mark.parametrize("scale, fails", [(1.0, False), (2.0, True)],
-                         ids=["true_q", "mis_scaled_q"])
-def test_first_iterate_derivative_check(scale, fails):
+@pytest.mark.parametrize("scale, seeds", [(1.0, (0,)), (2.0, (0,)), (1.0, (0, 1)),
+                                          (2.0, (0, 1)), (2.0, (1, 0))],
+                         ids=["true_q", "mis_scaled_q", "true_q_two_seeds",
+                              "mis_scaled_q_two_seeds", "mis_scaled_q_two_seeds_reversed"])
+def test_first_iterate_derivative_check(monkeypatch, scale, seeds):
     # a Q scaled by 2 doubles the analytic slope along the same direction,
-    # which the central difference of the value then contradicts
-    objective = _Objective(DEFAULT, 0.5)
+    # which the central difference of the value then contradicts.  Seeds that
+    # descend together fail at the same step, and the first in seed order
+    # raises its own error
+    q_kernel = dstlab.solver.q_kernel
+    monkeypatch.setattr(dstlab.solver, "q_kernel",
+                        lambda chains, mu, tol: scale * q_kernel(chains, mu, tol))
 
-    def descend():
-        return _descend(
-            ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0)),
-            objective.value,
-            lambda p: scale * objective.qmat(p),
+    def descend(seeds):
+        return _lockstep([_descend(
+            ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed)),
+            _Objective(DEFAULT, 0.5),
             SolverConfig(mu=0.5, max_iter=2),
             DEFAULT,
             check_first=True,
-        )
+        ) for seed in seeds])
 
-    if fails:
-        with pytest.raises(RuntimeError, match="first-iterate derivative check failed"):
-            descend()
-    else:
-        assert descend()["iterations"] == 2
+    if scale == 1.0:
+        assert [out["iterations"] for out in descend(seeds)] == [2] * len(seeds)
+        return
+
+    def error(group):
+        with pytest.raises(RuntimeError, match="first-iterate derivative check failed") as err:
+            descend(group)
+        return str(err.value)
+
+    assert error(seeds) == error(seeds[:1])
+    if len(seeds) > 1:
+        assert error(seeds[1:]) != error(seeds[:1])
 
 
 def test_constrained_seed_sums_iterations_over_rounds(monkeypatch):
@@ -472,11 +526,12 @@ def test_landscape_scan_of_triangle_family():
 
 @pytest.mark.parametrize("gram", [DEFAULT.gram, 1e-16], ids=["default", "tight_gram"])
 def test_per_seed_counts_armijo_trials_and_renormalizations(monkeypatch, gram):
-    # the line search examines the steps of each stacked transported call up
-    # to the trial it accepts, the only one it makes a projector of (all of
-    # them when it accepts none); the first-iterate derivative check of each
-    # seed adds a batch of two
-    batches, taken, renormalized = _spy_batches(monkeypatch), _spy_accepted(monkeypatch), []
+    # the line search examines the steps of each of its batches up to the
+    # trial it accepts, the only one it makes a projector of (all of them
+    # when it accepts none), whether or not the batch shares its stack with
+    # other seeds'; the first-iterate derivative check of each seed adds a
+    # batch of two
+    batches, accepted, renormalized = _spy_batches(monkeypatch), _spy_accepted(monkeypatch), []
     original = FermionicProjector.renormalized
 
     def counted_renormalized(self):
@@ -486,7 +541,9 @@ def test_per_seed_counts_armijo_trials_and_renormalizations(monkeypatch, gram):
     monkeypatch.setattr(FermionicProjector, "renormalized", counted_renormalized)
     cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=(0, 1), max_iter=3)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg, DEFAULT.with_(gram=gram))
-    examined = sum(taken.get(id(stack), len(etas) - 1) + 1 for _, etas, stack in batches)
+    # the two seeds descend together, so their batches share stacks
+    assert len({id(stack) for _, _, stack, _ in batches}) < len(batches)
+    examined = sum(_examined(accepted, batch) for batch in batches)
     assert sum(r["armijo_trials"] for r in res.per_seed) == examined - 2 * 2
     assert sum(r["renormalizations"] for r in res.per_seed) == len(renormalized)
     for rec in res.per_seed:
@@ -516,40 +573,49 @@ def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
     # one stacked pass; the gradient and the commutator of an accepted
     # iterate make none
     passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
-    built = objective()
-    out = _descend(ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2)),
-                   built.value, built.qmat, SolverConfig(max_iter=25), DEFAULT)
+    out = _run(_descend(ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2)),
+                        objective(), SolverConfig(max_iter=25), DEFAULT))
     assert out["iterations"] > 10 and out["renormalizations"] == 0
     assert len(passes) == 1 + len(batches)
-    assert all(p is stack for p, (_, _, stack) in zip(passes[1:], batches))
+    assert all(p is stack for p, (_, _, stack, _) in zip(passes[1:], batches))
 
 
-@pytest.mark.parametrize("gram", [DEFAULT.gram, 1e-16], ids=["default", "tight_gram"])
-def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(monkeypatch, gram):
-    # the start, every stacked orbit step (line-search batches and the
-    # derivative check) and every renormalized iterate make one pass each; the
-    # next round, the multiplier update and the record read the last pass
+@pytest.mark.parametrize("gram, seeds", [
+    (DEFAULT.gram, (0,)), (1e-16, (0,)), (DEFAULT.gram, (0, 1)), (1e-16, (0, 1)),
+], ids=["default", "tight_gram", "default_two_seeds", "tight_gram_two_seeds"])
+def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(
+    monkeypatch, gram, seeds
+):
+    # each start, every stacked orbit step (line-search batches and the
+    # derivative check, of one seed or of seeds descending together) and
+    # every renormalized iterate make one pass each; the next round, the
+    # multiplier update and the record read the last pass
     monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
     passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
     tol = DEFAULT.with_(gram=gram)
-    start = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
-    record, traces = dstlab.solver._solve_seed(
-        start, SolverConfig(mode="constrained", kappa=KAPPA, max_iter=30), tol)
-    assert len(traces) == 2
-    assert len(passes) == 1 + len(batches) + record["renormalizations"]
+    cfg = SolverConfig(mode="constrained", kappa=KAPPA, max_iter=30)
+    solved = _lockstep([dstlab.solver._solve_seed(
+        random_projector(DiscreteSpacetime(1, 3), 2, seed=seed), cfg, tol) for seed in seeds])
+    renormalizations = sum(record["renormalizations"] for record, _ in solved)
+    stacks = len({id(stack) for _, _, stack, _ in batches})
+    assert len(passes) == len(seeds) + stacks + renormalizations
+    assert (stacks < len(batches)) == (len(seeds) > 1)
     if gram < DEFAULT.gram:
-        assert record["renormalizations"] > 0
+        assert renormalizations > 0
     monkeypatch.undo()
-    assert (record["action"], record["constraint"]) == action_and_constraint(
-        record["projector"], 0.0)
+    for record, traces in solved:
+        assert len(traces) == 2
+        assert (record["action"], record["constraint"]) == action_and_constraint(
+            record["projector"], 0.0)
 
 
-def _sequential_descent(chains, value, qmat, cfg, tol):
+def _sequential_descent(chains, objective, cfg, tol):
     """The descent with one transported, one chain pass and one value call per Armijo trial.
 
     Returns (projector, trace, Armijo trials, exit reason).
     """
     sv = dstlab.solver
+    value, qmat = objective.value, objective.qmat
     signs = chains.projector.space.signs
     current = value(chains)
     trace, step, moved, reason, trials = [current], sv.INITIAL_STEP, None, "max_iterations", 0
@@ -604,14 +670,14 @@ def _second_penalty_round(monkeypatch):
     rounds = []
     descend = dstlab.solver._descend
 
-    def recorded(chains, value, qmat, cfg, tol, check_first=False):
-        rounds.append((chains, value.__self__.nu, value.__self__.w))
-        return descend(chains, value, qmat, cfg, tol, check_first)
+    def recorded(chains, objective, cfg, tol, check_first=False):
+        rounds.append((chains, objective.nu, objective.w))
+        return descend(chains, objective, cfg, tol, check_first)
 
     monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
     monkeypatch.setattr(dstlab.solver, "_descend", recorded)
-    dstlab.solver._solve_seed(random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
-                              SolverConfig(mode="constrained", kappa=KAPPA), DEFAULT)
+    _run(dstlab.solver._solve_seed(random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
+                                   SolverConfig(mode="constrained", kappa=KAPPA), DEFAULT))
     monkeypatch.setattr(dstlab.solver, "_descend", descend)
     return rounds[1]
 
@@ -629,10 +695,8 @@ def test_batched_backtracking_matches_the_sequential_search(monkeypatch, case):
     else:
         start, objective = ChainPass(random_projector(DiscreteSpacetime(2, 3), 3, seed=0)), (0.25,)
         cfg = SolverConfig(max_iter=40)
-    batched = _Objective(DEFAULT, *objective)
-    out = _descend(start, batched.value, batched.qmat, cfg, DEFAULT)
-    single = _Objective(DEFAULT, *objective)
-    proj, trace, trials, reason = _sequential_descent(start, single.value, single.qmat,
+    out = _run(_descend(start, _Objective(DEFAULT, *objective), cfg, DEFAULT))
+    proj, trace, trials, reason = _sequential_descent(start, _Objective(DEFAULT, *objective),
                                                       cfg, DEFAULT)
     assert out["exit_reason"] == reason
     assert (case == "penalty_floor") == (reason == "line_search_floor")
@@ -669,6 +733,26 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
         assert np.array_equal(part.roots, single.roots)
         assert np.array_equal(part.q(1.0, -0.3), single.q(1.0, -0.3))
         assert values[j] == objective.value(single) and part.constraint == single.constraint
+    # the trials of two searches in one stack, valued and differentiated with
+    # one weight per slice over the leading axis, and the passes of single
+    # trials joined by ChainPass.stacked, give each slice its single pass's
+    # S, Q and FD count
+    other = random_projector(start.space, f, seed=3)
+    b_other = random_direction(start.space, seed=4)
+    moves = [(start, b, steps), (other, b_other / np.linalg.norm(b_other), [0.7, 0.35])]
+    both = ChainPass(TrialStack(moves))
+    singles = [ChainPass(transported(p, d, eta)) for p, d, etas in moves for eta in etas]
+    mus = np.linspace(-0.4, 0.6, len(singles))
+    joined = ChainPass.stacked(singles)
+    s_both = action_and_constraint(both, mus)[0]
+    q_both, q_joined = both.q(1.0, -mus), joined.q(1.0, -mus)
+    for j, single in enumerate(singles):
+        assert np.array_equal(both.projector.bases[j], single.projector.basis)
+        assert s_both[j] == action_and_constraint(single, mus[j])[0]
+        q = single.q(1.0, -mus[j])
+        assert np.array_equal(q_both[j], q) and np.array_equal(q_joined[j], q)
+        if n > 1:
+            assert both.fd_pairs[j] == joined.fd_pairs[j] == single.fd_pairs
 
 
 def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
@@ -676,29 +760,29 @@ def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
     # batches of 1, 2, 4, ... of its successive steps, none below MIN_STEP,
     # and at most 2 trials - 1 slices for the trials it examined
     start, nu, w = _second_penalty_round(monkeypatch)
-    batches, taken = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
+    batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
     objective = _Objective(DEFAULT, 0.0, KAPPA, nu, w)
-    out = _descend(start, objective.value, objective.qmat, SolverConfig(), DEFAULT)
+    out = _run(_descend(start, objective, SolverConfig(), DEFAULT))
     assert out["exit_reason"] == "line_search_floor"
     searches = {}
-    for proj, etas, stack in batches:
-        searches.setdefault(id(proj), []).append((etas, stack))
+    for batch in batches:
+        searches.setdefault(id(batch[0]), []).append(batch)
     assert len(searches) == out["iterations"] + 1
     examined = 0
     for groups in searches.values():
-        sizes = [len(etas) for etas, _ in groups]
+        sizes = [len(etas) for _, etas, _, _ in groups]
         assert sizes[:-1] == [2 ** i for i in range(len(groups) - 1)]
         assert 1 <= sizes[-1] <= 2 ** (len(groups) - 1)
-        steps = [eta for etas, _ in groups for eta in etas]
+        steps = [eta for _, etas, _, _ in groups for eta in etas]
         assert min(steps) >= dstlab.solver.MIN_STEP
         assert steps[1:] == [eta * dstlab.solver.STEP_SHRINK for eta in steps[:-1]]
         # every step up to the accepted one, or every step of a floor search
-        trials = sum(sizes[:-1]) + taken.get(id(groups[-1][1]), sizes[-1] - 1) + 1
+        trials = sum(sizes[:-1]) + _examined(accepted, groups[-1])
         assert len(steps) <= 2 * trials - 1
         examined += trials
     assert examined == out["armijo_trials"]
     # the floor search examines every step it evaluates, down to MIN_STEP
-    floor = [eta for etas, _ in list(searches.values())[-1] for eta in etas]
+    floor = [eta for _, etas, _, _ in list(searches.values())[-1] for eta in etas]
     assert floor[-1] * dstlab.solver.STEP_SHRINK < dstlab.solver.MIN_STEP
 
 
@@ -712,9 +796,8 @@ def test_gradient_norm_is_the_returned_projectors(monkeypatch, settings, constan
     for name, value in constants.items():
         monkeypatch.setattr(dstlab.solver, name, value)
     for seed in (0, 1):
-        objective = _Objective(DEFAULT, 0.5)
-        out = _descend(ChainPass(random_projector(DiscreteSpacetime(1, 5), 2, seed=seed)),
-                       objective.value, objective.qmat, SolverConfig(**settings), DEFAULT)
+        out = _run(_descend(ChainPass(random_projector(DiscreteSpacetime(1, 5), 2, seed=seed)),
+                            _Objective(DEFAULT, 0.5), SolverConfig(**settings), DEFAULT))
         assert out["exit_reason"] == reason
         proj = out["chains"].projector
         q, p = q_kernel(proj, 0.5), proj.matrix()
@@ -753,16 +836,43 @@ def test_per_seed_fd_pairs_count_the_collision_fallback(monkeypatch):
     assert [r["fd_pairs"] for r in n1.per_seed] == [0, 0] and fd_calls == []
 
 
+@pytest.mark.parametrize("n, m, f, settings, check", [
+    (1, 4, 2, {"mu": 0.5, "seeds": tuple(range(8))}, None),
+    (1, 3, 2, {"mode": "constrained", "kappa": KAPPA, "seeds": tuple(range(4))}, None),
+    (2, 3, 3, {"mu": 0.25, "seeds": (0, 1), "max_iter": 30},
+     lambda recs: all(r["fd_pairs"] > 0 for r in recs)),
+    (1, 3, 2, {"mu": 0.6, "seeds": tuple(range(8)), "max_iter": 300},
+     lambda recs: len({r["exit_reason"] for r in recs}) > 1
+     and len({r["iterations"] for r in recs}) > 1),
+], ids=["auxiliary_m4", "constrained_m3", "n2_fd_pairs", "exits_at_different_steps"])
+def test_a_multi_seed_solve_equals_its_one_seed_solves(n, m, f, settings, check):
+    # the seeds descend in lockstep, so every record and trace of a solve
+    # over a seed list is bit for bit that of a solve of its seed alone
+    space, cfg = DiscreteSpacetime(n, m), SolverConfig(**settings)
+    together = minimize(space, f, cfg)
+    assert check is None or check(together.per_seed)
+    for rec in together.per_seed:
+        alone = minimize(space, f, replace(cfg, seeds=(rec["seed"],)))
+        assert alone.per_seed == [rec]
+        rounds = together.traces[rec["seed"]]
+        assert len(alone.traces[rec["seed"]]) == len(rounds)
+        assert all(np.array_equal(a, b) for a, b in zip(alone.traces[rec["seed"]], rounds))
+        if rec["seed"] == together.seed:
+            assert np.array_equal(alone.projector.basis, together.projector.basis)
+
+
 def _records_with_actions(monkeypatch, actions, statuses):
     """minimize with seed k's record replaced by (actions[k], statuses[k])."""
     proj = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
 
     def fake(start, cfg, tol):
+        # a seed generator that asks for nothing
         k = fake.calls
         fake.calls += 1
         record = {"projector": proj, "action": actions[k], "constraint": 0.0,
                   "multiplier": cfg.mu, "status": statuses[k],
                   "exit_reason": statuses[k], "iterations": 1, "gradient_norm": 0.0}
+        yield from ()
         return record, [np.array([actions[k]])]
 
     fake.calls = 0
