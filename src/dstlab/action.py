@@ -555,8 +555,10 @@ def el_residual(projector, mu, tol=DEFAULT):
 def first_variation(commutator, b):
     """dS/deta at eta=0 along P(eta) = exp(i eta B) P exp(-i eta B).
 
-    Equals 4i Tr([P,Q] B); real for self-adjoint B (the imaginary part is
-    discarded, it sits at rounding level).
+    The oracle of dS = 4i Tr([P,Q] B) that the tests use; real for
+    self-adjoint B (the imaginary part is discarded, it sits at rounding
+    level).  The descent does not call it: along its unit direction
+    B = -S K/||K|| it is -||K|| (see :mod:`dstlab.solver`).
     """
     return float((4j * (commutator @ np.asarray(b)).trace()).real)
 

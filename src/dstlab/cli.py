@@ -535,6 +535,9 @@ def _run_state_stability(params, seeds, tol, config_dir):
         )
     if table.size == 0:
         raise CliError(EXIT_VALIDATION, f"table {path} has a header but no rows")
+    if not all(np.isfinite(table[name]).all() for name in names):
+        # genfromtxt reads a blank cell as nan
+        raise CliError(EXIT_VALIDATION, f"table {path} has a blank or non-finite cell")
     report = state_stability_check(
         table["qsq"], table["a"], table["b"],
         params["masses"], tol=params.get("tol", 1e-9),
@@ -626,15 +629,21 @@ def _execute(config, tol, config_dir):
         raise CliError(EXIT_NUMERICAL, str(exc))
 
 
+def _reject_constant(token):
+    # json reads NaN, Infinity and -Infinity, which are not JSON, as floats
+    # that every "number" schema admits
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _resolve_tolerances(config, override_path):
     merged = dict(config.get("tolerances", {}))
     if override_path is not None:
         try:
             with open(override_path) as fh:
-                overrides = json.load(fh)
+                overrides = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise CliError(EXIT_VALIDATION, f"cannot read tolerances: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(EXIT_VALIDATION, f"tolerances file not valid JSON: {exc}")
         error = _first_error(TOLERANCE_VALIDATOR, overrides)
         if error is not None:
@@ -687,10 +696,10 @@ def _write_run(outdir, config, outputs, code):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise CliError(EXIT_VALIDATION, f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"config is not valid JSON: {exc}")
 
 

@@ -176,8 +176,8 @@ def state_stability_check(qsq, a, b, masses, tol=1e-9):
     ``a`` must be nonnegative on the grid, and a + b must attain its
     infimum on every mass shell q^2 = m^2 (linear interpolation within one
     grid cell).  Returns a verdict dict with the violating cells; masses
-    not covered by the grid raise GridCoverage, and an empty grid raises
-    ValueError.
+    not covered by the grid raise GridCoverage, and an empty grid or a
+    non-finite sample, mass or ``tol`` raises ValueError.
     """
     qsq = np.asarray(qsq, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -186,6 +186,8 @@ def state_stability_check(qsq, a, b, masses, tol=1e-9):
         raise ValueError("qsq, a, b must be equal-length 1D arrays")
     if qsq.size == 0:
         raise ValueError("qsq, a, b are empty: the grid needs at least one sample")
+    if not all(np.isfinite(x).all() for x in (qsq, a, b, np.asarray(masses, dtype=float), tol)):
+        raise ValueError("qsq, a, b, masses and tol must be finite")
     if np.any(qsq <= 0.0):
         raise ValueError("the grid parametrizes q^2 > 0")
     if np.any(np.diff(qsq) <= 0.0):

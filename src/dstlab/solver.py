@@ -41,20 +41,21 @@ settles at a stationary point of (T-kappa)^2 (Nocedal and Wright, Numerical
 Optimization, 2nd ed., Thm. 17.2), so the seeds' own records say whether the
 level is attainable.
 
-Gradient consistency is asserted against finite differences at the first
-iterate of every seed, and every accepted iterate is kept an exact projector
-by re-orthonormalizing the basis whenever its Gram matrix drifts.  The drift
-check reads the Gram deviation each projector measured at construction
-(``FermionicProjector.gram_dev``).  The iterate is a chain pass
-(``dstlab.action.ChainPass``): the descent takes the start's pass, moves to
-the accepted trial's slice of the stacked pass of its round, and returns the
-last pass.  A pass holds its own constraint value T, so the objective's value
-and gradient both read T - kappa off it, in either order: the gradient makes
-no chain pass of its own, only a stacked copy of the seeds' passes when
-several seeds ask together, and the commutator reuses the dense P the pass
-read.  Only the accepted trial of a batch becomes a validated projector; a
-renormalized iterate gets one pass of its own, and the multiplier update, the
-next round and the seed's record read the last pass.
+A derivative check compares the slope -||K||_F with a central finite
+difference of F along B, in each seed's first round only (the only round in
+auxiliary mode), at the first iterate with |slope| > 1e-6 (1 + |F|).  Every
+accepted iterate is kept an exact projector by re-orthonormalizing the basis
+whenever its Gram matrix drifts.  The drift check reads the Gram deviation
+each projector measured at construction (``FermionicProjector.gram_dev``).
+The iterate is a chain pass (``dstlab.action.ChainPass``): the descent takes
+the start's pass, moves to the accepted trial's slice of the stacked pass of
+its round, and returns the last pass.  A pass holds its own constraint value
+T, so the objective's value and gradient both read T - kappa off it, in either
+order: the gradient makes no chain pass of its own, only a stacked copy of the
+seeds' passes when several seeds ask together, and the commutator reuses the
+dense P the pass read.  Only the accepted trial of a batch becomes a validated
+projector; a renormalized iterate gets one pass of its own, and the multiplier
+update, the next round and the seed's record read the last pass.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
 MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
@@ -78,7 +79,6 @@ from .action import (
     constraint_q_kernel,
     constraint_value,
     el_residual,
-    first_variation,
     q_kernel,
     spectral_weight,
     transported,
@@ -138,6 +138,10 @@ class SolverConfig:
             raise ValueError("a solve needs a nonempty seed list")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"repeated seed in {list(self.seeds)}")
+        for name in ("mu", "kappa", "residual_tol", "boost_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
 
@@ -197,48 +201,54 @@ def _descend(chains, objective, cfg, tol, check_first=False):
     """Backtracking descent of one ``_Objective`` from the pass of one start.
 
     A seed generator (:func:`_lockstep`).  The iterate is a ``ChainPass``,
-    which no evaluation writes onto.  The first iterate tries
+    which no evaluation writes onto.  Each pass of the loop asks for the
+    iterate's one gradient (k iterations make k + 1 requests), then tests
+    the exits in order: "stalled" (no descent over the stall window),
+    "max_iterations", "divergence", "converged".  The first iterate tries
     ``INITIAL_STEP``; every later one first tries the BB1 step
     min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
     the last accepted step times ``STEP_GROW`` (capped the same way).
-    Trials then shrink by ``STEP_SHRINK`` until Armijo accepts one; they are
-    evaluated in batches of 1, 2, 4, ... (:func:`_backtrack`).
-    ``exit_reason`` says why the loop ended: "converged", "divergence",
-    "line_search_floor" (no trial accepted down to ``MIN_STEP``), "stalled"
-    (no descent over the stall window) or "max_iterations".  ``status``
-    folds the last three into "max_iterations".  ``armijo_trials`` counts the
-    steps the Armijo rule examined in order, up to the one it accepted: not
-    the rest of that step's batch, which was evaluated and discarded, nor
-    the two steps of the derivative check.  ``renormalizations`` counts the
+    Trials then shrink by ``STEP_SHRINK`` until Armijo, with slope -||K||,
+    accepts one; they are evaluated in batches of 1, 2, 4, ...
+    (:func:`_backtrack`), and none accepted down to ``MIN_STEP`` exits with
+    "line_search_floor".  ``status`` folds every exit but "converged" and
+    "divergence" into "max_iterations".  ``armijo_trials`` counts the steps
+    the Armijo rule examined in order, up to the one it accepted: not the
+    rest of that step's batch, which was evaluated and discarded, nor the
+    two steps of the derivative check.  ``renormalizations`` counts the
     re-orthonormalized iterates, ``fd_pairs`` the chain pairs the gradients
     sent to finite differences, and ``gradient_norm`` is 4 ||[P, Q]||_F at
-    the returned iterate (before its final re-orthonormalization).
-    ``chains`` is the pass of the returned projector.
+    the last iterate.  An accepted iterate whose Gram drift exceeds
+    ``tol.gram`` is re-orthonormalized before its gradient, also when the
+    descent then stalls on it; a drift above 1e-14 left at the end is
+    removed after the last gradient.  ``chains`` is the pass of the
+    returned projector.
     """
-    def gradient(chains):
-        # ([P, Q], 4 ||[P, Q]||_F), the norm by np.linalg.norm's own arithmetic
-        # without its dispatch, which costs more than the sums on small dims
-        nonlocal fd_pairs
-        comm, fd = yield objective, chains
-        fd_pairs += int(fd)
-        flat = comm.ravel()
-        return comm, 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-
     signs = chains.projector.space.signs
     neg_signs = -signs[:, None]
     current = objective.value(chains)
     trace = [current]
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
-    exit_reason = "max_iterations"
-    graded = None  # the iterate whose gradient norm grad_norm is
     trials = renormalizations = fd_pairs = 0
-    for _ in range(cfg.max_iter):
+    while True:
+        comm, fd = yield objective, chains
+        fd_pairs += int(fd)
+        # 4 ||[P, Q]||_F by np.linalg.norm's own arithmetic without its
+        # dispatch, which costs more than the sums on small dims
+        flat = comm.ravel()
+        grad_norm = 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+        if len(trace) > STALL_WINDOW and (
+                trace[-1 - STALL_WINDOW] - current <= STALL_TOL * (1.0 + abs(current))):
+            exit_reason = "stalled"  # flattened out below resolution
+            break
+        if len(trace) > cfg.max_iter:
+            exit_reason = "max_iterations"
+            break
         if current < DIVERGENCE_FLOOR:
             exit_reason = "divergence"
             break
-        (comm, grad_norm), graded = (yield from gradient(chains)), chains
         if grad_norm <= cfg.residual_tol:
             exit_reason = "converged"
             break
@@ -258,7 +268,7 @@ def _descend(chains, objective, cfg, tol, check_first=False):
             else:
                 step *= STEP_GROW
             step = min(step, MAX_STEP)
-        slope = first_variation(comm, b)
+        slope = -grad_norm  # 4i Tr([P,Q] B) along the unit direction B
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
             yield from _check_slope(chains, objective, b, slope, tol)
             check_first = False
@@ -270,30 +280,17 @@ def _descend(chains, objective, cfg, tol, check_first=False):
             break
         chains = trial
         trace.append(current)
-        if (
-            len(trace) > STALL_WINDOW
-            and trace[-1 - STALL_WINDOW] - current
-            <= STALL_TOL * (1.0 + abs(current))
-        ):
-            exit_reason = "stalled"  # flattened out below resolution
-            break
         moved = (-step * k, grad)
         if chains.projector.gram_dev > tol.gram:
             # the trace keeps the accepted value
             chains = ChainPass(chains.projector.renormalized())
             renormalizations += 1
-    if graded is not chains:
-        # the loop ended on an iterate it has not differentiated yet
-        grad_norm = (yield from gradient(chains))[1]
     if chains.projector.gram_dev > 1e-14:
         chains = ChainPass(chains.projector.renormalized())
         renormalizations += 1
-    status = exit_reason
-    if status not in ("converged", "divergence"):
-        status = "max_iterations"
     return {
         "chains": chains,
-        "status": status,
+        "status": exit_reason if exit_reason in ("converged", "divergence") else "max_iterations",
         "exit_reason": exit_reason,
         "iterations": len(trace) - 1,
         "armijo_trials": trials,
@@ -367,9 +364,10 @@ def _lockstep(solves):
     steps) for the trials' values and a function giving trial j's pass.  Each
     round evaluates the gradient requests of all live seeds, or, when none is
     left, their trial requests, and replies in seed order, so the seeds'
-    trials meet in one stack; a round with one live seed stacks nothing.  An
-    exception ends the run: of the seeds raising in its earliest round, the
-    first does.
+    trials meet in one stack.  A group of one request is evaluated alone,
+    with nothing stacked; as gradients go first, that can be one seed's
+    gradient while the other seeds wait with trials.  An exception ends the
+    run: of the seeds raising in its earliest round, the first does.
     """
     results = [None] * len(solves)
     live = [[i, gen, None] for i, gen in enumerate(solves)]  # [index, generator, request]

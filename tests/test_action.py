@@ -318,6 +318,26 @@ def test_first_variation_identity_random_directions():
         analytic = act.first_variation(c, b)
         fd = act.orbit_derivative_fd(p, 0.5, b)
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    # along the descent's unit direction B = -S k, k = K/||K|| with
+    # K = 4i [P,Q] S Hermitian-symmetrized, the first variation is -||K||:
+    # at a fresh pass, a renormalized one and the slices of a stacked pass
+    for n, m, f in ((1, 4, 2), (2, 3, 3)):
+        sp = DiscreteSpacetime(n, m)
+        p = random_projector(sp, f, seed=7)
+        b = random_direction(sp, seed=8)
+        stack = act.TrialStack([(p, b / np.linalg.norm(b), [0.4, 0.2])])
+        passes = [act.ChainPass(p), act.ChainPass(stack[1].renormalized()), act.ChainPass(stack)]
+        comms = []
+        for chains in passes:
+            q = act.q_kernel(chains, 0.5)
+            comms.extend(np.reshape(chains.p @ q - q @ chains.p, (-1,) + q.shape[-2:]))
+        assert len(comms) == 4
+        for c in comms:
+            norm = 4.0 * np.linalg.norm(c)
+            k = (4j / norm) * (c * sp.signs)
+            k = 0.5 * (k + k.conj().T)
+            slope = act.first_variation(c, -sp.signs[:, None] * k)
+            assert abs(slope + norm) <= 1e-14 * norm
 
 
 def test_first_variation_constraint_kernel():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +81,43 @@ def test_missing_or_unparsable_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["minimize", "--config", str(bad)]) == 2
+
+
+_MINIMIZE = {"subcommand": "minimize", "params": {"n": 1, "f": 2, "m": 3, "max_iter": 5},
+             "seeds": [0]}
+
+
+@pytest.mark.parametrize("config, override, token", [
+    ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mu": math.nan}}, None, "NaN"),
+    ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mode": "constrained",
+                              "kappa": math.nan}}, None, "NaN"),
+    ({**_MINIMIZE, "tolerances": {"gram": math.nan}}, None, "NaN"),
+    (_MINIMIZE, {"gram": math.inf}, "Infinity"),
+    ({"subcommand": "state-stability",
+      "params": {"table": "table.csv", "masses": [math.nan]}}, None, "NaN"),
+    ({"subcommand": "lattice",
+      "params": {"n_t": 4, "n_r": 3, "states": [{"omega": 0, "k": 1}, {"omega": -1, "k": 2}],
+                 "weights": {"rho_t": [1.0, 2.0, 2.0, math.nan], "rho_r": [1.0, 1.0, 1.0]},
+                 "scan": {"start": -1.0, "stop": 1.0, "num": 5}}}, None, "NaN"),
+    ({"subcommand": "landscape",
+      "params": {"family": "triangle", "start": math.nan, "stop": 1.0, "num": 3}}, None, "NaN"),
+    ({"subcommand": "landscape",
+      "params": {"family": "triangle", "start": 0.7, "stop": -math.inf, "num": 3}}, None,
+     "-Infinity"),
+    ({"subcommand": "classify-causal", "params": {"roots": [[[math.nan, 0.0]]]}}, None, "NaN"),
+], ids=["mu", "kappa", "gram", "tolerances_file", "masses", "lattice_weight",
+        "landscape_start", "landscape_stop", "roots"])
+def test_nan_and_infinity_are_validation_errors(tmp_path, capsys, config, override, token):
+    # json reads these non-JSON tokens as floats, which every "number" schema admits
+    _stability_table(tmp_path, [(0.5, 0.0, 1.0), (1.0, 0.0, 0.5)])
+    out = tmp_path / "o"
+    argv = [config["subcommand"], "--config", write_config(tmp_path / "c.json", config),
+            "--out", str(out)]
+    if override is not None:
+        argv += ["--tolerances", write_config(tmp_path / "tol.json", override)]
+    assert main(argv) == 2
+    assert f"{token} is not a JSON number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
@@ -660,6 +698,21 @@ def test_state_stability_table_without_rows_is_validation_error(tmp_path, capsys
     assert main(["state-stability", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "table.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["", "nan"], ids=["blank", "nan"])
+def test_state_stability_blank_or_nan_cell_is_validation_error(tmp_path, capsys, cell):
+    # genfromtxt reads both as nan, which made the infimum nan and the verdict "stable"
+    (tmp_path / "table.csv").write_text(f"qsq,a,b\n0.5,{cell},1.0\n1.0,0.0,0.5\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "state-stability", "params": {"table": "table.csv", "masses": [1.0]}},
+    )
+    out = tmp_path / "o"
+    assert main(["state-stability", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "blank or non-finite cell" in err and "table.csv" in err
     assert not out.exists()
 
 

@@ -141,3 +141,17 @@ def test_grid_coverage_error():
         )
     with pytest.raises(ValueError):
         state_stability_check(qsq[::-1], np.zeros_like(qsq), np.zeros_like(qsq), [1.0])
+
+
+@pytest.mark.parametrize("where", ["qsq", "a", "b", "masses", "tol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_stability_rejects_a_non_finite_input(where, bad):
+    inputs = {"qsq": np.linspace(0.5, 4.0, 8), "a": np.zeros(8), "b": np.ones(8),
+              "masses": [1.0, 1.5], "tol": 1e-9}
+    if where == "tol":
+        inputs["tol"] = bad
+    else:
+        inputs[where] = np.array(inputs[where], dtype=float)
+        inputs[where][1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        state_stability_check(**inputs)

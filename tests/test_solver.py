@@ -31,6 +31,7 @@ from dstlab.solver import (
     InfeasibleKappa,
     SolverConfig,
     _descend,
+    _evaluate,
     _lockstep,
     _Objective,
     lagrange_multiplier_estimate,
@@ -53,6 +54,14 @@ def test_config_validation():
         pass
     with pytest.raises(ValueError, match="nonempty seed list"):
         SolverConfig(seeds=())
+
+
+@pytest.mark.parametrize("name", ["mu", "kappa", "residual_tol", "boost_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_config_rejects_a_non_finite_setting(name, bad):
+    # a nan mu used to reach minimize and fail there with an IndexError
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SolverConfig(**{"mode": "constrained", "kappa": 0.85, name: bad})
 
 
 def test_config_rejects_a_repeated_seed():
@@ -187,12 +196,15 @@ def _negate(monkeypatch, value=False):
 @pytest.mark.parametrize(
     "settings, constants, flip, reason, iterations",
     [
-        ({"max_iter": 3}, {}, False, "max_iterations", 3),
+        ({"max_iter": 3}, {}, False, "max_iterations", (3, 3)),
         # an ascent direction: no trial passes Armijo down to MIN_STEP
-        ({}, {}, True, "line_search_floor", 0),
-        ({}, {"STALL_WINDOW": 1, "STALL_TOL": 1e9}, False, "stalled", 1),
+        ({}, {}, True, "line_search_floor", (0, 0)),
+        ({}, {"STALL_WINDOW": 1, "STALL_TOL": 1e9}, False, "stalled", (1, 1)),
+        ({"residual_tol": 0.1}, {}, False, "converged", (4, 5)),
+        # beyond the critical weight S_mu falls through the floor
+        ({"mu": 1.0}, {"DIVERGENCE_FLOOR": -1.0}, False, "divergence", (1, 1)),
     ],
-    ids=["max_iterations", "line_search_floor", "stalled"],
+    ids=["max_iterations", "line_search_floor", "stalled", "converged", "divergence"],
 )
 def test_descent_reports_why_it_stopped(
     monkeypatch, settings, constants, flip, reason, iterations
@@ -201,17 +213,57 @@ def test_descent_reports_why_it_stopped(
         monkeypatch.setattr(dstlab.solver, name, value)
     if flip:
         _negate(monkeypatch)
+    asked, evaluate = [], dstlab.solver._evaluate
+
+    def spy(requests):
+        asked.extend(request[0] for request in requests if len(request) == 2)
+        return evaluate(requests)
+
+    monkeypatch.setattr(dstlab.solver, "_evaluate", spy)
+    cfg = SolverConfig(**{"mu": 0.5, **settings})
     # alone, and with a second seed whose requests share its evaluations
     for seeds in ((0,), (0, 1)):
-        for out in _lockstep([_descend(
+        objectives = [_Objective(DEFAULT, cfg.mu) for _ in seeds]
+        outs = _lockstep([_descend(
             ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed)),
-            _Objective(DEFAULT, 0.5),
-            SolverConfig(mu=0.5, **settings),
-            DEFAULT,
-        ) for seed in seeds]):
+            objective, cfg, DEFAULT,
+        ) for seed, objective in zip(seeds, objectives)])
+        for seed, objective, out in zip(seeds, objectives, outs):
             assert out["exit_reason"] == reason
-            assert out["status"] == "max_iterations"
-            assert out["iterations"] == iterations == len(out["trace"]) - 1
+            assert out["status"] == (
+                reason if reason in ("converged", "divergence") else "max_iterations")
+            assert out["iterations"] == iterations[seed] == len(out["trace"]) - 1
+            # one gradient per iterate, whatever the exit
+            assert asked.count(objective) == iterations[seed] + 1
+
+
+@pytest.mark.parametrize("n, m, f", [(1, 3, 2), (2, 3, 3)])
+def test_a_lone_request_is_its_slice_of_a_stacked_evaluation(n, m, f):
+    # _evaluate serves one request with its own objective and nothing
+    # stacked; the reply must be bit for bit that request's share of a
+    # stacked evaluation, whatever its place in the stack
+    space = DiscreteSpacetime(n, m)
+    starts = [ChainPass(random_projector(space, f, seed=seed)) for seed in (0, 1)]
+    objectives = [_Objective(DEFAULT, 0.3, KAPPA, NU, W), _Objective(DEFAULT, 0.25)]
+    directions = [random_direction(space, seed=seed) for seed in (2, 3)]
+    steps = [[0.9, 0.45, 0.225], [0.5, 0.25]]
+    gradients = [(objective, start) for objective, start in zip(objectives, starts)]
+    trials = [(objective, start.projector, b / np.linalg.norm(b), etas)
+              for objective, start, b, etas in zip(objectives, starts, directions, steps)]
+    for mine, order in ((0, (0, 1)), (0, (1, 0)), (1, (0, 1)), (1, (1, 0))):
+        at = order.index(mine)
+        (comm, fd), = _evaluate([gradients[mine]])
+        stacked_comm, stacked_fd = _evaluate([gradients[i] for i in order])[at]
+        assert np.array_equal(comm, stacked_comm) and fd == stacked_fd
+        (values, trial), = _evaluate([trials[mine]])
+        stacked_values, stacked_trial = _evaluate([trials[i] for i in order])[at]
+        assert np.array_equal(values, stacked_values)
+        for j in range(len(steps[mine])):
+            alone, part = dict(vars(trial(j))), dict(vars(stacked_trial(j)))
+            assert np.array_equal(alone.pop("projector").basis, part.pop("projector").basis)
+            assert alone.keys() == part.keys()
+            for name in alone.keys() - {"space"}:
+                assert np.array_equal(alone[name], part[name]), name
 
 
 def _spy_batches(monkeypatch):
