@@ -84,9 +84,12 @@ the invariant route.
 
 Line-search trials
 ------------------
-:func:`transported` conjugates the image basis by exp(i eta B).  A
-:class:`TrialStack` holds the steps of one or several searches (the seeds of
-a solve), one ``expm`` call and one batched product, and the
+:func:`transported` moves the image basis U by the Cayley step C(eta) = (I -
+G)^-1 (I + G), G = (i eta/2) B, a retraction onto the orbit that is exactly
+indefinite-unitary for self-adjoint B and agrees with exp(i eta B) up to eta^3
+terms (Wen and Yin, Math. Program. 142, 2013).  A :class:`TrialStack` holds
+the steps of one or several searches (the seeds of a solve), one batched
+linear solve and one batched product, and the
 :class:`ChainPass` of a stack runs the formulas above, Q included, over its
 leading axis: each slice is bit for bit the pass of that trial alone.  A line
 search takes the slice ``ChainPass(stack)[j]`` of the step it accepts as its
@@ -564,30 +567,37 @@ def first_variation(commutator, b):
 
 
 class TrialStack:
-    """The projectors exp(i eta B) P exp(-i eta B) for the steps eta of one or more searches.
+    """The Cayley steps C(eta) P C(eta)^-1 of B for the steps eta of one or more searches.
 
-    ``moves`` holds (P, B, 1-D steps) per search, all of one space.  One
-    ``scipy.linalg.expm`` call on the (k, md, md) stack of all generators
-    (it runs its one-matrix algorithm on every slice) and one batched
-    product with the image bases (one search's own, else one per trial) give
-    the (k, md, f) stack ``bases``, and one batched product the read-only
-    (k, md, md) stack ``dense`` that ``matrix()`` returns, so the
-    :class:`ChainPass` of the stack is one stacked pass.  ``stack[j]`` makes
-    trial j a validated :class:`~dstlab.core.FermionicProjector`.
+    ``moves`` holds (P, B, 1-D steps) per search, all of one space.  With G =
+    (i eta/2) B the Cayley step is C(eta) = (I - G)^-1 (I + G).  B is
+    self-adjoint in the indefinite product, so (I + G)^dagger S = S (I - G),
+    and as I +/- G commute C(eta) is exactly indefinite-unitary.  One batched
+    ``np.linalg.solve`` of (I - G) X = U + G U over the (k, md, md) stack of
+    all trials, U the image basis of the trial's search, gives the (k, md, f)
+    stack ``bases``, and one batched product the read-only (k, md, md) stack
+    ``dense`` that ``matrix()`` returns, so the :class:`ChainPass` of the
+    stack is one stacked pass.  ``stack[j]`` makes trial j a validated
+    :class:`~dstlab.core.FermionicProjector`.
     """
 
     def __init__(self, moves):
-        # scipy.linalg loads at its first use, so importing dstlab.cli does not pay for it
-        import scipy.linalg
-
         self.space, self.tol = moves[0][0].space, moves[0][0].tol
-        generators = [np.multiply.outer([1j * eta for eta in etas], b) for _, b, etas in moves]
-        if len(moves) == 1:
-            generators, bases = generators[0], moves[0][0].basis
-        else:
-            generators = np.concatenate(generators)
-            bases = np.array([proj.basis for proj, _, etas in moves for _ in etas])
-        self.bases = scipy.linalg.expm(generators) @ bases
+        k, d = sum(len(etas) for _, _, etas in moves), self.space.dim
+        # I - G is formed in place in the one (k, md, md) array, and
+        # G U = (i eta/2) (B U) needs no G
+        lhs = np.empty((k, d, d), dtype=complex)
+        rhs = np.empty((k, d, moves[0][0].rank), dtype=complex)
+        end = 0
+        for proj, b, etas in moves:
+            half = 0.5j * np.asarray(etas)
+            part = slice(end, end + len(half))
+            np.multiply.outer(-half, b, out=lhs[part])
+            rhs[part] = proj.basis + np.multiply.outer(half, b @ proj.basis)
+            end = part.stop
+        diag = np.arange(d)
+        lhs[:, diag, diag] += 1.0
+        self.bases = np.linalg.solve(lhs, rhs)
         self.dense = projector_matrix(self.space, self.bases)
         self.dense.flags.writeable = False
 
@@ -599,17 +609,21 @@ class TrialStack:
 
 
 def transported(projector, b, eta):
-    """exp(i eta B) P exp(-i eta B) as a new projector (basis conjugated).
+    """The Cayley step C(eta) P C(eta)^-1 along B as a new projector (basis C U).
 
-    A 1-D array of steps gives their :class:`TrialStack`; one step is its
-    one-trial case.
+    C(eta) = (I - (i eta/2) B)^-1 (I + (i eta/2) B) is the retraction of
+    :class:`TrialStack`, tangent to exp(i eta B) at eta = 0.  A 1-D array
+    of steps gives their :class:`TrialStack`; one step is its one-trial case.
     """
     stack = TrialStack([(projector, b, eta if np.ndim(eta) else [eta])])
     return stack if np.ndim(eta) else stack[0]
 
 
 def orbit_derivative_fd(projector, mu, b, step=1e-6):
-    """Central difference of S_mu along the orbit direction B (oracle)."""
+    """Central difference of S_mu along the Cayley step of B (oracle).
+
+    The step has the tangent of exp(i eta B), so this tests the first variation.
+    """
     sp = action(transported(projector, b, step), mu)
     sm = action(transported(projector, b, -step), mu)
     return (sp - sm) / (2.0 * step)

@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -635,12 +636,22 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _finite_float(token):
+    # json reads a literal beyond the float range, such as 1e400, as inf,
+    # which every "number" schema admits
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} overflows a float")
+    return value
+
+
 def _resolve_tolerances(config, override_path):
     merged = dict(config.get("tolerances", {}))
     if override_path is not None:
         try:
             with open(override_path) as fh:
-                overrides = json.load(fh, parse_constant=_reject_constant)
+                overrides = json.load(fh, parse_constant=_reject_constant,
+                                 parse_float=_finite_float)
         except OSError as exc:
             raise CliError(EXIT_VALIDATION, f"cannot read tolerances: {exc}")
         except ValueError as exc:
@@ -696,7 +707,8 @@ def _write_run(outdir, config, outputs, code):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant,
+                             parse_float=_finite_float)
     except OSError as exc:
         raise CliError(EXIT_VALIDATION, f"cannot read config: {exc}")
     except ValueError as exc:

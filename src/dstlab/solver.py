@@ -1,13 +1,16 @@
 """Descent on the projector orbit for the auxiliary and constrained actions.
 
 The unknown is a fermionic projector; the search space is its indefinite-
-unitary orbit, walked by conjugating the image basis with exp(i eta B) for
-self-adjoint directions B.  The first variation of the auxiliary action along
-such a path is 4i Tr([P,Q] B), so writing B = S H with H Hermitian (which
-makes B self-adjoint in the indefinite sense) turns steepest descent into a
-Euclidean problem: the Hermitian gradient is K = 4i [P,Q] S, the normalized
-direction is B = -S K / ||K||_F, and the directional derivative equals
--||K||_F, strictly negative until the Euler-Lagrange commutator vanishes.
+unitary orbit, walked by moving the image basis with the Cayley step
+(I - G)^-1 (I + G), G = (i eta/2) B, for self-adjoint directions B: exactly
+indefinite-unitary, with the tangent of exp(i eta B) at eta = 0
+(``dstlab.action.TrialStack``).  The first variation of the auxiliary
+action along such a path is 4i Tr([P,Q] B), so writing B = S H with H
+Hermitian (which makes B self-adjoint in the indefinite sense) turns steepest
+descent into a Euclidean problem: the Hermitian gradient is K = 4i [P,Q] S,
+the normalized direction is B = -S K / ||K||_F, and the directional
+derivative equals -||K||_F, strictly negative until the Euler-Lagrange
+commutator vanishes.
 An Armijo backtracking line search then guarantees monotone decrease.  Its
 first trial step is the Barzilai-Borwein (BB1) step in these Hermitian
 coordinates (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988; on
@@ -212,18 +215,20 @@ def _descend(chains, objective, cfg, tol, check_first=False):
     Trials then shrink by ``STEP_SHRINK`` until Armijo, with slope -||K||,
     accepts one; they are evaluated in batches of 1, 2, 4, ...
     (:func:`_backtrack`), and none accepted down to ``MIN_STEP`` exits with
-    "line_search_floor".  ``status`` folds every exit but "converged" and
-    "divergence" into "max_iterations".  ``armijo_trials`` counts the steps
-    the Armijo rule examined in order, up to the one it accepted: not the
-    rest of that step's batch, which was evaluated and discarded, nor the
-    two steps of the derivative check.  ``renormalizations`` counts the
-    re-orthonormalized iterates, ``fd_pairs`` the chain pairs the gradients
-    sent to finite differences, and ``gradient_norm`` is 4 ||[P, Q]||_F at
-    the last iterate.  An accepted iterate whose Gram drift exceeds
-    ``tol.gram`` is re-orthonormalized before its gradient, also when the
-    descent then stalls on it; a drift above 1e-14 left at the end is
-    removed after the last gradient.  ``chains`` is the pass of the
-    returned projector.
+    "line_search_floor".  A first trial already below ``MIN_STEP`` values
+    nothing: that search makes no batch, examines no step, and the descent
+    exits "line_search_floor" on the iterate it has.  ``status`` folds every
+    exit but "converged" and "divergence" into "max_iterations".
+    ``armijo_trials`` counts the steps the Armijo rule examined in order, up
+    to the one it accepted: not the rest of that step's batch, which was
+    evaluated and discarded, nor the two steps of the derivative check.
+    ``renormalizations`` counts the re-orthonormalized iterates,
+    ``fd_pairs`` the chain pairs the gradients sent to finite differences,
+    and ``gradient_norm`` is 4 ||[P, Q]||_F at the last iterate.  An accepted
+    iterate whose Gram drift exceeds ``tol.gram`` is re-orthonormalized
+    before its gradient, also when the descent then stalls on it; a drift
+    above 1e-14 left at the end is removed after the last gradient.
+    ``chains`` is the pass of the returned projector.
     """
     signs = chains.projector.space.signs
     neg_signs = -signs[:, None]
@@ -253,7 +258,7 @@ def _descend(chains, objective, cfg, tol, check_first=False):
             exit_reason = "converged"
             break
         # B = -S K/||K|| with K = 4i [P,Q] S; symmetrizing K kills the
-        # rounding-level non-Hermitian part so exp(i eta B) stays exactly
+        # rounding-level non-Hermitian part so the Cayley step stays exactly
         # Gram-preserving even when ||Q|| >> ||[P,Q]|| (late penalty rounds)
         k = (4j / grad_norm) * (comm * signs)
         k = 0.5 * (k + k.conj().T)

@@ -398,6 +398,45 @@ def test_transported_projector_stays_on_orbit():
     assert q.rank == p.rank
 
 
+RETRACTION_CASES = [(1, 3, 2), (1, 4, 2), (1, 9, 2), (2, 3, 3)]
+
+
+def _start_and_direction(n, m, f):
+    sp = DiscreteSpacetime(n, m)
+    b = random_direction(sp, seed=2)
+    return random_projector(sp, f, seed=1), b / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n, m, f", RETRACTION_CASES)
+def test_cayley_trials_keep_the_gram_matrix_up_to_the_max_step(n, m, f):
+    # the Cayley step is indefinite-unitary in exact arithmetic, so a trial's
+    # Gram matrix deviates from -Id by rounding only, at every step the line
+    # search can try along a unit direction
+    from dstlab.solver import MAX_STEP
+
+    p, b = _start_and_direction(n, m, f)
+    etas = MAX_STEP * 0.5 ** np.arange(12)
+    stack = act.transported(p, b, np.concatenate([etas, -etas]))
+    gram = stack.bases.conj().swapaxes(-1, -2) @ (p.space.signs[:, None] * stack.bases)
+    assert np.abs(gram + np.eye(f)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, m, f", RETRACTION_CASES)
+def test_cayley_step_agrees_with_the_exponential_to_third_order(n, m, f):
+    # (I - G)^-1 (I + G) - exp(2G) = (2G)^3/12 + O(eta^4) with G = (i eta/2) B,
+    # so ||C(eta) U - exp(i eta B) U|| / eta^3 tends to ||B^3 U||/12
+    import scipy.linalg
+
+    p, b = _start_and_direction(n, m, f)
+    etas = 0.1 * 0.5 ** np.arange(7)
+    stack = act.transported(p, b, etas)
+    ratios = np.array([np.linalg.norm(stack.bases[j] - scipy.linalg.expm(1j * eta * b) @ p.basis)
+                       for j, eta in enumerate(etas)]) / etas ** 3
+    limit = np.linalg.norm(np.linalg.matrix_power(b, 3) @ p.basis) / 12.0
+    assert np.all(np.abs(ratios / limit - 1.0) <= 0.05)
+    assert abs(ratios[-1] / limit - 1.0) <= 1e-3
+
+
 # -- roots and gradients of 2 x 2 chains (n = 1) ----------------------------
 
 

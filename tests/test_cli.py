@@ -120,6 +120,28 @@ def test_nan_and_infinity_are_validation_errors(tmp_path, capsys, config, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, override", [
+    ({**_MINIMIZE, "tolerances": {"gram": "BIG"}}, None),
+    (_MINIMIZE, {"gram": "BIG"}),
+    ({"subcommand": "landscape",
+      "params": {"family": "triangle", "start": 0.7, "stop": "BIG", "num": 3}}, None),
+], ids=["gram", "tolerances_file", "landscape_stop"])
+def test_an_overflowing_number_is_a_validation_error(tmp_path, capsys, config, override):
+    # json reads 1e400 as inf, which every "number" schema admits: the Gram
+    # check would never fire, and the landscape grid would fail as a
+    # numerical error
+    out = tmp_path / "o"
+    argv = [config["subcommand"], "--out", str(out)]
+    for flag, name, payload in (("--config", "c.json", config), ("--tolerances", "t.json", override)):
+        if payload is not None:
+            path = tmp_path / name
+            path.write_text(json.dumps(payload).replace('"BIG"', "1e400"))
+            argv += [flag, str(path)]
+    assert main(argv) == 2
+    assert "1e400 overflows a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     built, build = [], cli.build_parser
 
@@ -211,7 +233,7 @@ def test_removed_projector_tolerance_rejected(tmp_path, capsys):
 def test_importing_the_cli_does_not_load(module):
     # each is imported by its users when they run: sympy by lightcone-check,
     # scipy.optimize by multiset_distance, scipy.integrate by regularized_action,
-    # scipy.linalg by the orbit step, the orthonormalization and the gauge blocks
+    # scipy.linalg by the random start, the orthonormalization and the gauge blocks
     code = f"import sys, dstlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -4,7 +4,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import dstlab.action
 import dstlab.solver
@@ -371,7 +370,7 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
     # climbing S (value -S, qmat -Q) meets only Re<s, y> <= 0 before its
     # divergence floor: each first trial is the last step times STEP_GROW
     _negate(monkeypatch, value=True)
-    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0, boost_scale=0.5))
     out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.5), start, 20)
     assert out["exit_reason"] == "divergence" and len(rows) >= 2
     for sy, rule, first in rows:
@@ -516,7 +515,7 @@ def test_constraint_level_just_above_the_bound_is_reached():
 
 def test_infeasible_level_with_a_short_budget_returns_max_iterations():
     # a seed that ran out of iterations has not settled, so there is no verdict
-    cfg = SolverConfig(mode="constrained", kappa=0.01, seeds=(0, 1), max_iter=30)
+    cfg = SolverConfig(mode="constrained", kappa=0.01, seeds=(0, 1), max_iter=10)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     assert res.status == "max_iterations"
     assert "max_iterations" in [r["exit_reason"] for r in res.per_seed]
@@ -777,8 +776,11 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
         # the trial's own dense P is its slice of the stacked one
         assert np.array_equal(part.projector.matrix(), stack.dense[j])
         assert np.array_equal(stack[j].basis, single.projector.basis)
-        # the one-matrix orbit step exp(i eta B) U
-        assert np.array_equal(stack[j].basis, scipy.linalg.expm(1j * eta * b) @ start.basis)
+        # the one-matrix Cayley step (I - G)^-1 (U + G U), G = (i eta/2) B,
+        # with G U taken as (i eta/2) (B U)
+        half = 0.5j * eta
+        cayley = np.linalg.solve(np.eye(len(b)) - half * b, start.basis + half * (b @ start.basis))
+        assert np.array_equal(stack[j].basis, cayley)
         for name in names:
             assert np.array_equal(getattr(part, name), getattr(single, name)), name
         assert (s[j], t[j]) == action_and_constraint(single, 0.3)
@@ -807,21 +809,42 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
             assert both.fd_pairs[j] == joined.fd_pairs[j] == single.fd_pairs
 
 
+def _spy_searches(monkeypatch):
+    """Record (projector, first step) of every line search, one that makes no batch included."""
+    searches = []
+    backtrack = dstlab.solver._backtrack
+
+    def spy(chains, objective, b, step, current, slope):
+        searches.append((chains.projector, step))
+        return (yield from backtrack(chains, objective, b, step, current, slope))
+
+    monkeypatch.setattr(dstlab.solver, "_backtrack", spy)
+    return searches
+
+
 def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
     # a penalty round that ends on a floor search: every search evaluates
     # batches of 1, 2, 4, ... of its successive steps, none below MIN_STEP,
-    # and at most 2 trials - 1 slices for the trials it examined
+    # and at most 2 trials - 1 slices for the trials it examined.  A search
+    # whose first step is already below MIN_STEP makes no batch, and only the
+    # last search, the floor search, can be one
     start, nu, w = _second_penalty_round(monkeypatch)
     batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
+    firsts = _spy_searches(monkeypatch)
     objective = _Objective(DEFAULT, 0.0, KAPPA, nu, w)
     out = _run(_descend(start, objective, SolverConfig(), DEFAULT))
     assert out["exit_reason"] == "line_search_floor"
+    assert len(firsts) == out["iterations"] + 1
     searches = {}
     for batch in batches:
         searches.setdefault(id(batch[0]), []).append(batch)
-    assert len(searches) == out["iterations"] + 1
+    empty = [i for i, (proj, _) in enumerate(firsts) if id(proj) not in searches]
+    assert empty in ([], [len(firsts) - 1])
+    assert all(firsts[i][1] < dstlab.solver.MIN_STEP for i in empty)
+    assert len(searches) == len(firsts) - len(empty)
     examined = 0
-    for groups in searches.values():
+    for groups, (proj, first) in zip(searches.values(), firsts):
+        assert groups[0][0] is proj and groups[0][1][0] == first
         sizes = [len(etas) for _, etas, _, _ in groups]
         assert sizes[:-1] == [2 ** i for i in range(len(groups) - 1)]
         assert 1 <= sizes[-1] <= 2 ** (len(groups) - 1)
@@ -834,8 +857,26 @@ def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
         examined += trials
     assert examined == out["armijo_trials"]
     # the floor search examines every step it evaluates, down to MIN_STEP
-    floor = [eta for _, etas, _, _ in list(searches.values())[-1] for eta in etas]
-    assert floor[-1] * dstlab.solver.STEP_SHRINK < dstlab.solver.MIN_STEP
+    floor = [eta for _, etas, _, _ in searches.get(id(firsts[-1][0]), []) for eta in etas]
+    assert (floor[-1] * dstlab.solver.STEP_SHRINK if floor else firsts[-1][1]) < (
+        dstlab.solver.MIN_STEP)
+
+
+def test_a_first_step_below_the_min_step_makes_no_batch(monkeypatch):
+    # with MAX_STEP below MIN_STEP the search after the first accepted step
+    # starts below MIN_STEP: it values nothing, and the descent ends on the
+    # floor with that one step, its trials those of the first search
+    monkeypatch.setattr(dstlab.solver, "MAX_STEP", 1e-15)
+    batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
+    firsts = _spy_searches(monkeypatch)
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
+    out = _run(_descend(start, _Objective(DEFAULT, 0.5), SolverConfig(), DEFAULT))
+    assert out["exit_reason"] == "line_search_floor" and out["iterations"] == 1
+    assert [step for _, step in firsts] == [dstlab.solver.INITIAL_STEP, 1e-15]
+    assert {id(proj) for proj, _, _, _ in batches} == {id(start.projector)}
+    assert out["armijo_trials"] == (sum(len(etas) for _, etas, _, _ in batches[:-1])
+                                    + _examined(accepted, batches[-1]))
+    assert out["chains"].projector is firsts[1][0]
 
 
 @pytest.mark.parametrize("settings, constants, reason", [
