@@ -274,7 +274,8 @@ def invariant_roots(t, delta):
 class ChainPass:
     """The closed chains of one projector, formed once for S, T and Q.
 
-    ``projector`` is the projector of the pass, ``p`` its dense matrix.
+    ``projector`` is the projector of the pass, ``p`` its dense matrix and
+    ``tol`` its tolerance bundle, which ``q`` reads.
     Chains of spin dimension 2 (n = 1) are kept as the real (m, m) arrays
     ``t`` = tr A_xy and ``delta`` = det K_xy det K_yx, with ``det`` = det
     K_xy, K_xy = P(x,y); the value needs no chain matrix, root or square
@@ -295,7 +296,7 @@ class ChainPass:
     """
 
     def __init__(self, projector):
-        self.projector, self.space = projector, projector.space
+        self.projector, self.space, self.tol = projector, projector.space, projector.tol
         self.p = p = projector.matrix()
         self.fd_pairs = 0
         m = projector.space.m
@@ -324,7 +325,7 @@ class ChainPass:
     def stacked(cls, passes):
         """The passes of projectors of one space stacked for ``q``; no projector."""
         part = object.__new__(cls)
-        part.projector, part.space = None, passes[0].space
+        part.projector, part.space, part.tol = None, passes[0].space, passes[0].tol
         part.fd_pairs = np.zeros(len(passes), dtype=int)
         names = ("t", "det", "delta") if part.space.n == 1 else ("kernels", "chains")
         for name in ("p", "constraint", *names):
@@ -337,7 +338,7 @@ class ChainPass:
             return np.stack(invariant_roots(self.t, self.delta), axis=-1)
         return chain_roots(self.chains)
 
-    def q(self, w_sq, w_abs, tol=DEFAULT):
+    def q(self, w_sq, w_abs):
         """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs.
 
         A stacked pass gives one Q per slice, and ``w_abs`` may then be a 1-D
@@ -347,7 +348,7 @@ class ChainPass:
         if isinstance(w_abs, np.ndarray):
             w_abs = w_abs.reshape((-1,) + (1,) * (2 if n == 1 else 4))
         if n > 1:
-            msq, mabs, bad = _gradient(self.chains, tol)
+            msq, mabs, bad = _gradient(self.chains, self.tol)
             self.fd_pairs = np.count_nonzero(bad, axis=(-2, -1))
             return blocks_to_matrix(q_blocks(self.kernels, w_sq * msq + w_abs * mabs))
         t, delta = self.t, self.delta
@@ -357,7 +358,7 @@ class ChainPass:
         big = np.where(disc < 0.0, np.sqrt(np.abs(delta)), 0.5 * np.abs(t) + half_gap)
         # share of the real branch: 1 or 0 by the sign of the discriminant,
         # 1/2 (the mean of the two branch slopes) on the threshold band
-        real = np.where(2.0 * half_gap < tol.eig_collision * (1.0 + big), 0.5, disc >= 0.0)
+        real = np.where(2.0 * half_gap < self.tol.eig_collision * (1.0 + big), 0.5, disc >= 0.0)
         # slopes L_t, L_delta of w_sq |A^2| + w_abs |A|^2 (module docstring table)
         l_t = 2.0 * (w_sq + w_abs) * real * t
         l_delta = ((1.0 - real) * (2.0 * w_sq + 4.0 * w_abs)
@@ -477,7 +478,7 @@ def gradient_blocks(chains, tol=DEFAULT):
     return _gradient(chains, tol)[:2]
 
 
-def lagrangian_gradient(a, mu, tol=DEFAULT):
+def lagrangian_gradient(a, mu):
     """Gradient matrix M of L_mu at a single chain A.
 
     Satisfies ``dL = Re Tr(M dA)`` for any complex perturbation dA; for the
@@ -487,7 +488,7 @@ def lagrangian_gradient(a, mu, tol=DEFAULT):
     pairs of equal modulus give M = 0 at the critical mu.
     """
     a = np.asarray(a, dtype=complex)[None, None]
-    msq, mabs = gradient_blocks(a, tol)
+    msq, mabs = gradient_blocks(a)
     return msq[0, 0] - mu * mabs[0, 0]
 
 
@@ -509,30 +510,30 @@ def blocks_to_matrix(blocks):
     return np.ascontiguousarray(blocks.swapaxes(-3, -2).reshape(*lead, m * d, m * d))
 
 
-def q_kernel(projector, mu, tol=DEFAULT):
+def q_kernel(projector, mu):
     """Full Q operator of the action S_mu as an (md, md) matrix.
 
     ``projector`` may be its :class:`ChainPass`, which is then reused.
     """
-    return _pass_of(projector).q(1.0, -mu, tol)
+    return _pass_of(projector).q(1.0, -mu)
 
 
-def constraint_q_kernel(projector, tol=DEFAULT):
+def constraint_q_kernel(projector):
     """Q operator of the constraint functional T (dT = 4 Tr(Q_T dP)).
 
     ``projector`` may be its :class:`ChainPass`, which is then reused.
     """
-    return _pass_of(projector).q(0.0, 1.0, tol)
+    return _pass_of(projector).q(0.0, 1.0)
 
 
-def el_commutator(projector, mu, tol=DEFAULT):
+def el_commutator(projector, mu):
     """[P, Q]; vanishes exactly at critical points of S_mu on the orbit."""
-    q = q_kernel(projector, mu, tol)
+    q = q_kernel(projector, mu)
     p = projector.matrix()
     return p @ q - q @ p
 
 
-def el_residual(projector, mu, tol=DEFAULT):
+def el_residual(projector, mu):
     """Spectral weight of [P, Q] -- a similarity-invariant stationarity measure.
 
     Being built from eigenvalues it is invariant under gauge transforms
@@ -547,7 +548,7 @@ def el_residual(projector, mu, tol=DEFAULT):
     anti-self-adjoint (S X^dag S = -X) the block is Hermitian, so ``eigvalsh``
     takes its roots.
     """
-    x = el_commutator(projector, mu, tol)
+    x = el_commutator(projector, mu)
     u = projector.basis
     su = projector.space.signs[:, None] * u
     h = (su.conj().T @ x) @ (x @ u)

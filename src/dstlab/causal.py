@@ -111,20 +111,20 @@ class CausalGraph:
         return cls(classes)
 
 
-def causal_graph(projector, tol=DEFAULT):
-    """Classify every point pair of a fermionic projector.
+def causal_graph(projector):
+    """Classify every point pair of a fermionic projector at its tolerances.
 
     ``projector`` may be its :class:`~dstlab.action.ChainPass`, whose roots
     are then reused.  The chain roots for (x,y) and (y,x) agree, so the graph
     is symmetric by construction; classification runs on the upper triangle
     and mirrors.
     """
-    roots = _pass_of(projector).roots
-    m = len(roots)
+    chains = _pass_of(projector)
+    m = chains.space.m
     classes = np.empty((m, m), dtype=object)
     for x in range(m):
         for y in range(x, m):
-            c = classify(roots[x, y], tol=tol)
+            c = classify(chains.roots[x, y], tol=chains.tol)
             classes[x, y] = c
             classes[y, x] = c
     return CausalGraph(classes)

@@ -404,7 +404,7 @@ def _run_classify_causal(params, seeds, tol, config_dir):
         proj = random_projector(
             space, sample["f"], seed, sample.get("boost_scale", 1.0), tol
         )
-        graph = causal_graph(proj, tol=tol)
+        graph = causal_graph(proj)
         off = graph.off_diagonal_class()
         graphs.append(
             {
@@ -433,7 +433,7 @@ def _landscape_family(params, tol):
 def _run_landscape(params, seeds, tol, config_dir):
     grid = np.linspace(params["start"], params["stop"], params["num"])
     mu = params.get("mu", 0.5)
-    records = landscape_scan(_landscape_family(params, tol), grid, mu=mu, tol=tol)
+    records = landscape_scan(_landscape_family(params, tol), grid, mu=mu)
     ok = [rec for rec in records if "error" not in rec]
     lam_plus = np.array([rec["roots"][-1] for rec in ok], dtype=complex)
     lam_minus = np.array([rec["roots"][0] for rec in ok], dtype=complex)
@@ -645,17 +645,21 @@ def _finite_float(token):
     return value
 
 
+def _load_json(path, what):
+    """The JSON document at ``path``; an unreadable file or invalid JSON exits 2."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+    except OSError as exc:
+        raise CliError(EXIT_VALIDATION, f"cannot read {what}: {exc}")
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"{what} is not valid JSON: {exc}")
+
+
 def _resolve_tolerances(config, override_path):
     merged = dict(config.get("tolerances", {}))
     if override_path is not None:
-        try:
-            with open(override_path) as fh:
-                overrides = json.load(fh, parse_constant=_reject_constant,
-                                 parse_float=_finite_float)
-        except OSError as exc:
-            raise CliError(EXIT_VALIDATION, f"cannot read tolerances: {exc}")
-        except ValueError as exc:
-            raise CliError(EXIT_VALIDATION, f"tolerances file not valid JSON: {exc}")
+        overrides = _load_json(override_path, "tolerances file")
         error = _first_error(TOLERANCE_VALIDATOR, overrides)
         if error is not None:
             raise CliError(EXIT_VALIDATION, f"tolerances invalid: {error.message}")
@@ -702,17 +706,6 @@ def _write_run(outdir, config, outputs, code):
         "outputs": index,
     }
     (outdir / "manifest.json").write_bytes(_json_bytes(manifest))
-
-
-def _load_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant,
-                             parse_float=_finite_float)
-    except OSError as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot read config: {exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"config is not valid JSON: {exc}")
 
 
 def _run_single(config, args, config_dir):
@@ -782,7 +775,7 @@ def main(argv=None):
         if args.subcommand == "reproduce":
             return _run_reproduce(args)
         config_path = Path(args.config)
-        config = _load_config(config_path)
+        config = _load_json(config_path, "config")
         # a config that is not an object fails validation in _run_single
         if isinstance(config, dict) and config.get("subcommand") != args.subcommand:
             raise CliError(

@@ -101,9 +101,9 @@ def chain_root_values(kernel):
     return chain_coefficients(kernel).roots()
 
 
-def causal_class_of_kernel(kernel, tol=DEFAULT):
+def causal_class_of_kernel(kernel):
     """Classify the closed chain of the kernel (timelike/spacelike/undetermined)."""
-    return classify(chain_root_values(kernel), tol=tol)
+    return classify(chain_root_values(kernel))
 
 
 def _cone_scale(kernel):
@@ -111,7 +111,7 @@ def _cone_scale(kernel):
     return 1.0 + float(xi @ xi)
 
 
-def kernel_gradient(kernel, tol=DEFAULT):
+def kernel_gradient(kernel):
     """Action gradient of the closed chain, as a 4x4 spin matrix.
 
     Timelike separation gives 2 a slash(xi); spacelike gives zero (the
@@ -121,7 +121,7 @@ def kernel_gradient(kernel, tol=DEFAULT):
     against the matrix route 2A - Tr(A)/2 before returning.
     """
     coeff = chain_coefficients(kernel)
-    if abs(coeff.xi_sq) <= tol.causal * _cone_scale(kernel):
+    if abs(coeff.xi_sq) <= DEFAULT.causal * _cone_scale(kernel):
         raise LightConeUndefined(
             f"xi.xi = {coeff.xi_sq:.3e} is on the light cone at this tolerance"
         )
@@ -131,28 +131,28 @@ def kernel_gradient(kernel, tol=DEFAULT):
     chain = chain_matrix(kernel)
     traceless = 2.0 * chain - 0.5 * np.trace(chain) * _ID4
     scale = 1.0 + float(np.max(np.abs(chain)))
-    if np.max(np.abs(traceless - grad)) > tol.grad_check * scale:
+    if np.max(np.abs(traceless - grad)) > DEFAULT.grad_check * scale:
         raise RuntimeError("closed-form gradient disagrees with 2A - Tr(A)/2")
     return grad
 
 
-def kernel_q(kernel, tol=DEFAULT):
+def kernel_q(kernel):
     """Q(x, y) = gradient(A) P(x, y) / 2; its swap is the spin adjoint."""
-    return 0.5 * kernel_gradient(kernel, tol=tol) @ kernel.matrix()
+    return 0.5 * kernel_gradient(kernel) @ kernel.matrix()
 
 
-def q_swap_check(kernel, tol=DEFAULT):
+def q_swap_check(kernel):
     """Max deviation between Q(y, x) and the spin adjoint of Q(x, y)."""
-    q_xy = kernel_q(kernel, tol=tol)
-    q_yx = kernel_q(kernel.swapped(), tol=tol)
+    q_xy = kernel_q(kernel)
+    q_yx = kernel_q(kernel.swapped())
     return float(np.max(np.abs(q_yx - spin_adjoint(q_xy))))
 
 
-def classify_separation(xi, tol=1e-9):
+def classify_separation(xi):
     """Sign-of-xi.xi reference classification for a bare separation vector."""
     xi = np.asarray(xi, dtype=float)
     xi_sq = float(xi[0] ** 2 - np.sum(xi[1:] ** 2))
     scale = 1.0 + float(xi @ xi)
-    if abs(xi_sq) <= tol * scale:
+    if abs(xi_sq) <= 1e-9 * scale:
         return CausalClass.UNDETERMINED
     return CausalClass.TIMELIKE if xi_sq > 0.0 else CausalClass.SPACELIKE

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# fourier_support_check: half-width of the xi grid, cone-surface band in cells
+EXTENT = 8.0
+BOUNDARY_BAND = 2.0
+
 
 class MassCone(enum.Enum):
     UPPER = "upper"
@@ -24,14 +28,14 @@ class Unbounded(ValueError):
     """The convolution support is not compact for this momentum."""
 
 
-def mass_cone_classify(k, tol=1e-9):
+def mass_cone_classify(k):
     """Classify a momentum vector (time component first, any spatial dim)."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 1 or k.size < 2:
         raise ValueError("expected a vector with a time and >=1 spatial component")
     ksq = float(k[0] ** 2 - np.sum(k[1:] ** 2))
     scale = 1.0 + float(k @ k)
-    if abs(ksq) <= tol * scale:
+    if abs(ksq) <= 1e-9 * scale:
         return MassCone.BOUNDARY
     if ksq < 0.0:
         return MassCone.OUTSIDE
@@ -64,7 +68,7 @@ class ShellSupport:
         )
 
 
-def convolution_support(q, masses, tol=1e-9):
+def convolution_support(q, masses):
     """Support windows of a closed-mass-cone multiplier against lower shells.
 
     Works in 1+1 dimensions: q = (q0, q1) must lie strictly inside the lower
@@ -76,7 +80,7 @@ def convolution_support(q, masses, tol=1e-9):
     q = np.asarray(q, dtype=float)
     if q.shape != (2,):
         raise ValueError("convolution support is computed in 1+1 dimensions")
-    if mass_cone_classify(q, tol=tol) is not MassCone.LOWER:
+    if mass_cone_classify(q) is not MassCone.LOWER:
         raise Unbounded(
             f"q = {tuple(q)} is not strictly inside the lower mass cone; "
             "the convolution region is unbounded"
@@ -99,16 +103,14 @@ def _default_profile(z):
     return np.exp(-z)
 
 
-def fourier_support_check(
-    a_profile=None, grid_n=256, extent=8.0, boundary_band=2.0, window=True
-):
+def fourier_support_check(a_profile=None, grid_n=256):
     """Measure how much spectral energy escapes the closed mass cone.
 
     Builds the odd vector field with components 2 xi_mu a(xi.xi) Theta(xi.xi)
-    eps(xi0) on a centered 1+1D grid of the given extent, applies a Hann
+    eps(xi0) on a centered 1+1D grid over [-EXTENT, EXTENT), applies a Hann
     window (the field never decays along the cone wings, so plain
     periodization would inject wrap-around jumps), and transforms.  Cells
-    within ``boundary_band`` cells of the cone surface count as boundary --
+    within ``BOUNDARY_BAND`` cells of the cone surface count as boundary --
     the continuum transform carries distributional sheets exactly there, so
     they belong to the closure.  The returned leakage is the energy fraction
     strictly outside that closure; it vanishes as the grid refines.
@@ -116,8 +118,7 @@ def fourier_support_check(
     if a_profile is None:
         a_profile = _default_profile
     n = int(grid_n)
-    extent = float(extent)
-    dx = 2.0 * extent / n
+    dx = 2.0 * EXTENT / n
     x = (np.arange(n) - n // 2) * dx
     xi0, xi1 = np.meshgrid(x, x, indexing="ij")
     xisq = xi0**2 - xi1**2
@@ -129,16 +130,15 @@ def fourier_support_check(
     g0 = xi0 * fac
     g1 = xi1 * fac
 
-    z_samples = np.linspace(0.0, extent**2, 512)
+    z_samples = np.linspace(0.0, EXTENT**2, 512)
     a_samples = np.abs(np.asarray(a_profile(z_samples), dtype=float))
     a_peak = float(a_samples.max())
     edge_warning = bool(a_peak > 0.0 and a_samples[-1] > 1e-6 * a_peak)
 
-    if window:
-        w = np.hanning(n)
-        taper = np.outer(w, w)
-        g0 = g0 * taper
-        g1 = g1 * taper
+    w = np.hanning(n)
+    taper = np.outer(w, w)
+    g0 = g0 * taper
+    g1 = g1 * taper
     f0 = np.fft.fft2(g0)
     f1 = np.fft.fft2(g1)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
@@ -148,24 +148,19 @@ def fourier_support_check(
     energy = np.abs(f0) ** 2 + np.abs(f1) ** 2
     total = float(energy.sum())
     if total == 0.0:
-        return {
-            "leakage": 0.0,
-            "raw_outside_fraction": 0.0,
-            "grid_n": n,
-            "extent": extent,
-            "boundary_band_cells": float(boundary_band),
-            "edge_warning": edge_warning,
-            "total_energy": 0.0,
-        }
-    outside_raw = ksq < 0.0
-    margin = boundary_band * (2.0 * (np.abs(k0) + np.abs(k1)) * dk + dk**2)
-    outside = outside_raw & (np.abs(ksq) > margin)
+        leakage = raw = 0.0
+    else:
+        outside_raw = ksq < 0.0
+        margin = BOUNDARY_BAND * (2.0 * (np.abs(k0) + np.abs(k1)) * dk + dk**2)
+        outside = outside_raw & (np.abs(ksq) > margin)
+        leakage = float(energy[outside].sum() / total)
+        raw = float(energy[outside_raw].sum() / total)
     return {
-        "leakage": float(energy[outside].sum() / total),
-        "raw_outside_fraction": float(energy[outside_raw].sum() / total),
+        "leakage": leakage,
+        "raw_outside_fraction": raw,
         "grid_n": n,
-        "extent": extent,
-        "boundary_band_cells": float(boundary_band),
+        "extent": EXTENT,
+        "boundary_band_cells": BOUNDARY_BAND,
         "edge_warning": edge_warning,
         "total_energy": total,
     }

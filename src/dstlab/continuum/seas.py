@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+REL_TOL = 1e-6  # regularized_action's cross-checks, relative to the value
+
 
 class NotRegularizable(ValueError):
     """The counter terms do not render the action finite."""
@@ -84,7 +86,6 @@ def regularized_action(
     m5,
     z_max=np.inf,
     eps_sequence=(1e-2, 1e-3, 1e-4),
-    rel_tol=1e-6,
 ):
     """Counter-term-subtracted action of a radial density L(z).
 
@@ -94,7 +95,7 @@ def regularized_action(
     sub-decade integrals of the remainder must vanish (otherwise
     NotRegularizable), and the direct eps-regularized values across
     eps_sequence, Richardson-extrapolated, must agree with the subtracted
-    value to rel_tol.
+    value to REL_TOL.
     """
     # scipy.integrate loads only here, so importing dstlab.cli does not pay for it
     from scipy import integrate
@@ -126,7 +127,7 @@ def regularized_action(
     # before we trust a quadrature down to z = 0.
     deltas = np.logspace(-2, -8, 7)
     tails = [_quad_probe(rem, lo, hi) for hi, lo in zip(deltas[:-1], deltas[1:])]
-    if abs(tails[-1]) > max(1e-9, rel_tol * (1.0 + abs(sum(tails)))):
+    if abs(tails[-1]) > max(1e-9, REL_TOL * (1.0 + abs(sum(tails)))):
         raise NotRegularizable(
             "remainder integral does not converge near z = 0 "
             f"(last sub-decade contributes {tails[-1]:.3e})"
@@ -150,7 +151,7 @@ def regularized_action(
     s1, s2, s3 = direct[-3:]
     denom = (s3 - s2) - (s2 - s1)
     limit_est = s3 if denom == 0.0 else s3 - (s3 - s2) ** 2 / denom
-    if abs(limit_est - value) > rel_tol * scale:
+    if abs(limit_est - value) > REL_TOL * scale:
         raise RuntimeError(
             "eps-sequence extrapolation disagrees with the subtracted value: "
             f"{limit_est:.12e} vs {value:.12e}"

@@ -310,13 +310,13 @@ def random_projector(space, f, seed, boost_scale=1.0, tol=DEFAULT):
     return FermionicProjector.from_span(space, u @ basis, tol)
 
 
-def random_direction(space, seed, scale=1.0):
+def random_direction(space, seed):
     """Random self-adjoint generator B = S*H (H Gaussian Hermitian), seeded.
 
     exp(i eta B) is then an indefinite unitary for every real eta, so B spans
     tangent directions of the projector orbit.
     """
-    h = _gaussian_hermitian(random_generator(seed), space.dim, scale)
+    h = _gaussian_hermitian(random_generator(seed), space.dim, 1.0)
     return space.signs[:, None] * h
 
 

@@ -164,12 +164,12 @@ class SolverResult:
     traces: dict  # seed -> list of per-round objective traces
 
 
-def _check_slope(chains, objective, b, slope, tol):
-    h = tol.fd_step
+def _check_slope(chains, objective, b, slope):
+    h = chains.tol.fd_step
     (plus, minus), _ = yield objective, chains.projector, b, [h, -h]
     fd = (plus - minus) / (2.0 * h)
     rel = abs(fd - slope) / max(abs(fd), abs(slope))
-    if rel > tol.grad_check:
+    if rel > chains.tol.grad_check:
         raise RuntimeError(
             f"first-iterate derivative check failed: analytic {slope:.6e}, "
             f"finite difference {fd:.6e}, relative error {rel:.2e}"
@@ -200,14 +200,15 @@ def _backtrack(chains, objective, b, step, current, slope):
     return None, current, step, examined
 
 
-def _descend(chains, objective, cfg, tol, check_first=False):
+def _descend(chains, objective, cfg, check_first=False):
     """Backtracking descent of one ``_Objective`` from the pass of one start.
 
-    A seed generator (:func:`_lockstep`).  The iterate is a ``ChainPass``,
-    which no evaluation writes onto.  Each pass of the loop asks for the
-    iterate's one gradient (k iterations make k + 1 requests), then tests
-    the exits in order: "stalled" (no descent over the stall window),
-    "max_iterations", "divergence", "converged".  The first iterate tries
+    A seed generator (:func:`_lockstep`).  The iterate is a ``ChainPass``;
+    valuing it writes nothing onto it, and its gradient, evaluated alone,
+    records its ``fd_pairs`` there (0 at n = 1).  Each pass of the loop
+    asks for the iterate's one gradient (k iterations make k + 1 requests),
+    then tests the exits in order: "stalled" (no descent over the stall
+    window), "max_iterations", "divergence", "converged".  The first iterate tries
     ``INITIAL_STEP``; every later one first tries the BB1 step
     min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
@@ -225,7 +226,7 @@ def _descend(chains, objective, cfg, tol, check_first=False):
     ``renormalizations`` counts the re-orthonormalized iterates,
     ``fd_pairs`` the chain pairs the gradients sent to finite differences,
     and ``gradient_norm`` is 4 ||[P, Q]||_F at the last iterate.  An accepted
-    iterate whose Gram drift exceeds ``tol.gram`` is re-orthonormalized
+    iterate whose Gram drift exceeds ``chains.tol.gram`` is re-orthonormalized
     before its gradient, also when the descent then stalls on it; a drift
     above 1e-14 left at the end is removed after the last gradient.
     ``chains`` is the pass of the returned projector.
@@ -275,7 +276,7 @@ def _descend(chains, objective, cfg, tol, check_first=False):
             step = min(step, MAX_STEP)
         slope = -grad_norm  # 4i Tr([P,Q] B) along the unit direction B
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
-            yield from _check_slope(chains, objective, b, slope, tol)
+            yield from _check_slope(chains, objective, b, slope)
             check_first = False
         trial, current, step, examined = yield from _backtrack(
             chains, objective, b, step, current, slope)
@@ -286,7 +287,7 @@ def _descend(chains, objective, cfg, tol, check_first=False):
         chains = trial
         trace.append(current)
         moved = (-step * k, grad)
-        if chains.projector.gram_dev > tol.gram:
+        if chains.projector.gram_dev > chains.tol.gram:
             # the trace keeps the accepted value
             chains = ChainPass(chains.projector.renormalized())
             renormalizations += 1
@@ -318,8 +319,8 @@ class _Objective:
     of a stacked pass.
     """
 
-    def __init__(self, tol, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
-        self.tol, self.mu, self.kappa, self.nu, self.w = tol, mu, kappa, nu, w
+    def __init__(self, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
+        self.mu, self.kappa, self.nu, self.w = mu, kappa, nu, w
 
     def value(self, chains):
         s, t = action_and_constraint(chains, self.mu)
@@ -328,7 +329,7 @@ class _Objective:
 
     def qmat(self, chains):
         d = chains.constraint - self.kappa
-        return q_kernel(chains, self.mu - self.nu - 2.0 * self.w * d, self.tol)
+        return q_kernel(chains, self.mu - self.nu - 2.0 * self.w * d)
 
 
 def _evaluate(requests):
@@ -350,7 +351,7 @@ def _evaluate(requests):
     sizes = [len(request[3]) if len(request) == 4 else 1 for request in requests]
     params = [(request[0].mu, request[0].kappa, request[0].nu, request[0].w)
               for request, size in zip(requests, sizes) for _ in range(size)]
-    objective = _Objective(requests[0][0].tol, *np.array(params).T)
+    objective = _Objective(*np.array(params).T)
     if len(requests[0]) == 2:
         chains = ChainPass.stacked([request[1] for request in requests])
         q = objective.qmat(chains)
@@ -390,7 +391,7 @@ def _lockstep(solves):
         replies = _evaluate([seed[2] for seed in group])
 
 
-def _solve_seed(start, cfg, tol):
+def _solve_seed(start, cfg):
     """One seed's descent at fixed mu, or its penalty rounds in constrained mode.
 
     A seed generator (:func:`_lockstep`) that returns (record, traces).  One
@@ -404,13 +405,13 @@ def _solve_seed(start, cfg, tol):
     starts the next, and its T and the record's (S, T) are read off it.
     """
     constrained = cfg.mode == "constrained"
-    objective = (_Objective(tol, 0.0, cfg.kappa, 0.0, PENALTY_START) if constrained
-                 else _Objective(tol, cfg.mu))
+    objective = (_Objective(0.0, cfg.kappa, 0.0, PENALTY_START) if constrained
+                 else _Objective(cfg.mu))
     chains = ChainPass(start)
     traces = []
     counts = dict.fromkeys(("iterations", "armijo_trials", "renormalizations", "fd_pairs"), 0)
     for round_idx in range(OUTER_ROUNDS if constrained else 1):
-        out = yield from _descend(chains, objective, cfg, tol, check_first=round_idx == 0)
+        out = yield from _descend(chains, objective, cfg, check_first=round_idx == 0)
         chains, status = out["chains"], out["status"]
         traces.append(out["trace"])
         for key in counts:
@@ -459,7 +460,7 @@ def minimize(space, f, config=None, tol=DEFAULT):
     """
     cfg = config or SolverConfig()
     starts = [random_projector(space, f, seed, cfg.boost_scale, tol) for seed in cfg.seeds]
-    solved = _lockstep([_solve_seed(start, cfg, tol) for start in starts])
+    solved = _lockstep([_solve_seed(start, cfg) for start in starts])
     per_seed = [{"seed": seed, **record} for seed, (record, _) in zip(cfg.seeds, solved)]
     traces = {seed: rounds for seed, (_, rounds) in zip(cfg.seeds, solved)}
 
@@ -495,7 +496,7 @@ def minimize(space, f, config=None, tol=DEFAULT):
         action=best["action"],
         constraint=best["constraint"],
         multiplier=mu_eff,
-        residual=el_residual(best["projector"], mu_eff, tol),
+        residual=el_residual(best["projector"], mu_eff),
         gradient_norm=best["gradient_norm"],
         status=status,
         seed=best["seed"],
@@ -512,7 +513,7 @@ class MultiplierEstimate:
     t_stationarity: float  # ||[P, Q_T]|| / (1 + ||Q_T||)
 
 
-def lagrange_multiplier_estimate(projector, tol=DEFAULT):
+def lagrange_multiplier_estimate(projector):
     """Least-squares fit of dS = mu dT over every orbit direction at once.
 
     The first variations along B = S H are linear in the commutators
@@ -529,8 +530,8 @@ def lagrange_multiplier_estimate(projector, tol=DEFAULT):
     would be pure noise).
     """
     chains = ChainPass(projector)
-    qs = q_kernel(chains, 0.0, tol)
-    qt = constraint_q_kernel(chains, tol)
+    qs = q_kernel(chains, 0.0)
+    qt = constraint_q_kernel(chains)
     p = projector.matrix()
     cs = p @ qs - qs @ p
     ct = p @ qt - qt @ p
@@ -545,7 +546,7 @@ def lagrange_multiplier_estimate(projector, tol=DEFAULT):
     return MultiplierEstimate(value, residual, status, t_stat)
 
 
-def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
+def landscape_scan(family, grid, mu=0.5):
     """Evaluate action, constraint and chain-root data over a projector family.
 
     ``family`` maps a parameter value to a projector; grid points where the
@@ -568,7 +569,7 @@ def landscape_scan(family, grid, mu=0.5, tol=DEFAULT):
         chains = ChainPass(proj)
         s, t = action_and_constraint(chains, mu)
         roots = np.sort_complex(chains.roots[0, 1])
-        graph = causal_graph(chains, tol=tol)
+        graph = causal_graph(chains)
         off = graph.off_diagonal_class()
         records.append(
             {

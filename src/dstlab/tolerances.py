@@ -1,8 +1,14 @@
 """Centralized numerical tolerances.
 
 Every tolerance used by the library lives in one record so experiments can
-tighten or loosen them coherently.  Functions accept an optional ``tol``
-argument and fall back to :data:`DEFAULT`.
+tighten or loosen them coherently.  Two rules say where a bundle is given:
+
+1. A projector carries its bundle (``FermionicProjector.tol``), and the
+   functions of a projector or its chain pass read it there; only projector
+   constructors take ``tol``, which defaults to :data:`DEFAULT`.
+2. A function of raw data (roots, chains, local correlations) takes ``tol``
+   only where a caller sets it; a tolerance no caller sets is a module
+   constant, or a literal at its one use.
 """
 
 from dataclasses import dataclass, replace

@@ -672,21 +672,21 @@ def test_vanishing_discriminant_sends_the_root_routes_pairs_to_fd(monkeypatch, c
     from dstlab import FermionicProjector
     from dstlab.correlation import TRIANGLE_CAUSAL_THRESHOLD, triangle_projector
 
-    def triangle(rel):
+    def triangle(rel, tol=DEFAULT):
         # the eigenvector phases behind the family's basis jump with v; a
         # diagonal gauge makes the first basis column real and positive
         p = triangle_projector(TRIANGLE_CAUSAL_THRESHOLD * (1.0 + rel))
         phase = p.basis[:, 0] / np.abs(p.basis[:, 0])
-        return FermionicProjector(p.space, p.basis / phase[:, None])
+        return FermionicProjector(p.space, p.basis / phase[:, None], tol)
 
     mean = 0.5 * (act.q_kernel(triangle(-1e-6), 0.5) + act.q_kernel(triangle(1e-6), 0.5))
     tol = DEFAULT.with_(eig_collision=collision)
     calls = _count_fd_calls(monkeypatch)
     for rel in (-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3):
-        p = triangle(rel)
+        p = triangle(rel, tol)
         calls.clear()
         cp = act.ChainPass(p)
-        q = act.q_kernel(cp, 0.5, tol)
+        q = act.q_kernel(cp, 0.5)
         assert cp.fd_pairs == 0 and len(calls) == 0
         msq, mabs = act.gradient_blocks(act.chain_blocks(act.kernel_blocks(p)), tol)
         disc = 0.25 * cp.t * cp.t - cp.delta

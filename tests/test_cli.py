@@ -87,6 +87,19 @@ _MINIMIZE = {"subcommand": "minimize", "params": {"n": 1, "f": 2, "m": 3, "max_i
              "seeds": [0]}
 
 
+def test_missing_or_unparsable_tolerances_file(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", _MINIMIZE)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    out = tmp_path / "o"
+    for path, message in ((tmp_path / "nope.json", "cannot read tolerances file"),
+                          (bad, "tolerances file is not valid JSON")):
+        argv = ["minimize", "--config", cfg, "--out", str(out), "--tolerances", str(path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("config, override, token", [
     ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mu": math.nan}}, None, "NaN"),
     ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mode": "constrained",

@@ -116,7 +116,7 @@ def _penalty_reference(p):
 
 @pytest.mark.parametrize(
     "objective, reference",
-    [(lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W), _penalty_reference)],
+    [(lambda: _Objective(0.0, KAPPA, NU, W), _penalty_reference)],
     ids=["penalty"],
 )
 def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
@@ -144,7 +144,7 @@ def test_qmat_needs_no_value_call_and_valuing_writes_nothing():
     p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
     b = random_direction(p.space, seed=5)
     stack = transported(p, b / np.linalg.norm(b), [0.4, 0.2])
-    built = _Objective(DEFAULT, 0.0, KAPPA, NU, W)
+    built = _Objective(0.0, KAPPA, NU, W)
     for chains in (ChainPass(p), ChainPass(stack)):
         before = dict(vars(chains))
         built.value(chains)
@@ -222,10 +222,10 @@ def test_descent_reports_why_it_stopped(
     cfg = SolverConfig(**{"mu": 0.5, **settings})
     # alone, and with a second seed whose requests share its evaluations
     for seeds in ((0,), (0, 1)):
-        objectives = [_Objective(DEFAULT, cfg.mu) for _ in seeds]
+        objectives = [_Objective(cfg.mu) for _ in seeds]
         outs = _lockstep([_descend(
             ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed)),
-            objective, cfg, DEFAULT,
+            objective, cfg,
         ) for seed, objective in zip(seeds, objectives)])
         for seed, objective, out in zip(seeds, objectives, outs):
             assert out["exit_reason"] == reason
@@ -243,7 +243,7 @@ def test_a_lone_request_is_its_slice_of_a_stacked_evaluation(n, m, f):
     # stacked evaluation, whatever its place in the stack
     space = DiscreteSpacetime(n, m)
     starts = [ChainPass(random_projector(space, f, seed=seed)) for seed in (0, 1)]
-    objectives = [_Objective(DEFAULT, 0.3, KAPPA, NU, W), _Objective(DEFAULT, 0.25)]
+    objectives = [_Objective(0.3, KAPPA, NU, W), _Objective(0.25)]
     directions = [random_direction(space, seed=seed) for seed in (2, 3)]
     steps = [[0.9, 0.45, 0.225], [0.5, 0.25]]
     gradients = [(objective, start) for objective, start in zip(objectives, starts)]
@@ -328,7 +328,7 @@ def _first_trials(monkeypatch, objective, start, max_iter):
         return iterates[-1][1]
 
     monkeypatch.setattr(_Objective, "qmat", spy_qmat)
-    out = _run(_descend(start, objective, SolverConfig(max_iter=max_iter), DEFAULT))
+    out = _run(_descend(start, objective, SolverConfig(max_iter=max_iter)))
     assert np.all(np.diff(out["trace"]) <= 0.0)  # monotone descent
     grads = []
     for p, q in iterates:
@@ -359,7 +359,7 @@ def _first_trials(monkeypatch, objective, start, max_iter):
 
 def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2))
-    out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.5), start, 40)
+    out, rows = _first_trials(monkeypatch, _Objective(0.5), start, 40)
     assert out["iterations"] == 40 and len(rows) == 39
     for sy, rule, first in rows:
         assert sy > 0.0
@@ -371,7 +371,7 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
     # divergence floor: each first trial is the last step times STEP_GROW
     _negate(monkeypatch, value=True)
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0, boost_scale=0.5))
-    out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.5), start, 20)
+    out, rows = _first_trials(monkeypatch, _Objective(0.5), start, 20)
     assert out["exit_reason"] == "divergence" and len(rows) >= 2
     for sy, rule, first in rows:
         assert sy <= 0.0
@@ -385,7 +385,7 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
 def test_first_trial_switches_rules_with_the_sign_of_the_curvature(monkeypatch):
     # beyond the critical weight the descent meets both signs of Re<s, y>
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
-    out, rows = _first_trials(monkeypatch, _Objective(DEFAULT, 0.7), start, 20)
+    out, rows = _first_trials(monkeypatch, _Objective(0.7), start, 20)
     assert out["exit_reason"] == "divergence"
     assert {sy > 0.0 for sy, _, _ in rows} == {True, False}
     for sy, rule, first in rows:
@@ -403,14 +403,13 @@ def test_first_iterate_derivative_check(monkeypatch, scale, seeds):
     # raises its own error
     q_kernel = dstlab.solver.q_kernel
     monkeypatch.setattr(dstlab.solver, "q_kernel",
-                        lambda chains, mu, tol: scale * q_kernel(chains, mu, tol))
+                        lambda chains, mu: scale * q_kernel(chains, mu))
 
     def descend(seeds):
         return _lockstep([_descend(
             ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed)),
-            _Objective(DEFAULT, 0.5),
+            _Objective(0.5),
             SolverConfig(mu=0.5, max_iter=2),
-            DEFAULT,
             check_first=True,
         ) for seed in seeds])
 
@@ -616,8 +615,8 @@ def _count_chain_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("objective", [
-    lambda: _Objective(DEFAULT, 0.5),
-    lambda: _Objective(DEFAULT, 0.0, KAPPA, NU, W),
+    lambda: _Objective(0.5),
+    lambda: _Objective(0.0, KAPPA, NU, W),
 ], ids=["auxiliary", "penalty"])
 def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
     # the start's value makes one pass and every batch of line-search trials
@@ -625,7 +624,7 @@ def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
     # iterate make none
     passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
     out = _run(_descend(ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2)),
-                        objective(), SolverConfig(max_iter=25), DEFAULT))
+                        objective(), SolverConfig(max_iter=25)))
     assert out["iterations"] > 10 and out["renormalizations"] == 0
     assert len(passes) == 1 + len(batches)
     assert all(p is stack for p, (_, _, stack, _) in zip(passes[1:], batches))
@@ -646,7 +645,7 @@ def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(
     tol = DEFAULT.with_(gram=gram)
     cfg = SolverConfig(mode="constrained", kappa=KAPPA, max_iter=30)
     solved = _lockstep([dstlab.solver._solve_seed(
-        random_projector(DiscreteSpacetime(1, 3), 2, seed=seed), cfg, tol) for seed in seeds])
+        random_projector(DiscreteSpacetime(1, 3), 2, seed=seed, tol=tol), cfg) for seed in seeds])
     renormalizations = sum(record["renormalizations"] for record, _ in solved)
     stacks = len({id(stack) for _, _, stack, _ in batches})
     assert len(passes) == len(seeds) + stacks + renormalizations
@@ -660,7 +659,43 @@ def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(
             record["projector"], 0.0)
 
 
-def _sequential_descent(chains, objective, cfg, tol):
+@pytest.mark.parametrize("n, m, f, settings, collision", [
+    (1, 3, 2, {"mu": 0.5}, 1e-4),
+    (1, 3, 2, {"mode": "constrained", "kappa": KAPPA}, 1e-4),
+    # at 1e-4 the n = 2 FD fallback fails the first-iterate derivative check
+    (2, 3, 3, {"mu": 0.25}, 1e-5),
+], ids=["auxiliary_n1", "constrained_n1", "auxiliary_n2"])
+def test_the_tolerances_of_a_solve_reach_every_evaluation(
+    monkeypatch, n, m, f, settings, collision
+):
+    # minimize hands its bundle to the starts only; every chain pass, trial
+    # stack and Q after them reads the bundle of what it is made of, so each
+    # must carry that exact bundle: the two seeds' stacked passes too, and the
+    # iterate the constrained solve renormalizes
+    tol = DEFAULT.with_(eig_collision=collision, gram=1e-12)
+    made, evaluated = [], []
+    for cls in (ChainPass, TrialStack):
+        def spy(self, source, init=cls.__init__):
+            init(self, source)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    q = ChainPass.q
+
+    def spy_q(self, w_sq, w_abs):
+        evaluated.append(self.tol)
+        return q(self, w_sq, w_abs)
+
+    monkeypatch.setattr(ChainPass, "q", spy_q)
+    cfg = SolverConfig(seeds=(0, 1), max_iter=30, **settings)
+    res = minimize(DiscreteSpacetime(n, m), f, cfg, tol)
+    assert {type(obj) for obj in made} == {ChainPass, TrialStack} and evaluated
+    assert all(obj.tol is tol for obj in made)
+    assert all(bundle is tol for bundle in evaluated)
+    assert res.projector.tol is tol
+
+
+def _sequential_descent(chains, objective, cfg):
     """The descent with one transported, one chain pass and one value call per Armijo trial.
 
     Returns (projector, trace, Armijo trials, exit reason).
@@ -707,7 +742,7 @@ def _sequential_descent(chains, objective, cfg, tol):
             reason = "stalled"
             break
         moved = (-step * k, grad_norm * k)
-        if chains.projector.gram_dev > tol.gram:
+        if chains.projector.gram_dev > chains.tol.gram:
             chains = ChainPass(chains.projector.renormalized())
             value(chains)
     proj = chains.projector
@@ -721,14 +756,14 @@ def _second_penalty_round(monkeypatch):
     rounds = []
     descend = dstlab.solver._descend
 
-    def recorded(chains, objective, cfg, tol, check_first=False):
+    def recorded(chains, objective, cfg, check_first=False):
         rounds.append((chains, objective.nu, objective.w))
-        return descend(chains, objective, cfg, tol, check_first)
+        return descend(chains, objective, cfg, check_first)
 
     monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
     monkeypatch.setattr(dstlab.solver, "_descend", recorded)
     _run(dstlab.solver._solve_seed(random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
-                                   SolverConfig(mode="constrained", kappa=KAPPA), DEFAULT))
+                                   SolverConfig(mode="constrained", kappa=KAPPA)))
     monkeypatch.setattr(dstlab.solver, "_descend", descend)
     return rounds[1]
 
@@ -746,9 +781,8 @@ def test_batched_backtracking_matches_the_sequential_search(monkeypatch, case):
     else:
         start, objective = ChainPass(random_projector(DiscreteSpacetime(2, 3), 3, seed=0)), (0.25,)
         cfg = SolverConfig(max_iter=40)
-    out = _run(_descend(start, _Objective(DEFAULT, *objective), cfg, DEFAULT))
-    proj, trace, trials, reason = _sequential_descent(start, _Objective(DEFAULT, *objective),
-                                                      cfg, DEFAULT)
+    out = _run(_descend(start, _Objective(*objective), cfg))
+    proj, trace, trials, reason = _sequential_descent(start, _Objective(*objective), cfg)
     assert out["exit_reason"] == reason
     assert (case == "penalty_floor") == (reason == "line_search_floor")
     assert out["armijo_trials"] == trials
@@ -766,7 +800,7 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
     stacked = ChainPass(stack)
     s, t = action_and_constraint(stacked, 0.3)
     # the stacked pass holds one T per trial, and its slices carry theirs
-    objective = _Objective(DEFAULT, 0.3, KAPPA, NU, W)
+    objective = _Objective(0.3, KAPPA, NU, W)
     values = objective.value(stacked)
     names = ("p", "t", "det", "delta") if n == 1 else ("p", "kernels", "chains")
     for j, eta in enumerate(steps):
@@ -831,8 +865,8 @@ def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
     start, nu, w = _second_penalty_round(monkeypatch)
     batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
     firsts = _spy_searches(monkeypatch)
-    objective = _Objective(DEFAULT, 0.0, KAPPA, nu, w)
-    out = _run(_descend(start, objective, SolverConfig(), DEFAULT))
+    objective = _Objective(0.0, KAPPA, nu, w)
+    out = _run(_descend(start, objective, SolverConfig()))
     assert out["exit_reason"] == "line_search_floor"
     assert len(firsts) == out["iterations"] + 1
     searches = {}
@@ -870,7 +904,7 @@ def test_a_first_step_below_the_min_step_makes_no_batch(monkeypatch):
     batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
     firsts = _spy_searches(monkeypatch)
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
-    out = _run(_descend(start, _Objective(DEFAULT, 0.5), SolverConfig(), DEFAULT))
+    out = _run(_descend(start, _Objective(0.5), SolverConfig()))
     assert out["exit_reason"] == "line_search_floor" and out["iterations"] == 1
     assert [step for _, step in firsts] == [dstlab.solver.INITIAL_STEP, 1e-15]
     assert {id(proj) for proj, _, _, _ in batches} == {id(start.projector)}
@@ -890,7 +924,7 @@ def test_gradient_norm_is_the_returned_projectors(monkeypatch, settings, constan
         monkeypatch.setattr(dstlab.solver, name, value)
     for seed in (0, 1):
         out = _run(_descend(ChainPass(random_projector(DiscreteSpacetime(1, 5), 2, seed=seed)),
-                            _Objective(DEFAULT, 0.5), SolverConfig(**settings), DEFAULT))
+                            _Objective(0.5), SolverConfig(**settings)))
         assert out["exit_reason"] == reason
         proj = out["chains"].projector
         q, p = q_kernel(proj, 0.5), proj.matrix()
@@ -958,7 +992,7 @@ def _records_with_actions(monkeypatch, actions, statuses):
     """minimize with seed k's record replaced by (actions[k], statuses[k])."""
     proj = random_projector(DiscreteSpacetime(1, 3), 2, seed=0)
 
-    def fake(start, cfg, tol):
+    def fake(start, cfg):
         # a seed generator that asks for nothing
         k = fake.calls
         fake.calls += 1
