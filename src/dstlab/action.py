@@ -177,15 +177,15 @@ def lagrangian(roots, mu):
 
 
 def pairwise_critical_lagrangian(roots):
-    """(1/4n) sum_{i,j} (|lam_i| - |lam_j|)^2; equals L at mu = 1/(2n).
+    """(1/4n) sum_{i,j} (|lam_i| - |lam_j|)^2 over the last axis; L at mu = 1/(2n).
 
     Independent route to the critical Lagrangian, kept separate from
     :func:`lagrangian` on purpose so the identity can be cross-checked.
     """
     r = np.abs(np.asarray(roots))
-    diff = r[:, None] - r[None, :]
+    diff = r[..., :, None] - r[..., None, :]
     # 4n = 2 * (number of roots)
-    return float(np.sum(diff * diff) / (2.0 * r.size))
+    return np.sum(diff * diff, axis=(-2, -1)) / (2.0 * r.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
+from .action import critical_mu
 from .causal import causal_graph, classify
 from .core import DiscreteSpacetime, random_projector
 from .correlation import (
@@ -86,6 +87,13 @@ _SOLVER_PARAMS = {
     "residual_tol": {"type": "number", "exclusiveMinimum": 0},
 }
 
+# a np.linspace grid: the landscape's parameter and the lattice scan's boosts
+_GRID = {
+    "start": {"type": "number"},
+    "stop": {"type": "number"},
+    "num": {"type": "integer", "minimum": 2},
+}
+
 # [numerator, denominator]; a zero denominator is no number
 _RATIONAL_PAIR = {
     "oneOf": [
@@ -137,10 +145,7 @@ PARAM_SCHEMAS = {
                 "additionalProperties": False,
                 "required": ["n", "m", "f"],
                 "properties": {
-                    "n": {"type": "integer", "minimum": 1},
-                    "m": {"type": "integer", "minimum": 1},
-                    "f": {"type": "integer", "minimum": 1},
-                    "boost_scale": {"type": "number", "exclusiveMinimum": 0},
+                    k: _SOLVER_PARAMS[k] for k in ("n", "m", "f", "boost_scale")
                 },
             },
         },
@@ -152,9 +157,7 @@ PARAM_SCHEMAS = {
         "required": ["family", "start", "stop", "num"],
         "properties": {
             "family": {"enum": ["triangle", "tetrahedron", "planar-square"]},
-            "start": {"type": "number"},
-            "stop": {"type": "number"},
-            "num": {"type": "integer", "minimum": 2},
+            **_GRID,
             "mu": {"type": "number"},
             "rho": {"type": "number", "exclusiveMinimum": 0},
         },
@@ -200,11 +203,7 @@ PARAM_SCHEMAS = {
                 "type": "object",
                 "additionalProperties": False,
                 "required": ["start", "stop", "num"],
-                "properties": {
-                    "start": {"type": "number"},
-                    "stop": {"type": "number"},
-                    "num": {"type": "integer", "minimum": 2},
-                },
+                "properties": _GRID,
             },
         },
     },
@@ -334,7 +333,7 @@ def _space(n, m, f):
 def _solver_config(params, seeds):
     # the SolverConfig fields are the minimize params other than n, f and m
     kwargs = {k: v for k, v in params.items() if k not in ("n", "f", "m")}
-    kwargs.setdefault("mu", 1.0 / (2.0 * params["n"]))
+    kwargs.setdefault("mu", critical_mu(params["n"]))
     try:
         return SolverConfig(seeds=tuple(seeds), **kwargs)
     except ValueError as exc:

@@ -15,6 +15,8 @@ relations with metric diag(1, -1).
 
 import numpy as np
 
+from ..core import indefinite_adjoint
+
 METRIC4 = np.diag([1.0, -1.0, -1.0, -1.0])
 
 _SIGMA = np.array(
@@ -27,9 +29,10 @@ _SIGMA = np.array(
 )
 
 _Z2 = np.zeros((2, 2), dtype=complex)
+_SPIN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # = diag(gamma^0): an n = 2 point block
 
 GAMMA4 = np.stack(
-    [np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)]
+    [np.diag(_SPIN_SIGNS).astype(complex)]
     + [np.block([[_Z2, s], [-s, _Z2]]) for s in _SIGMA]
 )
 
@@ -60,7 +63,5 @@ def slash2(v):
 
 
 def spin_adjoint(mat):
-    """Adjoint with respect to <u|v> = u^dag gamma^0 v (4x4 matrices)."""
-    mat = np.asarray(mat, dtype=complex)
-    g0 = GAMMA4[0]
-    return g0 @ mat.conj().T @ g0
+    """Adjoint with respect to <u|v> = u^dag gamma^0 v, of a 4x4 matrix or a stack."""
+    return indefinite_adjoint(np.asarray(mat, dtype=complex), _SPIN_SIGNS)

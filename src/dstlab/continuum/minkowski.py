@@ -29,7 +29,8 @@ import numpy as np
 
 from ..causal import CausalClass, classify
 from ..tolerances import DEFAULT
-from .dirac import slash4, spin_adjoint
+from .dirac import minkowski_square, slash4, spin_adjoint
+from .momentum import MassCone, mass_cone_classify
 
 _ID4 = np.eye(4, dtype=complex)
 
@@ -57,8 +58,7 @@ class VectorScalarKernel:
         return np.asarray(self.xi, dtype=float)
 
     def xi_square(self):
-        xi = self.xi_vec
-        return float(xi[0] ** 2 - xi[1] ** 2 - xi[2] ** 2 - xi[3] ** 2)
+        return float(minkowski_square(self.xi_vec))
 
     def matrix(self):
         return complex(self.alpha) * slash4(self.xi_vec) + complex(self.beta) * _ID4
@@ -106,11 +106,6 @@ def causal_class_of_kernel(kernel):
     return classify(chain_root_values(kernel))
 
 
-def _cone_scale(kernel):
-    xi = kernel.xi_vec
-    return 1.0 + float(xi @ xi)
-
-
 def kernel_gradient(kernel):
     """Action gradient of the closed chain, as a 4x4 spin matrix.
 
@@ -121,7 +116,7 @@ def kernel_gradient(kernel):
     against the matrix route 2A - Tr(A)/2 before returning.
     """
     coeff = chain_coefficients(kernel)
-    if abs(coeff.xi_sq) <= DEFAULT.causal * _cone_scale(kernel):
+    if mass_cone_classify(kernel.xi_vec) is MassCone.BOUNDARY:
         raise LightConeUndefined(
             f"xi.xi = {coeff.xi_sq:.3e} is on the light cone at this tolerance"
         )
@@ -150,9 +145,7 @@ def q_swap_check(kernel):
 
 def classify_separation(xi):
     """Sign-of-xi.xi reference classification for a bare separation vector."""
-    xi = np.asarray(xi, dtype=float)
-    xi_sq = float(xi[0] ** 2 - np.sum(xi[1:] ** 2))
-    scale = 1.0 + float(xi @ xi)
-    if abs(xi_sq) <= 1e-9 * scale:
+    cone = mass_cone_classify(xi)
+    if cone is MassCone.BOUNDARY:
         return CausalClass.UNDETERMINED
-    return CausalClass.TIMELIKE if xi_sq > 0.0 else CausalClass.SPACELIKE
+    return CausalClass.SPACELIKE if cone is MassCone.OUTSIDE else CausalClass.TIMELIKE

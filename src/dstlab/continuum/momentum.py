@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dirac import minkowski_square
+
 # fourier_support_check: half-width of the xi grid, cone-surface band in cells
 EXTENT = 8.0
 BOUNDARY_BAND = 2.0
@@ -33,8 +35,9 @@ def mass_cone_classify(k):
     k = np.asarray(k, dtype=float)
     if k.ndim != 1 or k.size < 2:
         raise ValueError("expected a vector with a time and >=1 spatial component")
-    ksq = float(k[0] ** 2 - np.sum(k[1:] ** 2))
+    ksq = float(minkowski_square(k))
     scale = 1.0 + float(k @ k)
+    # the light-cone band of classify_separation and kernel_gradient too
     if abs(ksq) <= 1e-9 * scale:
         return MassCone.BOUNDARY
     if ksq < 0.0:
@@ -85,7 +88,7 @@ def convolution_support(q, masses):
             f"q = {tuple(q)} is not strictly inside the lower mass cone; "
             "the convolution region is unbounded"
         )
-    big_q = float(np.sqrt(q[0] ** 2 - q[1] ** 2))
+    big_q = float(np.sqrt(minkowski_square(q)))
     u = float(np.arcsinh(q[1] / big_q))
     supports = []
     for m in masses:

@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+def indefinite_adjoint(a, signs):
+    """S A^dagger S for S = diag(signs), on the last two axes of a matrix or a stack."""
+    return signs[:, None] * np.conj(np.asarray(a)).swapaxes(-1, -2) * signs
+
+
 def random_generator(seed):
     """Counter-based deterministic generator (numpy Philox) for ``seed``."""
     return np.random.Generator(np.random.Philox(seed))
@@ -110,8 +115,7 @@ class DiscreteSpacetime:
 
     def adjoint(self, a):
         """Indefinite adjoint S A^dagger S of a matrix on the full space."""
-        s = self.signs
-        return s[:, None] * np.conj(np.asarray(a)).T * s[None, :]
+        return indefinite_adjoint(a, self.signs)
 
 
 def _gram(space, basis):
@@ -352,9 +356,7 @@ class GaugeTransform:
 
     def inverse(self):
         # U^{-1} = S0 U^dagger S0 for an indefinite unitary; exact, no solve.
-        s0 = self.space.block_signs
-        inv = s0[None, :, None] * self.blocks.conj().transpose(0, 2, 1) * s0[None, None, :]
-        return GaugeTransform(self.space, inv)
+        return GaugeTransform(self.space, indefinite_adjoint(self.blocks, self.space.block_signs))
 
     def compose(self, other):
         """self after other (matrix product per block)."""

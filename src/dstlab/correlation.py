@@ -139,7 +139,8 @@ def local_correlations(projector):
 
     Requires n = 1 and rank 2; raises ValueError otherwise.  The Pauli
     decomposition is obtained by trace projection, and the summation and
-    signature invariants are enforced to 1e-10.
+    signature invariants are enforced to 1e-10 (1 + sum |rho_x| + sum |v_x|),
+    a bound that grows with the weights of a diverged projector.
     """
     space = projector.space
     if space.n != 1 or projector.rank != 2:
@@ -151,9 +152,10 @@ def local_correlations(projector):
     vec = np.einsum("xab,kba->xk", f, PAULI).real
     corr = LocalCorrelation(rho, vec)
     checks = corr.check_invariants()
-    if checks["sum_rho"] > 1e-10 or checks["sum_vectors"] > 1e-10:
+    bound = 1e-10 * (1.0 + np.abs(rho).sum() + corr.lengths().sum())
+    if checks["sum_rho"] > bound or checks["sum_vectors"] > bound:
         raise ValueError(f"correlation sums violated: {checks}")
-    if checks["signature"] > 1e-10:
+    if checks["signature"] > bound:
         raise ValueError(f"signature constraint violated: {checks}")
     return corr
 

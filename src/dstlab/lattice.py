@@ -57,14 +57,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum.dirac import GAMMA4
+from .action import critical_mu, pairwise_critical_lagrangian
+from .continuum.dirac import GAMMA4, spin_adjoint
 
 _ID4 = np.eye(4, dtype=complex)
 _GAMMA_T = GAMMA4[0]
 _GAMMA_R = GAMMA4[3]
-_G0 = GAMMA4[0]
 
-CRITICAL_MU = 0.25
+CRITICAL_MU = critical_mu(2)
 
 
 def scalar_kernel(x):
@@ -168,13 +168,9 @@ def lattice_kernel(geom, states):
     )
 
 
-def dirac_adjoint_field(field):
-    return _G0 @ np.conj(np.swapaxes(field, -1, -2)) @ _G0
-
-
 def closed_chain_field(p_field):
     """A(t, r) = P(t, r) times its Dirac adjoint, pointwise."""
-    return p_field @ dirac_adjoint_field(p_field)
+    return p_field @ spin_adjoint(p_field)
 
 
 def chain_root_field(a_field):
@@ -185,11 +181,8 @@ def chain_root_field(a_field):
     return roots
 
 
-def critical_lagrangian_field(roots):
-    """Pointwise (1/8) sum_{i,j} (|lam_i| - |lam_j|)^2, manifestly >= 0."""
-    mods = np.abs(roots)
-    diff = mods[..., :, None] - mods[..., None, :]
-    return np.sum(diff * diff, axis=(-2, -1)) / 8.0
+# pointwise (1/8) sum_{i,j} (|lam_i| - |lam_j|)^2 over (..., 4) root fields
+critical_lagrangian_field = pairwise_critical_lagrangian
 
 
 def critical_lagrangian(c, a, b):

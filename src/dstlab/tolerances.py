@@ -43,6 +43,10 @@ class Tolerances:
         2 sqrt|t^2/4 - delta| < ``eig_collision * (1 + |lam_+|)``, with
         |lam_+| = sqrt(delta) on a conjugate pair, the kernel takes the mean
         of the two branches' slopes; no pair goes to finite differences.
+        Open limit at n = 2: a band far above the default sends pairs near
+        a collision but not defective to finite differences, too coarse at
+        ``fd_step`` for their root gap; at (n, m, f) = (2, 3, 3), mu = 0.25,
+        1e-4 fails the first-iterate derivative check (exit 3).
     fd_step : float
         Base step for central finite differences.
     causal : float

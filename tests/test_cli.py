@@ -242,12 +242,28 @@ def test_removed_projector_tolerance_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.integrate",
-                                    "scipy.linalg"])
+                                    "scipy.linalg", "dstlab.continuum.minkowski",
+                                    "dstlab.continuum.momentum"])
 def test_importing_the_cli_does_not_load(module):
     # each is imported by its users when they run: sympy by lightcone-check,
     # scipy.optimize by multiset_distance, scipy.integrate by regularized_action,
-    # scipy.linalg by the random start, the orthonormalization and the gauge blocks
+    # scipy.linalg by the random start, the orthonormalization and the gauge blocks;
+    # no subcommand uses the vector-scalar kernels or the mass cone
     code = f"import sys, dstlab.cli; print({module!r} in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["dstlab.causal", "dstlab.continuum.seas"])
+def test_importing_the_lattice_does_not_load(module):
+    # the lattice model uses the gamma matrices and the critical Lagrangian only
+    code = f"import sys, dstlab.lattice; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -800,6 +816,18 @@ def test_minimize_divergence_exit_code(tmp_path):
     result = load(out / "result.json")
     assert result["status"] == "divergence"
     assert load(out / "manifest.json")["status"] == "divergence"
+
+    # this projector diverges to weights near 1e6, whose sums cancel only to
+    # rounding relative to them; the run still writes its Pauli vectors
+    cfg = write_config(
+        tmp_path / "pv.json",
+        {"subcommand": "pauli-vectors", "params": {"m": 4, "mu": 1.0}, "seeds": [0]},
+    )
+    out = tmp_path / "pv"
+    assert main(["pauli-vectors", "--config", cfg, "--out", str(out)]) == 4
+    assert load(out / "result.json")["status"] == "divergence"
+    assert load(out / "manifest.json")["status"] == "divergence"
+    assert (out / "pauli_vectors.csv").is_file()
 
 
 def test_result_records_each_seeds_exit_reason(tmp_path):
