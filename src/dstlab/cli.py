@@ -262,8 +262,6 @@ def _config_validator(params_schema):
 VALIDATORS = {sub: _config_validator(schema) for sub, schema in PARAM_SCHEMAS.items()}
 TOLERANCE_VALIDATOR = jsonschema.Draft202012Validator(_TOLERANCE_BLOCK)
 
-FIGURES = ("fig1-2", "fig3", "fig5")
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -549,59 +547,43 @@ def _run_state_stability(params, seeds, tol, config_dir):
 
 
 # ---------------------------------------------------------------------------
-# reproduce: canned configs for the shipped reference experiments
+# reproduce: the plan of each shipped reference experiment, (output prefix,
+# config) pairs; the configs are constants, so their validation is a test
 
-def _reproduce_plan(figure):
-    if figure == "fig3":
-        return [
-            (
-                "fig3_",
-                {
-                    "subcommand": "landscape",
-                    "params": {
-                        "family": "triangle",
-                        "start": 2.0 / 3.0,
-                        "stop": 0.9,
-                        "num": 71,
-                        "mu": 0.5,
-                    },
-                    "seeds": [],
+PLANS = {
+    "fig1-2": [
+        (f"m{m}_", {"subcommand": "pauli-vectors", "params": {"m": m}, "seeds": list(range(8))})
+        for m in (4, 5, 8, 9)
+    ],
+    "fig3": [
+        (
+            "fig3_",
+            {
+                "subcommand": "landscape",
+                "params": {"family": "triangle", "start": 2.0 / 3.0, "stop": 0.9, "num": 71,
+                           "mu": 0.5},
+                "seeds": [],
+            },
+        )
+    ],
+    "fig5": [
+        (
+            "fig5_",
+            {
+                "subcommand": "lattice",
+                "params": {
+                    "n_t": 8,
+                    "n_r": 6,
+                    "states": [{"omega": -1, "k": 1}, {"omega": -2, "k": 2}],
+                    "weights": "sphere",
+                    "scan": {"start": -2.5, "stop": 2.5, "num": 61},
                 },
-            )
-        ]
-    if figure == "fig5":
-        return [
-            (
-                "fig5_",
-                {
-                    "subcommand": "lattice",
-                    "params": {
-                        "n_t": 8,
-                        "n_r": 6,
-                        "states": [
-                            {"omega": -1, "k": 1},
-                            {"omega": -2, "k": 2},
-                        ],
-                        "weights": "sphere",
-                        "scan": {"start": -2.5, "stop": 2.5, "num": 61},
-                    },
-                    "seeds": [],
-                },
-            )
-        ]
-    if figure == "fig1-2":
-        return [
-            (
-                f"m{m}_",
-                {
-                    "subcommand": "pauli-vectors",
-                    "params": {"m": m},
-                    "seeds": list(range(8)),
-                },
-            )
-            for m in (4, 5, 8, 9)
-        ]
-    raise CliError(EXIT_VALIDATION, f"unknown figure {figure!r}; have {FIGURES}")
+                "seeds": [],
+            },
+        )
+    ],
+}
+FIGURES = tuple(PLANS)
 
 
 # ---------------------------------------------------------------------------
@@ -707,34 +689,19 @@ def _write_run(outdir, config, outputs, code):
     (outdir / "manifest.json").write_bytes(_json_bytes(manifest))
 
 
-def _run_single(config, args, config_dir):
-    # the override is validated with the config, so negative seeds exit 2
-    if args.seed_list is not None and isinstance(config, dict):
-        config = dict(config, seeds=args.seed_list)
-    _validate(config, args.subcommand)
-    tol, merged = _resolve_tolerances(config, args.tolerances)
-    if merged:
-        config = dict(config, tolerances=merged)
-    outdir = _resolve_out(args.out, config)
-    outputs, code = _execute(config, tol, config_dir)
-    _write_run(outdir, config, outputs, code)
-    return code
+def _run(request, plan, outdir, tol, config_dir):
+    """Execute each (prefix, config) of ``plan`` and write one run for ``request``.
 
-
-def _run_reproduce(args):
-    plan = _reproduce_plan(args.figure)
-    # the manifest hashes the canned request
-    request = {"subcommand": "reproduce", "params": {"figure": args.figure}, "seeds": []}
-    outdir = _resolve_out(args.out, request, args.figure)
-    combined = {}
+    Returns the worst exit code.  A failure anywhere in the plan raises
+    before anything is written.
+    """
+    outputs = {}
     worst = EXIT_OK
     for prefix, config in plan:
-        _validate(config, config["subcommand"])
-        outputs, code = _execute(config, DEFAULT, Path.cwd())
+        payloads, code = _execute(config, tol, config_dir)
         worst = max(worst, code)
-        for name, payload in outputs.items():
-            combined[prefix + name] = payload
-    _write_run(outdir, request, combined, worst)
+        outputs.update((prefix + name, payload) for name, payload in payloads.items())
+    _write_run(outdir, request, outputs, worst)
     return worst
 
 
@@ -772,17 +739,33 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         if args.subcommand == "reproduce":
-            return _run_reproduce(args)
+            if args.figure not in PLANS:
+                raise CliError(EXIT_VALIDATION,
+                               f"unknown figure {args.figure!r}; have {FIGURES}")
+            # the manifest hashes the canned request
+            request = {"subcommand": "reproduce", "params": {"figure": args.figure},
+                       "seeds": []}
+            outdir = _resolve_out(args.out, request, args.figure)
+            return _run(request, PLANS[args.figure], outdir, DEFAULT, Path.cwd())
         config_path = Path(args.config)
         config = _load_json(config_path, "config")
-        # a config that is not an object fails validation in _run_single
-        if isinstance(config, dict) and config.get("subcommand") != args.subcommand:
-            raise CliError(
-                EXIT_VALIDATION,
-                f"config is for {config.get('subcommand')!r}, "
-                f"invoked as {args.subcommand!r}",
-            )
-        return _run_single(config, args, config_path.resolve().parent)
+        # a config that is not an object fails validation below
+        if isinstance(config, dict):
+            if config.get("subcommand") != args.subcommand:
+                raise CliError(
+                    EXIT_VALIDATION,
+                    f"config is for {config.get('subcommand')!r}, "
+                    f"invoked as {args.subcommand!r}",
+                )
+            # the override is validated with the config, so negative seeds exit 2
+            if args.seed_list is not None:
+                config = dict(config, seeds=args.seed_list)
+        _validate(config, args.subcommand)
+        tol, merged = _resolve_tolerances(config, args.tolerances)
+        if merged:
+            config = dict(config, tolerances=merged)
+        outdir = _resolve_out(args.out, config)
+        return _run(config, [("", config)], outdir, tol, config_path.resolve().parent)
     except CliError as exc:
         print(f"dstlab: error: {exc}", file=sys.stderr)
         return exc.exit_code

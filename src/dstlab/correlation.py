@@ -128,7 +128,7 @@ class LocalCorrelation:
 
     def check_invariants(self):
         return {
-            "sum_rho": abs(self.rho.sum() - 2.0),
+            "sum_rho": float(abs(self.rho.sum() - 2.0)),
             "sum_vectors": float(np.linalg.norm(self.vectors.sum(axis=0))),
             "signature": float(np.max(self.rho - self.lengths())),
         }

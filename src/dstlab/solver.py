@@ -339,7 +339,11 @@ def _evaluate(requests):
     new ``_Objective`` with every slice's (mu, kappa, nu, w), so an objective
     counts only through these, and one evaluation: their gradients one
     stacked pass, Q and commutator, their trials one ``TrialStack``, stacked
-    pass and value call.
+    pass and value call.  The lone path is common, not a corner: a seed that
+    outlives the others descends alone (seed 7 of the m = 4 tetrahedron run
+    for about 180 of its 233 iterations), and sending its requests through
+    the stacked path as a stack of one made that run 12% slower, 7% for its
+    trials alone.
     """
     if len(requests) == 1:
         objective, *request = requests[0]

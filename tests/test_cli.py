@@ -12,7 +12,12 @@ import pytest
 
 from dstlab import cli
 from dstlab.cli import main
-from dstlab.lattice import LatticeGeometry, OccupiedState, landscape_scan_2d
+from dstlab.correlation import (
+    correlation_chain_roots,
+    planar_square_family,
+    tetrahedron_family,
+)
+from dstlab.lattice import LatticeGeometry, OccupiedState, landscape_scan_2d, weight_arrays
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -316,8 +321,9 @@ def test_runs_make_no_metaschema_check(tmp_path, monkeypatch):
 
 
 def test_every_reproduce_plan_validates():
+    assert cli.FIGURES == ("fig1-2", "fig3", "fig5")
     for figure in cli.FIGURES:
-        for _, config in cli._reproduce_plan(figure):
+        for _, config in cli.PLANS[figure]:
             cli._validate(config, config["subcommand"])
 
 
@@ -366,6 +372,17 @@ def test_classify_sample_uses_seed_list_override(tmp_path):
     assert [g["seed"] for g in report["graphs"]] == [7]
     assert report["graphs"][0]["graph"]["m"] == 3
 
+
+
+def test_classify_sample_without_seeds_is_validation_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "classify-causal", "params": {"sample": {"n": 1, "m": 3, "f": 2}}},
+    )
+    out = tmp_path / "out"
+    assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 2
+    assert "needs seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_negative_seed_list_override_fails_validation(tmp_path, capsys):
     cfg = write_config(
@@ -463,6 +480,34 @@ def test_payloads_are_byte_identical_across_runs(tmp_path):
     assert ma == mb
 
 
+
+@pytest.mark.parametrize("name, family", [("tetrahedron", tetrahedron_family),
+                                          ("planar-square", planar_square_family)])
+def test_landscape_of_a_four_point_family(tmp_path, name, family):
+    # v below rho is no correlation; the landscape records the error and
+    # leaves the point out of the CSV
+    rho = 0.5  # four weights sum to 2
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "landscape",
+            "params": {"family": name, "start": 0.25, "stop": 1.0, "num": 4, "rho": rho},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["landscape", "--config", cfg, "--out", str(out)]) == 0
+    records = load(out / "landscape.json")["records"]
+    assert "v >= |rho|" in records[0]["error"]
+    rows = [list(map(float, line.split(",")))
+            for line in (out / "landscape.csv").read_text().splitlines()[1:]]
+    assert len(rows) == sum("error" not in r for r in records) >= 3
+    for v, re_plus, im_plus, re_minus, im_minus in rows:
+        corr = family(v, rho)
+        plus, minus = correlation_chain_roots(corr.rho[0], corr.vectors[0],
+                                              corr.rho[1], corr.vectors[1])
+        np.testing.assert_allclose([re_plus + 1j * im_plus, re_minus + 1j * im_minus],
+                                   [plus, minus], rtol=0, atol=1e-12)
+
 def test_manifest_indexes_every_output(tmp_path):
     cfg = _triangle_config(tmp_path)
     out = tmp_path / "out"
@@ -524,7 +569,7 @@ def test_lattice_surface_csv_matches_the_float_columns(tmp_path):
     assert (out / "surface.csv").read_bytes() == expected
 
 
-def _lattice_config(tmp_path, scan):
+def _lattice_config(tmp_path, scan, **params):
     return write_config(
         tmp_path / "c.json",
         {
@@ -534,6 +579,7 @@ def _lattice_config(tmp_path, scan):
                 "n_r": 6,
                 "states": [{"omega": -1, "k": 1}, {"omega": -2, "k": 2}],
                 "scan": scan,
+                **params,
             },
         },
     )
@@ -598,6 +644,29 @@ def test_lattice_unknown_weight_preset_is_validation_error(tmp_path):
         },
     )
     assert main(["lattice", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_lattice_explicit_weights(tmp_path, capsys):
+    scan = {"start": -1.0, "stop": 1.0, "num": 5}
+    rho_t, rho_r = weight_arrays(LatticeGeometry(8, 6), "sphere")
+    runs = {}
+    for name, weights in [("preset", "sphere"),
+                          ("explicit", {"rho_t": rho_t.tolist(), "rho_r": rho_r.tolist()}),
+                          ("doubled", {"rho_t": (2 * rho_t).tolist(), "rho_r": rho_r.tolist()})]:
+        out = tmp_path / name
+        assert main(["lattice", "--config", _lattice_config(tmp_path, scan, weights=weights),
+                     "--out", str(out)]) == 0
+        runs[name] = out / "surface.csv"
+    assert runs["explicit"].read_bytes() == runs["preset"].read_bytes()
+    preset, doubled = (np.loadtxt(runs[k], delimiter=",", skiprows=1)
+                       for k in ("preset", "doubled"))
+    np.testing.assert_allclose(doubled[:, 2], 2 * preset[:, 2], rtol=1e-14)
+    # a weight array of the wrong length is a config mistake
+    cfg = _lattice_config(tmp_path, scan, weights={"rho_t": [1.0], "rho_r": rho_r.tolist()})
+    out = tmp_path / "short"
+    assert main(["lattice", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("dstlab: error:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +836,18 @@ def test_state_stability_blank_or_nan_cell_is_validation_error(tmp_path, capsys,
     assert not out.exists()
 
 
+
+def test_state_stability_table_without_its_columns_is_validation_error(tmp_path, capsys):
+    (tmp_path / "table.csv").write_text("q,a,b\n0.5,0.0,1.0\n1.0,0.0,0.5\n")
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "state-stability", "params": {"table": "table.csv", "masses": [1.0]}},
+    )
+    out = tmp_path / "o"
+    assert main(["state-stability", "--config", cfg, "--out", str(out)]) == 2
+    assert "table needs columns qsq,a,b" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_state_stability_missing_table(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -921,7 +1002,7 @@ def test_reproduce_maps_numerical_failure_to_exit_3(tmp_path, monkeypatch, capsy
         "scan": {"start": -800.0, "stop": 800.0, "num": 5},
     }
     plan = [("fig5_", {"subcommand": "lattice", "params": params, "seeds": []})]
-    monkeypatch.setattr(cli, "_reproduce_plan", lambda figure: plan)
+    monkeypatch.setitem(cli.PLANS, "fig5", plan)
     out = tmp_path / "fig5"
     assert main(["reproduce", "--figure", "fig5", "--out", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err
@@ -941,6 +1022,23 @@ def test_default_output_root_env(tmp_path, monkeypatch):
     expected = tmp_path / "root" / "classify-causal" / "classifications.json"
     assert expected.is_file()
 
+
+
+def test_config_out_key_and_out_flag_precedence(tmp_path, monkeypatch):
+    monkeypatch.setenv("DSTLAB_OUT", str(tmp_path / "root"))
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "classify-causal",
+            "params": {"roots": [[[1.0, 0.0], [2.0, 0.0]]]},
+            "out": str(tmp_path / "from_config"),
+        },
+    )
+    assert main(["classify-causal", "--config", cfg]) == 0
+    assert (tmp_path / "from_config" / "classifications.json").is_file()
+    assert main(["classify-causal", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "classifications.json").is_file()
+    assert not (tmp_path / "root").exists()
 
 def test_reproduce_default_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DSTLAB_OUT", str(tmp_path / "root"))

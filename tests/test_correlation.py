@@ -57,6 +57,19 @@ def test_local_correlation_invariants():
         assert checks["signature"] < 1e-10
 
 
+
+def test_invariant_deviations_are_python_floats():
+    # an error message quotes the deviations; a numpy scalar would print as
+    # np.float64(...)
+    corr = LocalCorrelation(np.full(4, 0.6), 0.6 * tetrahedron_directions())
+    assert [type(v) for v in corr.check_invariants().values()] == [float] * 3
+    try:
+        projector_from_correlations(DiscreteSpacetime(1, 4), corr)
+        assert False, "expected ValueError"
+    except ValueError as exc:
+        assert "correlation sums violated" in str(exc)
+        assert "np.float64(" not in str(exc)
+
 def test_reconstructed_matrices_match_blocks():
     proj = two_particle_projector(m=4, seed=3)
     corr = local_correlations(proj)

@@ -357,6 +357,35 @@ def _first_trials(monkeypatch, objective, start, max_iter):
     return out, rows
 
 
+
+@pytest.mark.parametrize("settings", [{"mu": 0.5}, {"mode": "constrained", "kappa": KAPPA}],
+                         ids=["auxiliary", "constrained"])
+def test_a_one_seed_solve_stacks_nothing(monkeypatch, settings):
+    # every request of a lone seed takes _evaluate's lone path: no stacked
+    # gradient pass and no objective with per-slice parameters
+    stacked, params = [], []
+    stack, init = ChainPass.stacked.__func__, _Objective.__init__
+
+    def spy_stacked(cls, passes):
+        stacked.append(len(passes))
+        return stack(cls, passes)
+
+    def spy_init(self, *args):
+        params.append(any(np.ndim(v) for v in args))
+        init(self, *args)
+
+    monkeypatch.setattr(ChainPass, "stacked", classmethod(spy_stacked))
+    monkeypatch.setattr(_Objective, "__init__", spy_init)
+
+    def solve(seeds):
+        stacked.clear()
+        params.clear()
+        minimize(DiscreteSpacetime(1, 3), 2, SolverConfig(seeds=seeds, max_iter=30, **settings))
+        return bool(stacked), any(params)
+
+    assert solve((0, 1)) == (True, True)  # the spies see a stacked solve
+    assert solve((0,)) == (False, False)
+
 def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2))
     out, rows = _first_trials(monkeypatch, _Objective(0.5), start, 40)
@@ -439,6 +468,16 @@ def test_constrained_seed_sums_iterations_over_rounds(monkeypatch):
             "converged", "divergence", "line_search_floor", "stalled", "max_iterations"
         )
 
+
+
+def test_penalty_rounds_stop_once_a_round_converges_on_kappa():
+    # at kappa = 0.7 seed 0 converges with T on kappa in round 4 of 8
+    cfg = SolverConfig(mode="constrained", kappa=0.7, seeds=(0,))
+    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+    (rec,) = res.per_seed
+    assert rec["status"] == "converged"
+    assert abs(rec["constraint"] - cfg.kappa) <= dstlab.solver.CONSTRAINT_TOL
+    assert len(res.traces[0]) < dstlab.solver.OUTER_ROUNDS
 
 def test_tetrahedron_emerges_in_critical_mode():
     cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=tuple(range(4)))
