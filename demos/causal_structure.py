@@ -9,11 +9,9 @@ spectra for conjugate pairs.
 Run:  python3 demos/causal_structure.py
 """
 
-import numpy as np
-
 from dstlab import DiscreteSpacetime, random_projector
 from dstlab.causal import causal_graph
-from dstlab.correlation import triangle_projector
+from dstlab.correlation import TRIANGLE_CAUSAL_THRESHOLD, triangle_projector
 
 
 def show_graph(proj, title):
@@ -30,7 +28,7 @@ def main():
     sp = DiscreteSpacetime(1, 5)
     show_graph(random_projector(sp, 2, seed=11), "random two-particle system on 5 points")
 
-    threshold = 4.0 * np.sqrt(3.0) / 9.0
+    threshold = TRIANGLE_CAUSAL_THRESHOLD
     for v, side in [(threshold - 0.02, "below"), (threshold + 0.02, "above")]:
         show_graph(
             triangle_projector(v),

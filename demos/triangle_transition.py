@@ -15,6 +15,7 @@ import numpy as np
 from dstlab.action import action_and_constraint
 from dstlab.causal import classify
 from dstlab.correlation import (
+    TRIANGLE_CAUSAL_THRESHOLD,
     correlation_chain_roots,
     triangle_family,
     triangle_projector,
@@ -29,7 +30,7 @@ def pair_roots(v):
 
 
 def main():
-    threshold = 4.0 * np.sqrt(3.0) / 9.0
+    threshold = TRIANGLE_CAUSAL_THRESHOLD
     print("symmetric three-point family, rho = 2/3, |v| swept upward")
     print(f"predicted transition at v = 4*sqrt(3)/9 = {threshold:.9f}\n")
 

@@ -447,9 +447,7 @@ def _gradient_eig(chains, tol):
     lam, vec = np.linalg.eig(chains)
     c_sq, c_abs, zero = _coefficients(chains, lam, tol)
     bad = _collision_mask(chains, lam, zero, tol)
-    if np.any(bad):
-        vec = vec.copy()
-        vec[bad] = np.eye(chains.shape[-1])
+    vec[bad] = np.eye(chains.shape[-1])
     vinv = np.linalg.inv(vec)
     msq = vec @ (c_sq[..., :, None] * vinv)
     mabs = vec @ (c_abs[..., :, None] * vinv)

@@ -159,7 +159,6 @@ PARAM_SCHEMAS = {
             "family": {"enum": ["triangle", "tetrahedron", "planar-square"]},
             **_GRID,
             "mu": {"type": "number"},
-            "rho": {"type": "number", "exclusiveMinimum": 0},
         },
     },
     "lattice": {
@@ -415,14 +414,13 @@ def _run_classify_causal(params, seeds, tol, config_dir):
 
 def _landscape_family(params, tol):
     name = params["family"]
-    rho = params.get("rho", 0.5)
     if name == "triangle":
         return lambda v: triangle_projector(v, tol)
     space = DiscreteSpacetime(1, 4)
     family = tetrahedron_family if name == "tetrahedron" else planar_square_family
 
     def build(v):
-        return projector_from_correlations(space, family(v, rho), tol)
+        return projector_from_correlations(space, family(v), tol)
 
     return build
 
@@ -499,11 +497,7 @@ def _run_lightcone_check(params, seeds, tol, config_dir):
         standard_expansion,
     )
 
-    values = {
-        name: tuple(v) if isinstance(v, list) else v
-        for name, v in params["values"].items()
-    }
-    kernel = standard_expansion(values)
+    kernel = standard_expansion(params["values"])
     chain = expansion_product(kernel)
     grad = gradient_expansion(chain)
     payload = {

@@ -349,11 +349,6 @@ class GaugeTransform:
         blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
 
-    def matrix(self):
-        import scipy.linalg
-
-        return scipy.linalg.block_diag(*self.blocks)
-
     def inverse(self):
         # U^{-1} = S0 U^dagger S0 for an indefinite unitary; exact, no solve.
         return GaugeTransform(self.space, indefinite_adjoint(self.blocks, self.space.block_signs))

@@ -225,22 +225,24 @@ def tetrahedron_directions():
     return raw / math.sqrt(3.0)
 
 
-def tetrahedron_family(v, rho=0.5):
-    """Four-point family: equal weights, tetrahedral Pauli vectors of length v."""
-    if v < abs(rho) - 1e-12:
+def _four_point(v, directions):
+    # four weights summing to 2 leave rho = 1/2, realizable for v >= rho
+    if v < 0.5 - 1e-12:
         raise ValueError("family needs v >= |rho| for realizable correlation matrices")
-    return LocalCorrelation(np.full(4, rho), v * tetrahedron_directions())
+    return LocalCorrelation(np.full(4, 0.5), v * directions)
 
 
-def planar_square_family(v, rho=0.5):
+def tetrahedron_family(v):
+    """Four-point family: weights 1/2, tetrahedral Pauli vectors of length v >= 1/2."""
+    return _four_point(v, tetrahedron_directions())
+
+
+def planar_square_family(v):
     """Four coplanar vectors at right angles, the degenerate counterpoint to
     the tetrahedron: reflections of the plane are realizable as rotations."""
-    if v < abs(rho) - 1e-12:
-        raise ValueError("family needs v >= |rho| for realizable correlation matrices")
-    vecs = v * np.array(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    return _four_point(
+        v, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     )
-    return LocalCorrelation(np.full(4, rho), vecs)
 
 
 def geometry_diagnostics(corr, tol=DEFAULT):
@@ -361,19 +363,17 @@ def _parity(perm):
     return -1 if inversions % 2 else 1
 
 
-def full_symmetry_check(corr=None, tol=1e-6):
-    """Certify that the full permutation group is not realizable.
+def full_symmetry_check(corr, tol=1e-6):
+    """Certify that the full permutation group of ``corr`` is not realizable.
 
-    For the default (the regular tetrahedron configuration of the symmetric
-    four-point minimizer) every even permutation is realized by a rotation
+    For a regular tetrahedron configuration (the symmetric four-point
+    minimizer) every even permutation is realized by a rotation
     while all 12 odd ones hit the orientation obstruction, so no gauge
     transformation can implement the full permutation group.  The returned
     certificate is True exactly when every odd permutation fails.  Degenerate
     configurations can defeat the obstruction: for coplanar vectors a
     reflection is realizable as a rotation and the certificate is False.
     """
-    if corr is None:
-        corr = tetrahedron_family(math.sqrt(3.0 / 8.0))
     reports = [
         permutation_symmetry(corr, perm, tol)
         for perm in itertools.permutations(range(corr.m))

@@ -260,9 +260,6 @@ class LatticeAction:
 
 def lattice_action(geom, states, weights="sphere"):
     rho_t, rho_r = weight_arrays(geom, weights)
-    if not states:
-        lag = np.zeros((geom.n_t, geom.n_r))
-        return LatticeAction(lag, rho_t, rho_r, 0.0)
     lag = critical_lagrangian(*kernel_coefficients(geom, states))
     total = float(np.einsum("t,r,tr->", rho_t, rho_r, lag))
     return LatticeAction(lag, rho_t, rho_r, total)
@@ -341,7 +338,7 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
         lag = critical_lagrangian(scalar_sum, coeff_t, coeff_r)
         surface[i] = np.einsum("t,r,gtr->g", rho_t, rho_r, lag)
     minima = _grid_local_minima(tau_values, surface)
-    floor = min(rec[2] for rec in minima) if minima else float(np.min(surface))
+    floor = min(rec[2] for rec in minima)
     global_minima = tuple(
         rec for rec in minima if rec[2] <= floor + 1e-10 * (1.0 + abs(floor))
     )

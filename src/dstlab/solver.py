@@ -487,12 +487,8 @@ def minimize(space, f, config=None, tol=DEFAULT):
     lowest = min(r["action"] for r in front)
     tied = [r for r in front if r["action"] <= lowest + 1e-12 * (1.0 + abs(lowest))]
     best = next((r for r in tied if r["status"] == "converged"), tied[0])
-    if any(r["status"] == "divergence" for r in per_seed):
-        status = "divergence"
-    elif best["status"] == "converged":
-        status = "converged"
-    else:
-        status = "max_iterations"
+    diverged = any(r["status"] == "divergence" for r in per_seed)
+    status = "divergence" if diverged else best["status"]
     mu_eff = best["multiplier"]
     return SolverResult(
         mode=cfg.mode,

@@ -56,8 +56,12 @@ class Tolerances:
         Relative tolerance for the first-iterate directional-derivative
         consistency assertion inside the solver.
     geometry : float
-        Tolerance for rotation-realizability (Procrustes residual) tests on
-        momentum-space vector configurations.
+        Tolerance of the local-correlation geometry: the weight-sum,
+        vector-sum and eigenvalue-sign checks of
+        ``projector_from_correlations``, and the length at or below which
+        ``geometry_diagnostics`` calls a Pauli vector degenerate.  The
+        rotation-realizability tests (``permutation_symmetry``,
+        ``full_symmetry_check``) take their own ``tol``.
     """
 
     gram: float = 1e-10

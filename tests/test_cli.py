@@ -484,14 +484,13 @@ def test_payloads_are_byte_identical_across_runs(tmp_path):
 @pytest.mark.parametrize("name, family", [("tetrahedron", tetrahedron_family),
                                           ("planar-square", planar_square_family)])
 def test_landscape_of_a_four_point_family(tmp_path, name, family):
-    # v below rho is no correlation; the landscape records the error and
-    # leaves the point out of the CSV
-    rho = 0.5  # four weights sum to 2
+    # four weights sum to 2, so rho = 1/2; v below rho is no correlation, and
+    # the landscape records the error and leaves the point out of the CSV
     cfg = write_config(
         tmp_path / "c.json",
         {
             "subcommand": "landscape",
-            "params": {"family": name, "start": 0.25, "stop": 1.0, "num": 4, "rho": rho},
+            "params": {"family": name, "start": 0.25, "stop": 1.0, "num": 4},
         },
     )
     out = tmp_path / "out"
@@ -502,11 +501,29 @@ def test_landscape_of_a_four_point_family(tmp_path, name, family):
             for line in (out / "landscape.csv").read_text().splitlines()[1:]]
     assert len(rows) == sum("error" not in r for r in records) >= 3
     for v, re_plus, im_plus, re_minus, im_minus in rows:
-        corr = family(v, rho)
+        corr = family(v)
         plus, minus = correlation_chain_roots(corr.rho[0], corr.vectors[0],
                                               corr.rho[1], corr.vectors[1])
         np.testing.assert_allclose([re_plus + 1j * im_plus, re_minus + 1j * im_minus],
                                    [plus, minus], rtol=0, atol=1e-12)
+
+
+def test_landscape_rejects_rho(tmp_path, capsys):
+    # rho = 1/2 is the only realizable weight of a four-point family, so the
+    # landscape has no rho key: a config that sets one is a config mistake
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "landscape",
+            "params": {"family": "tetrahedron", "start": 0.5, "stop": 1.0, "num": 3,
+                       "rho": 0.4},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["landscape", "--config", cfg, "--out", str(out)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+    assert "rho" in capsys.readouterr().err
+
 
 def test_manifest_indexes_every_output(tmp_path):
     cfg = _triangle_config(tmp_path)

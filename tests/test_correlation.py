@@ -267,6 +267,24 @@ def test_gram_mismatch_reported():
     assert report.evidence["reason"] == "gram"
 
 
+def test_borderline_residual_is_inconclusive():
+    # z of points 0 and 1 moved by +-3e-6: the swap's orthogonal residual
+    # (2.1e-6) is above tol * scale, but its Gram mismatch (2.8e-6) is below
+    # 10 tol scale^2, so neither verdict is certain
+    corr = tetrahedron_family(0.8)
+    vecs = corr.vectors.copy()
+    vecs[0, 2] += 3e-6
+    vecs[1, 2] -= 3e-6
+    noisy = LocalCorrelation(corr.rho, vecs)
+    report = permutation_symmetry(noisy, (1, 0, 2, 3))
+    assert report.verdict == "inconclusive"
+    assert report.rotation is None
+    scale = 1.0 + float(noisy.lengths().max())
+    assert 1e-6 * scale < report.evidence["orthogonal_residual"]
+    assert report.evidence["gram_mismatch"] <= 10.0 * 1e-6 * scale**2
+    assert permutation_symmetry(noisy, (0, 1, 2, 3)).verdict == "realized"
+
+
 def test_geometry_diagnostics_tetrahedron():
     corr = tetrahedron_family(0.5)
     report = geometry_diagnostics(corr)
@@ -285,6 +303,15 @@ def test_geometry_diagnostics_flags_zero_vectors():
     report = geometry_diagnostics(corr)
     assert list(report["degenerate_points"]) == [2]
     assert np.isfinite(report["min_angle"])
+
+
+def test_geometry_diagnostics_one_live_vector_has_no_angle():
+    # one nonzero vector leaves no pair to measure: the angle statistics are
+    # NaN and the zero vector is flagged
+    report = geometry_diagnostics(LocalCorrelation([1, 1], [[1, 0, 0], [0, 0, 0]]))
+    assert math.isnan(report["simplex_error"])
+    assert math.isnan(report["min_angle"])
+    assert list(report["degenerate_points"]) == [1]
 
 
 def test_design_error_is_the_frame_anisotropy():

@@ -126,6 +126,12 @@ def test_classification_tracks_interval_sign():
     assert checked > 400
 
 
+def test_classify_separation_on_light_cone_is_undetermined():
+    # a null separation has xi.xi = 0 and no sign to classify by
+    assert classify_separation((1.0, 1.0, 0.0, 0.0)) is CausalClass.UNDETERMINED
+    assert classify_separation((1.0, 0.5, 0.0, 0.0)) is CausalClass.TIMELIKE
+
+
 def test_timelike_products_nonnegative():
     rng = np.random.default_rng(23)
     for _ in range(300):
