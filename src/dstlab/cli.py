@@ -3,7 +3,9 @@
 Every subcommand reads a JSON config, runs one batch experiment, and writes
 its results plus a run manifest into an output directory.  Configs are
 schema-validated up front (unknown keys are errors) so that a bad config
-never produces partial output.  Payload files are written deterministically:
+never produces partial output.  jsonschema is imported at the first
+validation: ``reproduce`` runs constant configs, which a test validates, and
+loads none of it.  Payload files are written deterministically:
 the same config and seed list yields byte-identical CSV/JSON artifacts; the
 manifest records a hash of the effective config, tool and platform versions,
 the RNG algorithm, and every file written.
@@ -23,7 +25,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -252,14 +253,22 @@ CONFIG_SCHEMA = {
 }
 
 
-def _config_validator(params_schema):
-    properties = dict(CONFIG_SCHEMA["properties"], params=params_schema)
-    return jsonschema.Draft202012Validator(dict(CONFIG_SCHEMA, properties=properties))
+@functools.cache
+def _validators():
+    """The config validator of each subcommand and the tolerance-block validator.
 
+    Built once, at the first validation, so that a run that validates nothing
+    never imports jsonschema.  The schemas are constants, so their metaschema
+    check is a test.
+    """
+    from jsonschema import Draft202012Validator
 
-# built once; the schemas are constants, so their metaschema check is a test
-VALIDATORS = {sub: _config_validator(schema) for sub, schema in PARAM_SCHEMAS.items()}
-TOLERANCE_VALIDATOR = jsonschema.Draft202012Validator(_TOLERANCE_BLOCK)
+    def config_validator(params_schema):
+        properties = dict(CONFIG_SCHEMA["properties"], params=params_schema)
+        return Draft202012Validator(dict(CONFIG_SCHEMA, properties=properties))
+
+    configs = {sub: config_validator(schema) for sub, schema in PARAM_SCHEMAS.items()}
+    return configs, Draft202012Validator(_TOLERANCE_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +316,15 @@ def _config_hash(config):
 
 
 def _first_error(validator, instance):
-    return jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    # jsonschema is loaded: the validator came from _validators
+    from jsonschema.exceptions import best_match
+
+    return best_match(validator.iter_errors(instance))
 
 
 def _validate(config, subcommand):
-    error = _first_error(VALIDATORS[subcommand], config)
+    configs, _ = _validators()
+    error = _first_error(configs[subcommand], config)
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {error.message}")
@@ -635,7 +648,8 @@ def _resolve_tolerances(config, override_path):
     merged = dict(config.get("tolerances", {}))
     if override_path is not None:
         overrides = _load_json(override_path, "tolerances file")
-        error = _first_error(TOLERANCE_VALIDATOR, overrides)
+        _, tolerances = _validators()
+        error = _first_error(tolerances, overrides)
         if error is not None:
             raise CliError(EXIT_VALIDATION, f"tolerances invalid: {error.message}")
         merged.update(overrides)

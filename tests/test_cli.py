@@ -248,11 +248,12 @@ def test_removed_projector_tolerance_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.integrate",
                                     "scipy.linalg", "dstlab.continuum.minkowski",
-                                    "dstlab.continuum.momentum"])
+                                    "dstlab.continuum.momentum", "jsonschema"])
 def test_importing_the_cli_does_not_load(module):
     # each is imported by its users when they run: sympy by lightcone-check,
     # scipy.optimize by multiset_distance, scipy.integrate by regularized_action,
-    # scipy.linalg by the random start, the orthonormalization and the gauge blocks;
+    # scipy.linalg by the random start, the orthonormalization and the gauge blocks,
+    # jsonschema by the first config validation;
     # no subcommand uses the vector-scalar kernels or the mass cone
     code = f"import sys, dstlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
@@ -299,8 +300,32 @@ def test_the_lattice_landscape_loads_no_scipy_module(tmp_path, command):
     assert out.stdout.strip().splitlines()[-1] == "0 False"
 
 
+def test_reproduce_loads_no_jsonschema(tmp_path):
+    # the canned configs are constants, validated by
+    # test_every_reproduce_plan_validates; a config run in the same process
+    # validates, and so loads jsonschema
+    bad = _lattice_config(tmp_path, {"start": -1.0, "stop": 1.0, "num": 5}, bogus=1)
+    code = ("import sys; from dstlab.cli import main; "
+            f"print(main(['reproduce', '--figure', 'fig5', '--out', {str(tmp_path / 'out')!r}]), "
+            "'jsonschema' in sys.modules); "
+            f"print(main(['lattice', '--config', {bad!r}, '--out', {str(tmp_path / 'bad')!r}]), "
+            "'jsonschema' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert out.stdout.strip().splitlines() == ["0 False", "2 True"]
+    assert "bogus" in out.stderr
+    assert (tmp_path / "out" / "fig5_surface.csv").is_file()
+    assert not (tmp_path / "bad").exists()
+
+
 def test_schemas_are_valid_draft_2020_12():
-    for validator in (*cli.VALIDATORS.values(), cli.TOLERANCE_VALIDATOR):
+    configs, tolerances = cli._validators()
+    for validator in (*(configs[sub] for sub in cli.PARAM_SCHEMAS), tolerances):
         jsonschema.Draft202012Validator.check_schema(validator.schema)
 
 
