@@ -255,20 +255,21 @@ CONFIG_SCHEMA = {
 
 @functools.cache
 def _validators():
-    """The config validator of each subcommand and the tolerance-block validator.
+    """Draft 2020-12 validators by subcommand and ``"tolerances"``, and ``best_match``.
 
-    Built once, at the first validation, so that a run that validates nothing
-    never imports jsonschema.  The schemas are constants, so their metaschema
-    check is a test.
+    jsonschema is imported here alone, at the first validation, so that a run
+    that validates nothing never loads it.  The schemas are constants, so
+    their metaschema check is a test.
     """
     from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
 
-    def config_validator(params_schema):
-        properties = dict(CONFIG_SCHEMA["properties"], params=params_schema)
-        return Draft202012Validator(dict(CONFIG_SCHEMA, properties=properties))
-
-    configs = {sub: config_validator(schema) for sub, schema in PARAM_SCHEMAS.items()}
-    return configs, Draft202012Validator(_TOLERANCE_BLOCK)
+    schemas = {
+        sub: dict(CONFIG_SCHEMA, properties=dict(CONFIG_SCHEMA["properties"], params=params))
+        for sub, params in PARAM_SCHEMAS.items()
+    }
+    schemas["tolerances"] = _TOLERANCE_BLOCK
+    return {key: Draft202012Validator(schema) for key, schema in schemas.items()}, best_match
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +316,13 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _first_error(validator, instance):
-    # jsonschema is loaded: the validator came from _validators
-    from jsonschema.exceptions import best_match
-
-    return best_match(validator.iter_errors(instance))
+def _first_error(key, instance):
+    validators, best_match = _validators()
+    return best_match(validators[key].iter_errors(instance))
 
 
 def _validate(config, subcommand):
-    configs, _ = _validators()
-    error = _first_error(configs[subcommand], config)
+    error = _first_error(subcommand, config)
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {error.message}")
@@ -648,8 +646,7 @@ def _resolve_tolerances(config, override_path):
     merged = dict(config.get("tolerances", {}))
     if override_path is not None:
         overrides = _load_json(override_path, "tolerances file")
-        _, tolerances = _validators()
-        error = _first_error(tolerances, overrides)
+        error = _first_error("tolerances", overrides)
         if error is not None:
             raise CliError(EXIT_VALIDATION, f"tolerances invalid: {error.message}")
         merged.update(overrides)

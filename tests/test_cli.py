@@ -324,9 +324,9 @@ def test_reproduce_loads_no_jsonschema(tmp_path):
 
 
 def test_schemas_are_valid_draft_2020_12():
-    configs, tolerances = cli._validators()
-    for validator in (*(configs[sub] for sub in cli.PARAM_SCHEMAS), tolerances):
-        jsonschema.Draft202012Validator.check_schema(validator.schema)
+    validators, _ = cli._validators()
+    for key in (*cli.PARAM_SCHEMAS, "tolerances"):
+        jsonschema.Draft202012Validator.check_schema(validators[key].schema)
 
 
 def test_runs_make_no_metaschema_check(tmp_path, monkeypatch):
