@@ -146,12 +146,18 @@ def multiset_distance(a, b):
 
     Sorting complex spectra is order-unstable when real parts nearly tie, so
     multiset comparisons here go through an optimal assignment instead.
+    Multisets that match element for element once sorted (the exact
+    conjugate pairs of the n = 1 roots) have a zero-cost pairing, which the
+    assignment would return, so they give 0.0 without one.
     """
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.size != b.size:
         raise ValueError("multisets must have equal size")
-    # scipy.optimize loads only here, so importing dstlab.cli does not pay for it
+    if np.array_equal(np.sort_complex(a), np.sort_complex(b)):
+        return 0.0
+    # scipy.optimize loads only for multisets that differ, so importing
+    # dstlab.cli does not pay for it
     import scipy.optimize
 
     cost = np.abs(a[:, None] - b[None, :])
@@ -572,29 +578,31 @@ class TrialStack:
     (i eta/2) B the Cayley step is C(eta) = (I - G)^-1 (I + G).  B is
     self-adjoint in the indefinite product, so (I + G)^dagger S = S (I - G),
     and as I +/- G commute C(eta) is exactly indefinite-unitary.  One batched
-    ``np.linalg.solve`` of (I - G) X = U + G U over the (k, md, md) stack of
-    all trials, U the image basis of the trial's search, gives the (k, md, f)
-    stack ``bases``, and one batched product the read-only (k, md, md) stack
-    ``dense`` that ``matrix()`` returns, so the :class:`ChainPass` of the
-    stack is one stacked pass.  ``stack[j]`` makes trial j a validated
+    product B U over the searches, U the image basis of a search, and
+    products indexed by each trial's search form I - G and U + G U of all
+    trials at once.  One batched ``np.linalg.solve`` of (I - G) X = U + G U
+    over the (k, md, md) stack then gives the (k, md, f) stack ``bases``,
+    and one batched product the read-only (k, md, md) stack ``dense`` that
+    ``matrix()`` returns, so the :class:`ChainPass` of the stack is one
+    stacked pass.  ``stack[j]`` makes trial j a validated
     :class:`~dstlab.core.FermionicProjector`.
     """
 
     def __init__(self, moves):
         self.space, self.tol = moves[0][0].space, moves[0][0].tol
-        k, d = sum(len(etas) for _, _, etas in moves), self.space.dim
-        # I - G is formed in place in the one (k, md, md) array, and
-        # G U = (i eta/2) (B U) needs no G
-        lhs = np.empty((k, d, d), dtype=complex)
-        rhs = np.empty((k, d, moves[0][0].rank), dtype=complex)
-        end = 0
-        for proj, b, etas in moves:
-            half = 0.5j * np.asarray(etas)
-            part = slice(end, end + len(half))
-            np.multiply.outer(-half, b, out=lhs[part])
-            rhs[part] = proj.basis + np.multiply.outer(half, b @ proj.basis)
-            end = part.stop
-        diag = np.arange(d)
+        steps = [etas for _, _, etas in moves]
+        search = np.arange(len(moves)).repeat([len(etas) for etas in steps])
+        half = 0.5j * np.concatenate(steps)[:, None, None]
+        dirs = np.array([b for _, b, _ in moves])
+        bases = np.array([proj.basis for proj, _, _ in moves])
+        # G U = (i eta/2) (B U) needs no G; the products go in place, as a
+        # second (k, md, md) array costs more than they do at large md
+        rhs = (dirs @ bases).take(search, axis=0)
+        rhs *= half
+        rhs += bases.take(search, axis=0)
+        lhs = dirs.take(search, axis=0)
+        lhs *= -half
+        diag = np.arange(self.space.dim)
         lhs[:, diag, diag] += 1.0
         self.bases = np.linalg.solve(lhs, rhs)
         self.dense = projector_matrix(self.space, self.bases)

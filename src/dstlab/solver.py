@@ -19,9 +19,10 @@ last accepted move -eta K/||K|| and y the change in K since, the step along
 the unit direction is ||s||^2/Re<s,y> ||K||, capped at MAX_STEP.  Where
 Re<s,y> <= 0 (no positive curvature seen) the last step grows by STEP_GROW.
 The backtracking steps eta, eta STEP_SHRINK, ... are known before any of them
-is evaluated, so the search evaluates them in batches of 1, 2, 4, ... trials
-and accepts the first step in order that passes Armijo: the iterates are bit
-for bit those of a search that tries one step at a time.
+is evaluated, so the search evaluates them in batches of s, 2s, 4s, ... trials,
+s the number of steps the previous search of the descent examined (1 for its
+first search), and accepts the first step in order that passes Armijo: the
+iterates are bit for bit those of a search that tries one step at a time.
 
 The seeds of a solve descend in lockstep: each seed is a generator that asks
 for its gradients and trial batches, and one loop (``_lockstep``) evaluates
@@ -176,16 +177,17 @@ def _check_slope(chains, objective, b, slope):
         )
 
 
-def _backtrack(chains, objective, b, step, current, slope):
-    """Armijo backtracking from ``step`` along B, in batches of 1, 2, 4, ... trials.
+def _backtrack(chains, objective, b, step, current, slope, size):
+    """Armijo backtracking from ``step`` along B, in batches of size, 2 size, ... trials.
 
     The steps are step, step STEP_SHRINK, ... down to ``MIN_STEP``; each
     batch is one trials request (:func:`_lockstep`).  Returns (trial,
     value, step, examined) for the first step in order that passes Armijo,
     with ``trial`` its pass and ``examined`` the steps the rule looked at up
-    to it, or (None, current, step, examined) when none passes.
+    to it, or (None, current, step, examined) when none passes.  The batch
+    boundaries change what is evaluated, not what is returned.
     """
-    examined, size = 0, 1
+    examined = 0
     while step >= MIN_STEP:
         etas = []
         while len(etas) < size and step >= MIN_STEP:
@@ -214,7 +216,8 @@ def _descend(chains, objective, cfg, check_first=False):
     s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
     the last accepted step times ``STEP_GROW`` (capped the same way).
     Trials then shrink by ``STEP_SHRINK`` until Armijo, with slope -||K||,
-    accepts one; they are evaluated in batches of 1, 2, 4, ...
+    accepts one; they are evaluated in batches of s, 2s, 4s, ..., s the
+    steps the previous search examined, 1 for the first search
     (:func:`_backtrack`), and none accepted down to ``MIN_STEP`` exits with
     "line_search_floor".  A first trial already below ``MIN_STEP`` values
     nothing: that search makes no batch, examines no step, and the descent
@@ -238,6 +241,7 @@ def _descend(chains, objective, cfg, check_first=False):
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
     trials = renormalizations = fd_pairs = 0
+    examined = 1  # the first search starts with a batch of one
     while True:
         comm, fd = yield objective, chains
         fd_pairs += int(fd)
@@ -279,7 +283,7 @@ def _descend(chains, objective, cfg, check_first=False):
             yield from _check_slope(chains, objective, b, slope)
             check_first = False
         trial, current, step, examined = yield from _backtrack(
-            chains, objective, b, step, current, slope)
+            chains, objective, b, step, current, slope, examined)
         trials += examined
         if trial is None:
             exit_reason = "line_search_floor"  # keep the best iterate

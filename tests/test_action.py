@@ -67,6 +67,21 @@ def test_chain_selfadjoint_spectrum_conjugation_closed():
         assert act.multiset_distance(lam, np.conj(lam)) < 1e-8
 
 
+def test_multiset_distance_of_equal_multisets_is_the_assignments_zero():
+    # multisets equal once sorted skip the assignment; its optimal pairing
+    # costs exactly 0.0 there too, and a multiset off by one ulp still takes it
+    import scipy.optimize
+
+    lam = np.array([1.0 + 2.0j, 1.0 - 2.0j, -0.5 + 0.0j, 3.0 + 0.0j])
+    off = lam.copy()
+    off[2] = np.nextafter(off[2].real, 0.0)
+    for a, b in ((lam, np.conj(lam)), (lam, lam[::-1]), (lam, off)):
+        cost = np.abs(a[:, None] - b[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        assert act.multiset_distance(a, b) == float(cost[rows, cols].max())
+    assert act.multiset_distance(lam, off) > 0.0
+
+
 def test_chain_blocks_match_single_chain():
     sp = DiscreteSpacetime(1, 3)
     p = random_projector(sp, 2, seed=3)

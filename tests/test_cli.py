@@ -251,7 +251,8 @@ def test_removed_projector_tolerance_rejected(tmp_path, capsys):
                                     "dstlab.continuum.momentum", "jsonschema"])
 def test_importing_the_cli_does_not_load(module):
     # each is imported by its users when they run: sympy by lightcone-check,
-    # scipy.optimize by multiset_distance, scipy.integrate by regularized_action,
+    # scipy.optimize by multiset_distance when the multisets differ,
+    # scipy.integrate by regularized_action,
     # scipy.linalg by the random start, the orthonormalization and the gauge blocks,
     # jsonschema by the first config validation;
     # no subcommand uses the vector-scalar kernels or the mass cone
@@ -298,6 +299,27 @@ def test_the_lattice_landscape_loads_no_scipy_module(tmp_path, command):
         env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_spacelike_n1_classification_loads_no_scipy_optimize(tmp_path):
+    # n = 1 roots are exact conjugate pairs, which multiset_distance matches
+    # without an assignment: neither the fig3 landscape nor the causal graph
+    # of a spacelike triangle loads scipy.optimize
+    code = ("import sys; from dstlab.cli import main; "
+            f"print(main(['reproduce', '--figure', 'fig3', '--out', {str(tmp_path / 'out')!r}]), "
+            "'scipy.optimize' in sys.modules); "
+            "from dstlab.causal import CausalClass, causal_graph; "
+            "from dstlab.correlation import triangle_projector; "
+            "off = causal_graph(triangle_projector(0.95)).off_diagonal_class(); "
+            "print(off is CausalClass.SPACELIKE, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert out.stdout.strip().splitlines()[-2:] == ["0 False", "True False"]
 
 
 def test_reproduce_loads_no_jsonschema(tmp_path):

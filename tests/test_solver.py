@@ -29,6 +29,7 @@ from dstlab.correlation import (
 from dstlab.solver import (
     InfeasibleKappa,
     SolverConfig,
+    _backtrack,
     _descend,
     _evaluate,
     _lockstep,
@@ -883,13 +884,14 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
 
 
 def _spy_searches(monkeypatch):
-    """Record (projector, first step) of every line search, one that makes no batch included."""
+    """Record (projector, first step, first batch size) of every line search,
+    one that makes no batch included."""
     searches = []
     backtrack = dstlab.solver._backtrack
 
-    def spy(chains, objective, b, step, current, slope):
-        searches.append((chains.projector, step))
-        return (yield from backtrack(chains, objective, b, step, current, slope))
+    def spy(chains, objective, b, step, current, slope, size):
+        searches.append((chains.projector, step, size))
+        return (yield from backtrack(chains, objective, b, step, current, slope, size))
 
     monkeypatch.setattr(dstlab.solver, "_backtrack", spy)
     return searches
@@ -897,10 +899,11 @@ def _spy_searches(monkeypatch):
 
 def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
     # a penalty round that ends on a floor search: every search evaluates
-    # batches of 1, 2, 4, ... of its successive steps, none below MIN_STEP,
-    # and at most 2 trials - 1 slices for the trials it examined.  A search
-    # whose first step is already below MIN_STEP makes no batch, and only the
-    # last search, the floor search, can be one
+    # batches of s, 2s, 4s, ... of its successive steps, s the trials the
+    # previous search examined (1 for the first search), none below MIN_STEP,
+    # and at most 2 trials + s - 2 slices for the trials it examined.  A
+    # search whose first step is already below MIN_STEP makes no batch, and
+    # only the last search, the floor search, can be one
     start, nu, w = _second_penalty_round(monkeypatch)
     batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
     firsts = _spy_searches(monkeypatch)
@@ -911,22 +914,24 @@ def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
     searches = {}
     for batch in batches:
         searches.setdefault(id(batch[0]), []).append(batch)
-    empty = [i for i, (proj, _) in enumerate(firsts) if id(proj) not in searches]
+    empty = [i for i, (proj, _, _) in enumerate(firsts) if id(proj) not in searches]
     assert empty in ([], [len(firsts) - 1])
     assert all(firsts[i][1] < dstlab.solver.MIN_STEP for i in empty)
     assert len(searches) == len(firsts) - len(empty)
-    examined = 0
-    for groups, (proj, first) in zip(searches.values(), firsts):
+    examined, trials = 0, 1
+    for groups, (proj, first, size) in zip(searches.values(), firsts):
         assert groups[0][0] is proj and groups[0][1][0] == first
+        # the first batch holds as many steps as the previous search examined
+        assert size == trials
         sizes = [len(etas) for _, etas, _, _ in groups]
-        assert sizes[:-1] == [2 ** i for i in range(len(groups) - 1)]
-        assert 1 <= sizes[-1] <= 2 ** (len(groups) - 1)
+        assert sizes[:-1] == [size * 2 ** i for i in range(len(groups) - 1)]
+        assert 1 <= sizes[-1] <= size * 2 ** (len(groups) - 1)
         steps = [eta for _, etas, _, _ in groups for eta in etas]
         assert min(steps) >= dstlab.solver.MIN_STEP
         assert steps[1:] == [eta * dstlab.solver.STEP_SHRINK for eta in steps[:-1]]
         # every step up to the accepted one, or every step of a floor search
         trials = sum(sizes[:-1]) + _examined(accepted, groups[-1])
-        assert len(steps) <= 2 * trials - 1
+        assert len(steps) <= 2 * trials + size - 2
         examined += trials
     assert examined == out["armijo_trials"]
     # the floor search examines every step it evaluates, down to MIN_STEP
@@ -945,11 +950,34 @@ def test_a_first_step_below_the_min_step_makes_no_batch(monkeypatch):
     start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=0))
     out = _run(_descend(start, _Objective(0.5), SolverConfig()))
     assert out["exit_reason"] == "line_search_floor" and out["iterations"] == 1
-    assert [step for _, step in firsts] == [dstlab.solver.INITIAL_STEP, 1e-15]
+    assert [step for _, step, _ in firsts] == [dstlab.solver.INITIAL_STEP, 1e-15]
     assert {id(proj) for proj, _, _, _ in batches} == {id(start.projector)}
     assert out["armijo_trials"] == (sum(len(etas) for _, etas, _, _ in batches[:-1])
                                     + _examined(accepted, batches[-1]))
     assert out["chains"].projector is firsts[1][0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["accepts", "floor"])
+def test_the_first_batch_size_changes_no_result_of_a_search(sign):
+    # a search returns the first step in order that passes Armijo, whatever
+    # its first batch holds; along the ascent direction none passes and it
+    # examines every step down to MIN_STEP, fewer than 64
+    chains = ChainPass(random_projector(DiscreteSpacetime(1, 4), 2, seed=0))
+    objective = _Objective(0.5)
+    q, signs = objective.qmat(chains), chains.space.signs
+    comm = chains.p @ q - q @ chains.p
+    grad_norm = 4.0 * np.linalg.norm(comm)
+    k = (4j / grad_norm) * (comm * signs)
+    b = -sign * signs[:, None] * (0.5 * (k + k.conj().T))
+    current = objective.value(chains)
+    results = [_run(_backtrack(chains, objective, b, dstlab.solver.MAX_STEP, current,
+                               -grad_norm, size)) for size in (1, 3, 64)]
+    trial, value, step, examined = results[0]
+    assert (trial is None) == (sign < 0) and 3 < examined < 64
+    for other, other_value, other_step, other_examined in results[1:]:
+        assert (other_value, other_step, other_examined) == (value, step, examined)
+        assert (other is None if trial is None
+                else np.array_equal(other.projector.basis, trial.projector.basis))
 
 
 @pytest.mark.parametrize("settings, constants, reason", [
