@@ -11,13 +11,33 @@ descent into a Euclidean problem: the Hermitian gradient is K = 4i [P,Q] S,
 the normalized direction is B = -S K / ||K||_F, and the directional
 derivative equals -||K||_F, strictly negative until the Euler-Lagrange
 commutator vanishes.
-An Armijo backtracking line search then guarantees monotone decrease.  Its
-first trial step is the Barzilai-Borwein (BB1) step in these Hermitian
-coordinates (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988; on
-orthogonality constraints, Wen and Yin, Math. Program. 142, 2013): with s the
-last accepted move -eta K/||K|| and y the change in K since, the step along
-the unit direction is ||s||^2/Re<s,y> ||K||, capped at MAX_STEP.  Where
-Re<s,y> <= 0 (no positive curvature seen) the last step grows by STEP_GROW.
+An Armijo backtracking line search then guarantees monotone decrease, to the
+rounding of F where an auxiliary descent ends (see ``_descend``).
+
+The auxiliary descent at n = 1 takes limited-memory BFGS directions in these
+Hermitian coordinates (Nocedal and Wright, Numerical Optimization, 2nd ed.,
+ch. 7; on manifolds, Huang, Gallivan and Absil, SIAM J. Optim. 25, 2015).
+It keeps up to MEMORY pairs (s, y): s = eta H the accepted move of B = S H
+and y the change in K since, kept when Re<s,y> > 0.  The direction is
+d = -H_k K by the two-loop recursion, H_0 = Re<s,y>/<y,y> of the newest
+pair, with B = S d/||d||, slope Re<K,d>/||d|| and first trial
+min(||d||, MAX_STEP).  The memory is cleared when that slope is above
+-1e-3 ||K||, and when the signs of t^2/4 - delta over the chain pairs differ
+from the last iterate's: S is kinked on that causal threshold, and pairs
+that span the kink mislead.  Without the second rule the m = 8 sphere
+seeds that end on the threshold ground for about a thousand iterations
+more.  With an empty memory, in penalty rounds and at n >= 2 (which has no
+(t, delta) for the threshold test) the direction is -K/||K||, and its first
+trial is the Barzilai-Borwein (BB1) step (Barzilai and Borwein, IMA J.
+Numer. Anal. 8, 1988; on orthogonality constraints, Wen and Yin, Math.
+Program. 142, 2013): with s the last accepted move and y the change in K
+since, the step along the unit direction is ||s||^2/Re<s,y> ||K||, capped
+at MAX_STEP.  Where Re<s,y> <= 0 (no positive curvature seen) the last step
+grows by STEP_GROW.
+Memory in penalty rounds made the constrained triangle slower: its
+searches, which end on the threshold, examined about 1.6 times as many
+trials per iteration.
+
 The backtracking steps eta, eta STEP_SHRINK, ... are known before any of them
 is evaluated, so the search evaluates them in batches of s, 2s, 4s, ... trials,
 s the number of steps the previous search of the descent examined (1 for its
@@ -45,12 +65,13 @@ settles at a stationary point of (T-kappa)^2 (Nocedal and Wright, Numerical
 Optimization, 2nd ed., Thm. 17.2), so the seeds' own records say whether the
 level is attainable.
 
-A derivative check compares the slope -||K||_F with a central finite
-difference of F along B, in each seed's first round only (the only round in
-auxiliary mode), at the first iterate with |slope| > 1e-6 (1 + |F|).  Every
-accepted iterate is kept an exact projector by re-orthonormalizing the basis
-whenever its Gram matrix drifts.  The drift check reads the Gram deviation
-each projector measured at construction (``FermionicProjector.gram_dev``).
+A derivative check compares the slope along B (-||K||_F along -S K/||K||)
+with a central finite difference of F along B, in each seed's first round
+only (the only round in auxiliary mode), at the first iterate with
+|slope| > 1e-6 (1 + |F|).  Every accepted iterate is kept an exact
+projector by re-orthonormalizing the basis whenever its Gram matrix drifts.
+The drift check reads the Gram deviation each projector measured at
+construction (``FermionicProjector.gram_dev``).
 The iterate is a chain pass (``dstlab.action.ChainPass``): the descent takes
 the start's pass, moves to the accepted trial's slice of the stacked pass of
 its round, and returns the last pass.  A pass holds its own constraint value
@@ -62,7 +83,7 @@ projector; a renormalized iterate gets one pass of its own, and the multiplier
 update, the next round and the seed's record read the last pass.
 
 A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
-MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP), the stall test
+MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP, MEMORY), the stall test
 (STALL_WINDOW, STALL_TOL), DIVERGENCE_FLOOR, the penalty schedule
 (PENALTY_START, PENALTY_GROWTH, OUTER_ROUNDS, CONSTRAINT_TOL) and the
 multiplier fit (FIT_TOL) are module constants, read when a solve runs.
@@ -116,6 +137,7 @@ PENALTY_GROWTH = 10.0
 OUTER_ROUNDS = 8  # at least one penalty round
 CONSTRAINT_TOL = 1e-6
 FIT_TOL = 1e-3
+MEMORY = 6  # L-BFGS pairs of an auxiliary descent
 
 
 class InfeasibleKappa(ValueError):
@@ -177,16 +199,18 @@ def _check_slope(chains, objective, b, slope):
         )
 
 
-def _backtrack(chains, objective, b, step, current, slope, size):
+def _backtrack(chains, objective, b, step, current, slope, size, slack=0.0):
     """Armijo backtracking from ``step`` along B, in batches of size, 2 size, ... trials.
 
     The steps are step, step STEP_SHRINK, ... down to ``MIN_STEP``; each
     batch is one trials request (:func:`_lockstep`).  Returns (trial,
-    value, step, examined) for the first step in order that passes Armijo,
-    with ``trial`` its pass and ``examined`` the steps the rule looked at up
-    to it, or (None, current, step, examined) when none passes.  The batch
-    boundaries change what is evaluated, not what is returned.
+    value, step, examined) for the first step in order that passes Armijo
+    with F raised by ``slack``, with ``trial`` its pass and ``examined`` the
+    steps the rule looked at up to it, or (None, current, step, examined)
+    when none passes.  The batch boundaries change what is evaluated, not
+    what is returned.
     """
+    bound = current + slack
     examined = 0
     while step >= MIN_STEP:
         etas = []
@@ -196,10 +220,30 @@ def _backtrack(chains, objective, b, step, current, slope, size):
         values, trial = yield objective, chains.projector, b, etas
         for j, eta in enumerate(etas):
             examined += 1
-            if values[j] <= current + ARMIJO * eta * slope:
+            if values[j] <= bound + ARMIJO * eta * slope:
                 return trial(j), float(values[j]), eta, examined
         size *= 2
     return None, current, step, examined
+
+
+def _two_loop(pairs, grad):
+    """-H grad by the L-BFGS two-loop recursion (Nocedal and Wright, Alg. 7.4).
+
+    ``pairs`` holds (s, y, 1/<s, y>), oldest first, and ``grad`` is a
+    gradient: flat real vectors whose dot product is Re<., .> of the
+    Hermitian matrices they view.  H_0 is <s, y>/<y, y> of the newest pair.
+    """
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * s.dot(q)
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    q *= 1.0 / (rho * y.dot(y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * y.dot(q)) * s
+    return q
 
 
 def _descend(chains, objective, cfg, check_first=False):
@@ -210,19 +254,28 @@ def _descend(chains, objective, cfg, check_first=False):
     records its ``fd_pairs`` there (0 at n = 1).  Each pass of the loop
     asks for the iterate's one gradient (k iterations make k + 1 requests),
     then tests the exits in order: "stalled" (no descent over the stall
-    window), "max_iterations", "divergence", "converged".  The first iterate tries
-    ``INITIAL_STEP``; every later one first tries the BB1 step
-    min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move
-    s = -eta k and the gradient change y = K - K_old, or, when Re<s,y> <= 0,
-    the last accepted step times ``STEP_GROW`` (capped the same way).
-    Trials then shrink by ``STEP_SHRINK`` until Armijo, with slope -||K||,
-    accepts one; they are evaluated in batches of s, 2s, 4s, ..., s the
-    steps the previous search examined, 1 for the first search
-    (:func:`_backtrack`), and none accepted down to ``MIN_STEP`` exits with
-    "line_search_floor".  A first trial already below ``MIN_STEP`` values
-    nothing: that search makes no batch, examines no step, and the descent
-    exits "line_search_floor" on the iterate it has.  ``status`` folds every
-    exit but "converged" and "divergence" into "max_iterations".
+    window), "max_iterations", "divergence", "converged".  The first iterate
+    tries ``INITIAL_STEP`` along -k = -K/||K||.  In an auxiliary round
+    (``objective.w == 0``) at n = 1 a later iterate goes along the L-BFGS
+    direction d = -H_k K of the module docstring when its memory holds a
+    pair, first trying min(||d||, MAX_STEP) with slope Re<K, d>/||d||.
+    Otherwise it goes along -k with slope -||K||, first trying the BB1 step
+    min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move s
+    (B = S s/eta) and the gradient change y = K - K_old, or, when
+    Re<s,y> <= 0, the last accepted step times ``STEP_GROW`` (capped the
+    same way).  Trials then shrink by ``STEP_SHRINK`` until Armijo accepts
+    one; they are evaluated in batches of s, 2s, 4s, ..., s the steps the
+    previous search examined, 1 for the first search (:func:`_backtrack`),
+    and none accepted down to ``MIN_STEP`` exits with "line_search_floor".
+    At the smooth end of an auxiliary descent at n = 1 Armijo sees only the
+    rounding of F: when ||K||^2 and the search's predicted decrease
+    eta ||K|| are both below 64 eps (1 + |F|), the search accepts a step
+    that raises F by up to 8 eps (1 + |F|), and the trace is monotone to
+    that.  A first trial already below
+    ``MIN_STEP`` values nothing: that search makes no batch, examines no
+    step, and the descent exits "line_search_floor" on the iterate it has.
+    ``status`` folds every exit but "converged" and "divergence" into
+    "max_iterations".
     ``armijo_trials`` counts the steps the Armijo rule examined in order, up
     to the one it accepted: not the rest of that step's batch, which was
     evaluated and discarded, nor the two steps of the derivative check.
@@ -240,6 +293,9 @@ def _descend(chains, objective, cfg, check_first=False):
     trace = [current]
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
+    # L-BFGS pairs of an auxiliary descent at n = 1, and its threshold sides
+    memory = [] if objective.w == 0 and chains.space.n == 1 else None
+    sides = None
     trials = renormalizations = fd_pairs = 0
     examined = 1  # the first search starts with a batch of one
     while True:
@@ -267,30 +323,61 @@ def _descend(chains, objective, cfg, check_first=False):
         # Gram-preserving even when ||Q|| >> ||[P,Q]|| (late penalty rounds)
         k = (4j / grad_norm) * (comm * signs)
         k = 0.5 * (k + k.conj().T)
-        b = neg_signs * k
         grad = grad_norm * k
+        h = None  # the unit Hermitian direction H of B = S H, when it is not -k
         if moved is not None:
-            # BB1 on the Hermitian coordinates, scaled to the unit direction
             s, grad_old = moved
-            sy = float(np.vdot(s, grad - grad_old).real)
-            if sy > 0.0:
-                step = float(np.vdot(s, s).real) / sy * grad_norm
-            else:
-                step *= STEP_GROW
-            step = min(step, MAX_STEP)
-        slope = -grad_norm  # 4i Tr([P,Q] B) along the unit direction B
+            y = grad - grad_old
+            sy = float(np.vdot(s, y).real)
+        if memory is not None:
+            # S is kinked where a chain crosses the causal threshold
+            # t^2/4 = delta, and pairs that span the kink mislead
+            side = np.sign(0.25 * chains.t * chains.t - chains.delta)
+            if moved is not None and sy > 0.0:
+                memory.append((s.ravel().view(float), y.ravel().view(float), 1.0 / sy))
+                del memory[:-MEMORY]
+            if sides is not None and not np.array_equal(side, sides):
+                memory.clear()
+            sides = side
+            if memory:
+                d = _two_loop(memory, grad.ravel().view(float)).view(complex).reshape(k.shape)
+                d = 0.5 * (d + d.conj().T)
+                flat = d.ravel()
+                d_norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+                slope = grad.ravel().view(float).dot(flat.view(float)) / d_norm
+                if slope < -1e-3 * grad_norm:
+                    h, step = d / d_norm, min(d_norm, MAX_STEP)
+                else:
+                    memory.clear()  # too close to an ascent direction
+        if h is None:
+            b = neg_signs * k
+            if moved is not None:
+                # BB1 on the Hermitian coordinates, scaled to the unit direction
+                if sy > 0.0:
+                    step = float(np.vdot(s, s).real) / sy * grad_norm
+                else:
+                    step *= STEP_GROW
+                step = min(step, MAX_STEP)
+            slope = -grad_norm  # 4i Tr([P,Q] B) along the unit direction B
+        else:
+            b = signs[:, None] * h
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
             yield from _check_slope(chains, objective, b, slope)
             check_first = False
+        slack = 0.0  # the rise in F that Armijo forgives as rounding
+        if memory is not None:
+            ulp = math.ulp(1.0) * (1.0 + abs(current))
+            if grad_norm * max(step, grad_norm) < 64.0 * ulp:
+                slack = 8.0 * ulp
         trial, current, step, examined = yield from _backtrack(
-            chains, objective, b, step, current, slope, examined)
+            chains, objective, b, step, current, slope, examined, slack)
         trials += examined
         if trial is None:
             exit_reason = "line_search_floor"  # keep the best iterate
             break
         chains = trial
         trace.append(current)
-        moved = (-step * k, grad)
+        moved = (-step * k if h is None else step * h, grad)
         if chains.projector.gram_dev > chains.tol.gram:
             # the trace keeps the accepted value
             chains = ChainPass(chains.projector.renormalized())
@@ -345,9 +432,9 @@ def _evaluate(requests):
     stacked pass, Q and commutator, their trials one ``TrialStack``, stacked
     pass and value call.  The lone path is common, not a corner: a seed that
     outlives the others descends alone (seed 7 of the m = 4 tetrahedron run
-    for about 180 of its 233 iterations), and sending its requests through
-    the stacked path as a stack of one made that run 12% slower, 7% for its
-    trials alone.
+    for 46 of its 88 iterations), and sending its requests through the
+    stacked path as a stack of one made that run 12% slower, 7% for its
+    trials alone, when BB1 steps took that seed 233 iterations.
     """
     if len(requests) == 1:
         objective, *request = requests[0]
