@@ -6,9 +6,9 @@ schema-validated up front (unknown keys are errors) so that a bad config
 never produces partial output.  jsonschema is imported at the first
 validation: ``reproduce`` runs constant configs, which a test validates, and
 loads none of it.  Payload files are written deterministically:
-the same config and seed list yields byte-identical CSV/JSON artifacts; the
-manifest records a hash of the effective config, tool and platform versions,
-the RNG algorithm, and every file written.
+the same config yields byte-identical CSV/JSON artifacts; the manifest
+records a hash of the config, tool and platform versions, the RNG
+algorithm, and every file written.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 4 divergence detected.
@@ -247,7 +247,6 @@ CONFIG_SCHEMA = {
         "subcommand": {"enum": sorted(PARAM_SCHEMAS)},
         "params": {"type": "object"},
         "seeds": _SEED_ARRAY,
-        "out": {"type": "string"},
         "tolerances": _TOLERANCE_BLOCK,
     },
 }
@@ -255,7 +254,7 @@ CONFIG_SCHEMA = {
 
 @functools.cache
 def _validators():
-    """Draft 2020-12 validators by subcommand and ``"tolerances"``, and ``best_match``.
+    """Draft 2020-12 validators by subcommand, and ``best_match``.
 
     jsonschema is imported here alone, at the first validation, so that a run
     that validates nothing never loads it.  The schemas are constants, so
@@ -268,7 +267,6 @@ def _validators():
         sub: dict(CONFIG_SCHEMA, properties=dict(CONFIG_SCHEMA["properties"], params=params))
         for sub, params in PARAM_SCHEMAS.items()
     }
-    schemas["tolerances"] = _TOLERANCE_BLOCK
     return {key: Draft202012Validator(schema) for key, schema in schemas.items()}, best_match
 
 
@@ -316,13 +314,9 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _first_error(key, instance):
-    validators, best_match = _validators()
-    return best_match(validators[key].iter_errors(instance))
-
-
 def _validate(config, subcommand):
-    error = _first_error(subcommand, config)
+    validators, best_match = _validators()
+    error = best_match(validators[subcommand].iter_errors(config))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {error.message}")
@@ -339,6 +333,11 @@ def _space(n, m, f):
 
 
 def _solver_config(params, seeds):
+    # a solve reads mu only in auxiliary mode and kappa only in constrained mode
+    mode = params.get("mode", "auxiliary")
+    unused = "kappa" if mode == "auxiliary" else "mu"
+    if unused in params:
+        raise CliError(EXIT_VALIDATION, f"{unused} is unused in {mode} mode")
     # the SolverConfig fields are the minimize params other than n, f and m
     kwargs = {k: v for k, v in params.items() if k not in ("n", "f", "m")}
     kwargs.setdefault("mu", critical_mu(params["n"]))
@@ -631,36 +630,22 @@ def _finite_float(token):
     return value
 
 
-def _load_json(path, what):
+def _load_json(path):
     """The JSON document at ``path``; an unreadable file or invalid JSON exits 2."""
     try:
         with open(path) as fh:
             return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot read {what}: {exc}")
+        raise CliError(EXIT_VALIDATION, f"cannot read config: {exc}")
     except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"{what} is not valid JSON: {exc}")
+        raise CliError(EXIT_VALIDATION, f"config is not valid JSON: {exc}")
 
 
-def _resolve_tolerances(config, override_path):
-    merged = dict(config.get("tolerances", {}))
-    if override_path is not None:
-        overrides = _load_json(override_path, "tolerances file")
-        error = _first_error("tolerances", overrides)
-        if error is not None:
-            raise CliError(EXIT_VALIDATION, f"tolerances invalid: {error.message}")
-        merged.update(overrides)
-    return DEFAULT.with_(**merged), merged
-
-
-def _resolve_out(cli_out, config, *subdirs):
-    """--out, else the config's "out", else $DSTLAB_OUT or dstlab-out, then subcommand."""
+def _resolve_out(cli_out, *subdirs):
+    """--out, else ``subdirs`` under $DSTLAB_OUT or, unset, dstlab-out."""
     if cli_out is not None:
         return Path(cli_out)
-    if "out" in config:
-        return Path(config["out"])
-    root = os.environ.get("DSTLAB_OUT") or "dstlab-out"
-    return Path(root, config["subcommand"], *subdirs)
+    return Path(os.environ.get("DSTLAB_OUT") or "dstlab-out", *subdirs)
 
 
 def _write_run(outdir, config, outputs, code):
@@ -717,15 +702,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    for name in sorted(PARAM_SCHEMAS):
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed-list", nargs="+", type=int, default=None,
-                       help="override the config's seed list")
-        p.add_argument("--tolerances", help="JSON file with tolerance overrides")
-
-    for name in sorted(PARAM_SCHEMAS):
-        add_common(sub.add_parser(name))
 
     rep = sub.add_parser("reproduce", help="run a canned reference experiment")
     rep.add_argument("--figure", required=True,
@@ -750,26 +730,19 @@ def main(argv=None):
             # the manifest hashes the canned request
             request = {"subcommand": "reproduce", "params": {"figure": args.figure},
                        "seeds": []}
-            outdir = _resolve_out(args.out, request, args.figure)
+            outdir = _resolve_out(args.out, "reproduce", args.figure)
             return _run(request, PLANS[args.figure], outdir, DEFAULT, Path.cwd())
         config_path = Path(args.config)
-        config = _load_json(config_path, "config")
+        config = _load_json(config_path)
         # a config that is not an object fails validation below
-        if isinstance(config, dict):
-            if config.get("subcommand") != args.subcommand:
-                raise CliError(
-                    EXIT_VALIDATION,
-                    f"config is for {config.get('subcommand')!r}, "
-                    f"invoked as {args.subcommand!r}",
-                )
-            # the override is validated with the config, so negative seeds exit 2
-            if args.seed_list is not None:
-                config = dict(config, seeds=args.seed_list)
+        if isinstance(config, dict) and config.get("subcommand") != args.subcommand:
+            raise CliError(
+                EXIT_VALIDATION,
+                f"config is for {config.get('subcommand')!r}, invoked as {args.subcommand!r}",
+            )
         _validate(config, args.subcommand)
-        tol, merged = _resolve_tolerances(config, args.tolerances)
-        if merged:
-            config = dict(config, tolerances=merged)
-        outdir = _resolve_out(args.out, config)
+        tol = DEFAULT.with_(**config.get("tolerances", {}))
+        outdir = _resolve_out(args.out, args.subcommand)
         return _run(config, [("", config)], outdir, tol, config_path.resolve().parent)
     except CliError as exc:
         print(f"dstlab: error: {exc}", file=sys.stderr)

@@ -432,9 +432,11 @@ def _evaluate(requests):
     stacked pass, Q and commutator, their trials one ``TrialStack``, stacked
     pass and value call.  The lone path is common, not a corner: a seed that
     outlives the others descends alone (seed 7 of the m = 4 tetrahedron run
-    for 46 of its 88 iterations), and sending its requests through the
-    stacked path as a stack of one made that run 12% slower, 7% for its
-    trials alone, when BB1 steps took that seed 233 iterations.
+    for 46 of its 88 iterations).  Sending every lone request through the
+    stacked path as a stack of one made that run 3.1% slower, sending only
+    its lone trials so 1.4%, and taking each seed's gradient alone, none
+    stacked, 18.6% (median ``wall_ref`` of four alternating 10 s
+    ``perfbench`` ``tetra`` runs each, one BLAS thread, 2 vCPUs).
     """
     if len(requests) == 1:
         objective, *request = requests[0]

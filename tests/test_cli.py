@@ -92,70 +92,49 @@ _MINIMIZE = {"subcommand": "minimize", "params": {"n": 1, "f": 2, "m": 3, "max_i
              "seeds": [0]}
 
 
-def test_missing_or_unparsable_tolerances_file(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", _MINIMIZE)
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    out = tmp_path / "o"
-    for path, message in ((tmp_path / "nope.json", "cannot read tolerances file"),
-                          (bad, "tolerances file is not valid JSON")):
-        argv = ["minimize", "--config", cfg, "--out", str(out), "--tolerances", str(path)]
-        assert main(argv) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("config, override, token", [
-    ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mu": math.nan}}, None, "NaN"),
+@pytest.mark.parametrize("config, token", [
+    ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mu": math.nan}}, "NaN"),
     ({**_MINIMIZE, "params": {"n": 1, "f": 2, "m": 3, "mode": "constrained",
-                              "kappa": math.nan}}, None, "NaN"),
-    ({**_MINIMIZE, "tolerances": {"gram": math.nan}}, None, "NaN"),
-    (_MINIMIZE, {"gram": math.inf}, "Infinity"),
+                              "kappa": math.nan}}, "NaN"),
+    ({**_MINIMIZE, "tolerances": {"gram": math.nan}}, "NaN"),
     ({"subcommand": "state-stability",
-      "params": {"table": "table.csv", "masses": [math.nan]}}, None, "NaN"),
+      "params": {"table": "table.csv", "masses": [math.nan]}}, "NaN"),
     ({"subcommand": "lattice",
       "params": {"n_t": 4, "n_r": 3, "states": [{"omega": 0, "k": 1}, {"omega": -1, "k": 2}],
                  "weights": {"rho_t": [1.0, 2.0, 2.0, math.nan], "rho_r": [1.0, 1.0, 1.0]},
-                 "scan": {"start": -1.0, "stop": 1.0, "num": 5}}}, None, "NaN"),
+                 "scan": {"start": -1.0, "stop": 1.0, "num": 5}}}, "NaN"),
     ({"subcommand": "landscape",
-      "params": {"family": "triangle", "start": math.nan, "stop": 1.0, "num": 3}}, None, "NaN"),
+      "params": {"family": "triangle", "start": math.nan, "stop": 1.0, "num": 3}}, "NaN"),
     ({"subcommand": "landscape",
-      "params": {"family": "triangle", "start": 0.7, "stop": -math.inf, "num": 3}}, None,
+      "params": {"family": "triangle", "start": 0.7, "stop": -math.inf, "num": 3}},
      "-Infinity"),
-    ({"subcommand": "classify-causal", "params": {"roots": [[[math.nan, 0.0]]]}}, None, "NaN"),
-], ids=["mu", "kappa", "gram", "tolerances_file", "masses", "lattice_weight",
+    ({"subcommand": "classify-causal", "params": {"roots": [[[math.nan, 0.0]]]}}, "NaN"),
+], ids=["mu", "kappa", "gram", "masses", "lattice_weight",
         "landscape_start", "landscape_stop", "roots"])
-def test_nan_and_infinity_are_validation_errors(tmp_path, capsys, config, override, token):
+def test_nan_and_infinity_are_validation_errors(tmp_path, capsys, config, token):
     # json reads these non-JSON tokens as floats, which every "number" schema admits
     _stability_table(tmp_path, [(0.5, 0.0, 1.0), (1.0, 0.0, 0.5)])
     out = tmp_path / "o"
     argv = [config["subcommand"], "--config", write_config(tmp_path / "c.json", config),
             "--out", str(out)]
-    if override is not None:
-        argv += ["--tolerances", write_config(tmp_path / "tol.json", override)]
     assert main(argv) == 2
     assert f"{token} is not a JSON number" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, override", [
-    ({**_MINIMIZE, "tolerances": {"gram": "BIG"}}, None),
-    (_MINIMIZE, {"gram": "BIG"}),
-    ({"subcommand": "landscape",
-      "params": {"family": "triangle", "start": 0.7, "stop": "BIG", "num": 3}}, None),
-], ids=["gram", "tolerances_file", "landscape_stop"])
-def test_an_overflowing_number_is_a_validation_error(tmp_path, capsys, config, override):
+@pytest.mark.parametrize("config", [
+    {**_MINIMIZE, "tolerances": {"gram": "BIG"}},
+    {"subcommand": "landscape",
+     "params": {"family": "triangle", "start": 0.7, "stop": "BIG", "num": 3}},
+], ids=["gram", "landscape_stop"])
+def test_an_overflowing_number_is_a_validation_error(tmp_path, capsys, config):
     # json reads 1e400 as inf, which every "number" schema admits: the Gram
     # check would never fire, and the landscape grid would fail as a
     # numerical error
     out = tmp_path / "o"
-    argv = [config["subcommand"], "--out", str(out)]
-    for flag, name, payload in (("--config", "c.json", config), ("--tolerances", "t.json", override)):
-        if payload is not None:
-            path = tmp_path / name
-            path.write_text(json.dumps(payload).replace('"BIG"', "1e400"))
-            argv += [flag, str(path)]
-    assert main(argv) == 2
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config).replace('"BIG"', "1e400"))
+    assert main([config["subcommand"], "--config", str(path), "--out", str(out)]) == 2
     assert "1e400 overflows a float" in capsys.readouterr().err
     assert not out.exists()
 
@@ -191,21 +170,36 @@ def test_empty_seed_list_for_solver_rejected(tmp_path):
     assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_bad_tolerance_override_rejected(tmp_path):
+def test_bad_tolerance_override_rejected(tmp_path, capsys):
+    # the config's tolerances block overrides the defaults, one known knob at a time
     cfg = write_config(
         tmp_path / "c.json",
         {
             "subcommand": "classify-causal",
             "params": {"roots": [[[1.0, 0.0]]]},
+            "tolerances": {"not_a_knob": 1e-9},
         },
     )
-    tols = tmp_path / "tol.json"
-    tols.write_text(json.dumps({"not_a_knob": 1e-9}))
-    rc = main(
-        ["classify-causal", "--config", cfg, "--out", str(tmp_path / "o"),
-         "--tolerances", str(tols)]
-    )
-    assert rc == 2
+    out = tmp_path / "o"
+    assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 2
+    assert "config invalid at tolerances" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_tolerances_and_output_have_one_source_each(tmp_path, monkeypatch, capsys):
+    # seeds and tolerances come from the config only, the output directory
+    # from --out or $DSTLAB_OUT only
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DSTLAB_OUT", raising=False)
+    cfg = write_config(tmp_path / "c.json", _MINIMIZE)
+    for flag in (["--seed-list", "0"], ["--tolerances", cfg]):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--config", cfg, "--out", str(tmp_path / "o"), *flag])
+        assert exc.value.code == 2
+    cfg = write_config(tmp_path / "c.json", {**_MINIMIZE, "out": str(tmp_path / "o")})
+    assert main(["minimize", "--config", cfg]) == 2
+    assert "'out' was unexpected" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_non_object_config_is_validation_error(tmp_path, capsys):
@@ -347,7 +341,7 @@ def test_reproduce_loads_no_jsonschema(tmp_path):
 
 def test_schemas_are_valid_draft_2020_12():
     validators, _ = cli._validators()
-    for key in (*cli.PARAM_SCHEMAS, "tolerances"):
+    for key in cli.PARAM_SCHEMAS:
         jsonschema.Draft202012Validator.check_schema(validators[key].schema)
 
 
@@ -358,13 +352,17 @@ def test_runs_make_no_metaschema_check(tmp_path, monkeypatch):
     monkeypatch.setattr(
         jsonschema.Draft202012Validator, "check_schema", classmethod(refuse)
     )
-    cfg = _lattice_config(tmp_path, {"start": -1.0, "stop": 1.0, "num": 5})
-    tols = tmp_path / "tol.json"
-    tols.write_text(json.dumps({"causal": 1e-9}))
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "classify-causal",
+            "params": {"roots": [[[1.0, 0.0], [2.0, 0.0]]]},
+            "tolerances": {"causal": 1e-9},
+        },
+    )
     out = tmp_path / "out"
-    rc = main(["lattice", "--config", cfg, "--out", str(out), "--tolerances", str(tols)])
-    assert rc == 0
-    assert (out / "surface.csv").is_file()
+    assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "classifications.json").is_file()
 
 
 def test_every_reproduce_plan_validates():
@@ -399,28 +397,6 @@ def test_classify_roots_frozen_classes(tmp_path):
     assert report["counts"] == {"timelike": 1, "spacelike": 1, "undetermined": 1}
 
 
-def test_classify_sample_uses_seed_list_override(tmp_path):
-    cfg = write_config(
-        tmp_path / "c.json",
-        {
-            "subcommand": "classify-causal",
-            "params": {"sample": {"n": 1, "m": 3, "f": 2}},
-            "seeds": [0, 1, 2],
-        },
-    )
-    out = tmp_path / "out"
-    rc = main(
-        ["classify-causal", "--config", cfg, "--out", str(out), "--seed-list", "7"]
-    )
-    assert rc == 0
-    manifest = load(out / "manifest.json")
-    assert manifest["seeds"] == [7]
-    report = load(out / "classifications.json")
-    assert [g["seed"] for g in report["graphs"]] == [7]
-    assert report["graphs"][0]["graph"]["m"] == 3
-
-
-
 def test_classify_sample_without_seeds_is_validation_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",
@@ -437,14 +413,11 @@ def test_negative_seed_list_override_fails_validation(tmp_path, capsys):
         {
             "subcommand": "classify-causal",
             "params": {"sample": {"n": 1, "m": 4, "f": 2}},
-            "seeds": [0],
+            "seeds": [-1],
         },
     )
     out = tmp_path / "out"
-    rc = main(
-        ["classify-causal", "--config", cfg, "--out", str(out), "--seed-list", "-1"]
-    )
-    assert rc == 2
+    assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 2
     assert "config invalid at seeds/0" in capsys.readouterr().err
     assert not out.exists()
 
@@ -453,11 +426,10 @@ def test_repeated_seed_list_override_fails_validation(tmp_path, capsys):
     # the solver keys each seed's traces by its seed, so a repeated seed is invalid
     cfg = write_config(
         tmp_path / "c.json",
-        {"subcommand": "minimize", "params": {"n": 1, "f": 2, "m": 3}, "seeds": [0]},
+        {"subcommand": "minimize", "params": {"n": 1, "f": 2, "m": 3}, "seeds": [0, 0]},
     )
     out = tmp_path / "out"
-    rc = main(["minimize", "--config", cfg, "--out", str(out), "--seed-list", "0", "0"])
-    assert rc == 2
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 2
     assert "config invalid at seeds" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1023,6 +995,22 @@ def test_constrained_mode_requires_kappa(tmp_path):
     assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("subcommand, params, message", [
+    ("minimize", {"n": 1, "f": 2, "m": 3, "mode": "constrained", "kappa": 0.85, "mu": 0.5},
+     "mu is unused in constrained mode"),
+    ("pauli-vectors", {"m": 3, "kappa": 0.85}, "kappa is unused in auxiliary mode"),
+], ids=["mu_in_constrained", "kappa_in_auxiliary"])
+def test_a_param_the_mode_ignores_is_validation_error(tmp_path, capsys, subcommand, params,
+                                                      message):
+    # a constrained solve reads no mu and an auxiliary one no kappa
+    cfg = write_config(tmp_path / "c.json",
+                       {"subcommand": subcommand, "params": params, "seeds": [0]})
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reproduce + output-root resolution
 
@@ -1089,17 +1077,15 @@ def test_default_output_root_env(tmp_path, monkeypatch):
 
 
 def test_config_out_key_and_out_flag_precedence(tmp_path, monkeypatch):
+    # --out beats $DSTLAB_OUT; a config has no "out" key
     monkeypatch.setenv("DSTLAB_OUT", str(tmp_path / "root"))
     cfg = write_config(
         tmp_path / "c.json",
         {
             "subcommand": "classify-causal",
             "params": {"roots": [[[1.0, 0.0], [2.0, 0.0]]]},
-            "out": str(tmp_path / "from_config"),
         },
     )
-    assert main(["classify-causal", "--config", cfg]) == 0
-    assert (tmp_path / "from_config" / "classifications.json").is_file()
     assert main(["classify-causal", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "classifications.json").is_file()
     assert not (tmp_path / "root").exists()
