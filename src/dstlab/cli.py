@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action import critical_mu
 from .causal import causal_graph, classify
 from .core import DiscreteSpacetime, random_projector
 from .correlation import (
@@ -333,14 +332,9 @@ def _space(n, m, f):
 
 
 def _solver_config(params, seeds):
-    # a solve reads mu only in auxiliary mode and kappa only in constrained mode
-    mode = params.get("mode", "auxiliary")
-    unused = "kappa" if mode == "auxiliary" else "mu"
-    if unused in params:
-        raise CliError(EXIT_VALIDATION, f"{unused} is unused in {mode} mode")
-    # the SolverConfig fields are the minimize params other than n, f and m
+    # the SolverConfig fields are the minimize params other than n, f and m;
+    # SolverConfig checks the mode rule and minimize defaults mu to 1/(2n)
     kwargs = {k: v for k, v in params.items() if k not in ("n", "f", "m")}
-    kwargs.setdefault("mu", critical_mu(params["n"]))
     try:
         return SolverConfig(seeds=tuple(seeds), **kwargs)
     except ValueError as exc:

@@ -82,11 +82,15 @@ dense P the pass read.  Only the accepted trial of a batch becomes a validated
 projector; a renormalized iterate gets one pass of its own, and the multiplier
 update, the next round and the seed's record read the last pass.
 
-A run sets only the ``SolverConfig`` fields.  The step control (INITIAL_STEP,
-MAX_STEP, ARMIJO, STEP_SHRINK, STEP_GROW, MIN_STEP, MEMORY), the stall test
-(STALL_WINDOW, STALL_TOL), DIVERGENCE_FLOOR, the penalty schedule
-(PENALTY_START, PENALTY_GROWTH, OUTER_ROUNDS, CONSTRAINT_TOL) and the
-multiplier fit (FIT_TOL) are module constants, read when a solve runs.
+A run sets only the ``SolverConfig`` fields, and ``SolverConfig`` alone
+checks them: a mode rejects the parameter it does not read (mu in
+constrained mode, kappa in auxiliary mode), and an unset mu is the critical
+weight 1/(2n) of the space solved on, for library calls and CLI configs
+alike.  The step control (INITIAL_STEP, MAX_STEP, ARMIJO, STEP_SHRINK,
+STEP_GROW, MIN_STEP, MEMORY), the stall test (STALL_WINDOW, STALL_TOL),
+DIVERGENCE_FLOOR, the penalty schedule (PENALTY_START, PENALTY_GROWTH,
+OUTER_ROUNDS, CONSTRAINT_TOL) and the multiplier fit (FIT_TOL) are module
+constants, read when a solve runs.
 """
 
 import math
@@ -103,6 +107,7 @@ from .action import (
     action_and_constraint,
     constraint_q_kernel,
     constraint_value,
+    critical_mu,
     el_residual,
     q_kernel,
     spectral_weight,
@@ -146,8 +151,27 @@ class InfeasibleKappa(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settings a solve chooses, checked and defaulted here only.
+
+    mode: "auxiliary" descends S_mu at the weight mu; "constrained"
+      minimizes the plain action subject to T = kappa by penalty rounds.
+    mu: the auxiliary weight.  None, the default, is the critical weight
+      1/(2n) of the space that ``minimize`` solves on
+      (``dstlab.action.critical_mu``).
+    kappa: the constraint level; constrained mode needs it.
+    seeds: the seeds of the random starts, nonempty and without repeats.
+    max_iter: the iteration budget of each descent round.
+    residual_tol: the gradient norm at which a descent has converged.
+    boost_scale: the scale of each start's random boost
+      (``dstlab.core.random_projector``).
+
+    A mode reads only its own parameter, so mu in constrained mode and
+    kappa in auxiliary mode are ValueErrors, raised after the check that
+    mu, kappa, residual_tol and boost_scale are finite.
+    """
+
     mode: str = "auxiliary"  # "auxiliary" | "constrained"
-    mu: float = 0.5
+    mu: float | None = None
     kappa: float | None = None
     seeds: tuple = tuple(range(32))
     max_iter: int = 2000
@@ -170,6 +194,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, not {value}")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
+        unused = "kappa" if self.mode == "auxiliary" else "mu"
+        if getattr(self, unused) is not None:
+            raise ValueError(f"{unused} is unused in {self.mode} mode")
 
 
 @dataclass
@@ -502,8 +529,9 @@ def _solve_seed(start, cfg):
     starts the next, and its T and the record's (S, T) are read off it.
     """
     constrained = cfg.mode == "constrained"
+    mu = critical_mu(start.space.n) if cfg.mu is None else cfg.mu
     objective = (_Objective(0.0, cfg.kappa, 0.0, PENALTY_START) if constrained
-                 else _Objective(cfg.mu))
+                 else _Objective(mu))
     chains = ChainPass(start)
     traces = []
     counts = dict.fromkeys(("iterations", "armijo_trials", "renormalizations", "fd_pairs"), 0)
@@ -538,8 +566,9 @@ def _solve_seed(start, cfg):
 def minimize(space, f, config=None, tol=DEFAULT):
     """Multi-start minimization; returns the best stationary-point candidate.
 
-    Auxiliary mode descends S_mu at fixed mu (detecting the divergence that
-    occurs beyond the critical weight); constrained mode minimizes the plain
+    Auxiliary mode descends S_mu at fixed mu, the critical weight 1/(2n)
+    when ``config.mu`` is None (detecting the divergence that occurs beyond
+    the critical weight); constrained mode minimizes the plain
     action subject to T = kappa.  A seed is feasible when it ends within
     10 CONSTRAINT_TOL of kappa.  If no seed is feasible and no seed's last
     round stopped on its iteration budget, the penalty rounds have settled

@@ -42,18 +42,26 @@ from dstlab.tolerances import DEFAULT
 
 
 def test_config_validation():
-    try:
+    with pytest.raises(ValueError, match="unknown mode 'annealing'"):
         SolverConfig(mode="annealing")
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
-    try:
-        SolverConfig(mode="constrained")  # kappa missing
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
+    with pytest.raises(ValueError, match="constrained mode needs a kappa level"):
+        SolverConfig(mode="constrained")
     with pytest.raises(ValueError, match="nonempty seed list"):
         SolverConfig(seeds=())
+    # a constrained solve reads no mu and an auxiliary one no kappa
+    with pytest.raises(ValueError, match="mu is unused in constrained mode"):
+        SolverConfig(mode="constrained", kappa=0.85, mu=0.7)
+    with pytest.raises(ValueError, match="kappa is unused in auxiliary mode"):
+        SolverConfig(kappa=0.85)
+
+
+@pytest.mark.parametrize("n, m, f, critical", [(1, 3, 2, 0.5), (2, 3, 3, 0.25)],
+                         ids=["n1", "n2"])
+def test_an_unset_mu_is_the_critical_weight(n, m, f, critical):
+    # mu = None descends S_mu at 1/(2n) of the space solved on
+    cfg = SolverConfig(seeds=(0,), max_iter=5)
+    assert cfg.mu is None
+    assert minimize(DiscreteSpacetime(n, m), f, cfg).multiplier == critical
 
 
 @pytest.mark.parametrize("name", ["mu", "kappa", "residual_tol", "boost_scale"])
@@ -115,33 +123,11 @@ def _penalty_reference(p):
     return q_kernel(p, -(NU + 2.0 * W * (constraint_value(p) - KAPPA)))
 
 
-@pytest.mark.parametrize(
-    "objective, reference",
-    [(lambda: _Objective(0.0, KAPPA, NU, W), _penalty_reference)],
-    ids=["penalty"],
-)
-def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
-    monkeypatch, objective, reference
-):
-    # a chain pass is one ChainPass built; Q of a valued pass reads the
-    # T - kappa its value call left there and builds no pass, for a
-    # renormalized projector's own pass too
-    calls = _count_chain_passes(monkeypatch)
-    p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
-    built = objective()
-    for proj in (p, p.renormalized()):
-        chains = ChainPass(proj)
-        built.value(chains)
-        before = len(calls)
-        q = built.qmat(chains)
-        assert len(calls) == before
-        assert np.array_equal(q, reference(proj))
-
-
-def test_qmat_needs_no_value_call_and_valuing_writes_nothing():
+def test_qmat_needs_no_value_call_and_valuing_writes_nothing(monkeypatch):
     # the pass owns its constraint value: valuing it leaves its attributes
-    # as they were, and Q of a pass that was never valued is the reference,
-    # for a fresh pass, a renormalized projector's pass and a stacked slice
+    # as they were, and Q of a pass that was never valued is the reference
+    # and builds no ChainPass, for a fresh pass, a renormalized projector's
+    # pass and a stacked slice
     p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
     b = random_direction(p.space, seed=5)
     stack = transported(p, b / np.linalg.norm(b), [0.4, 0.2])
@@ -153,8 +139,11 @@ def test_qmat_needs_no_value_call_and_valuing_writes_nothing():
         assert all(vars(chains)[name] is value for name, value in before.items())
     passes = [(ChainPass(proj), proj) for proj in (p, p.renormalized())]
     passes.append((ChainPass(stack)[1], stack[1]))
-    for chains, proj in passes:
-        assert np.array_equal(built.qmat(chains), _penalty_reference(proj))
+    calls = _count_chain_passes(monkeypatch)
+    qs = [built.qmat(chains) for chains, _ in passes]
+    assert calls == []
+    for q, (_, proj) in zip(qs, passes):
+        assert np.array_equal(q, _penalty_reference(proj))
 
 
 @pytest.mark.parametrize(
