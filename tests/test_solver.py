@@ -123,6 +123,29 @@ def _penalty_reference(p):
     return q_kernel(p, -(NU + 2.0 * W * (constraint_value(p) - KAPPA)))
 
 
+@pytest.mark.parametrize(
+    "objective, reference",
+    [(lambda: _Objective(0.0, KAPPA, NU, W), _penalty_reference)],
+    ids=["penalty"],
+)
+def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
+    monkeypatch, objective, reference
+):
+    # a chain pass is one ChainPass built; Q of a valued pass reads the
+    # constraint value that pass holds and builds no pass, for a
+    # renormalized projector's own pass too
+    calls = _count_chain_passes(monkeypatch)
+    p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
+    built = objective()
+    for proj in (p, p.renormalized()):
+        chains = ChainPass(proj)
+        built.value(chains)
+        before = len(calls)
+        q = built.qmat(chains)
+        assert len(calls) == before
+        assert np.array_equal(q, reference(proj))
+
+
 def test_qmat_needs_no_value_call_and_valuing_writes_nothing(monkeypatch):
     # the pass owns its constraint value: valuing it leaves its attributes
     # as they were, and Q of a pass that was never valued is the reference
