@@ -94,7 +94,7 @@ linear solve and one batched product, and the
 leading axis: each slice is bit for bit the pass of that trial alone.  A line
 search takes the slice ``ChainPass(stack)[j]`` of the step it accepts as its
 next iterate, so the iterate carries the pass, T included, that its gradient
-reads, and only that trial becomes a projector.
+reads, and only the trials a search takes become projectors.
 """
 
 import functools
@@ -347,12 +347,14 @@ class ChainPass:
     def q(self, w_sq, w_abs):
         """Q operator (md, md) of w_sq |A^2| + w_abs |A|^2 summed over all pairs.
 
-        A stacked pass gives one Q per slice, and ``w_abs`` may then be a 1-D
-        array, one weight per slice.
+        A stacked pass gives one Q per slice.  A weight may be an array
+        broadcasting against the pass's leading axes (one per slice, or
+        weight sets on an axis before them); Q carries the broadcast axes.
         """
         n = self.space.n
-        if isinstance(w_abs, np.ndarray):
-            w_abs = w_abs.reshape((-1,) + (1,) * (2 if n == 1 else 4))
+        points = (1,) * (2 if n == 1 else 4)
+        w_sq, w_abs = (w.reshape(w.shape + points) if isinstance(w, np.ndarray) else w
+                       for w in (w_sq, w_abs))
         if n > 1:
             msq, mabs, bad = _gradient(self.chains, self.tol)
             self.fd_pairs = np.count_nonzero(bad, axis=(-2, -1))
@@ -375,7 +377,8 @@ class ChainPass:
         adj = s2[:, None, None] * p.swapaxes(-4, -2).swapaxes(-3, -1)[..., ::-1, :, ::-1] * s2
         lt = 0.25 * (l_t + l_t.swapaxes(-1, -2))
         ld = 0.25 * (l_delta + l_delta.swapaxes(-1, -2)) * self.det
-        return (lt[..., None, :, None] * p + ld[..., None, :, None] * adj).reshape(self.p.shape)
+        q = lt[..., None, :, None] * p + ld[..., None, :, None] * adj
+        return q.reshape(lt.shape[:-2] + self.p.shape[-2:])
 
 
 def _pass_of(source):

@@ -10,87 +10,73 @@ Hermitian (which makes B self-adjoint in the indefinite sense) turns steepest
 descent into a Euclidean problem: the Hermitian gradient is K = 4i [P,Q] S,
 the normalized direction is B = -S K / ||K||_F, and the directional
 derivative equals -||K||_F, strictly negative until the Euler-Lagrange
-commutator vanishes.
-An Armijo backtracking line search then guarantees monotone decrease, to the
-rounding of F where an auxiliary descent ends (see ``_descend``).
+commutator vanishes.  An Armijo backtracking line search then guarantees
+monotone decrease, to the rounding of F where an auxiliary descent ends.
 
-The auxiliary descent at n = 1 takes limited-memory BFGS directions in these
+Auxiliary mode descends S_mu at fixed mu.  Constrained mode minimizes the
+plain action S on the level set T = kappa of the spectral-weight constraint
+by gradient projection (Rosen, J. SIAM 9, 1961).  An iterate's pass gives
+C_S = [P, Q_S] and C_T = [P, Q_T]; their least-squares fit
+nu = Re<C_T, C_S>/||C_T||^2 is the multiplier, and G = C_S - nu C_T,
+orthogonal to C_T, is the commutator of S_nu = S - nu T.  The descent goes
+along G, its trials valued by the Lagrangian S - nu (T - kappa), which is
+S_nu up to the constant nu kappa of a search.  The first trial in step order
+that passes Armijo is restored to |T - kappa| <= RESTORE_TOL (1 + |kappa|)
+by at most RESTORE_STEPS Newton steps along S K_T/||K_T||, K_T = 4i C_T S,
+of step -(T - kappa)/||K_T||, and taken if its S is not above the
+iterate's; otherwise the search goes on.  A start off the level is restored
+the same way, damped by Armijo on |T - kappa| and within the iteration
+budget; one that settles short of kappa, at the step floor or where
+||K_T|| <= residual_tol, tells that the level is not attained.
+
+The auxiliary descent at n = 1 takes limited-memory BFGS directions in the
 Hermitian coordinates (Nocedal and Wright, Numerical Optimization, 2nd ed.,
 ch. 7; on manifolds, Huang, Gallivan and Absil, SIAM J. Optim. 25, 2015).
-It keeps up to MEMORY pairs (s, y): s = eta H the accepted move of B = S H
-and y the change in K since, kept when Re<s,y> > 0.  The direction is
-d = -H_k K by the two-loop recursion, H_0 = Re<s,y>/<y,y> of the newest
-pair, with B = S d/||d||, slope Re<K,d>/||d|| and first trial
-min(||d||, MAX_STEP).  The memory is cleared when that slope is above
--1e-3 ||K||, and when the signs of t^2/4 - delta over the chain pairs differ
-from the last iterate's: S is kinked on that causal threshold, and pairs
-that span the kink mislead.  Without the second rule the m = 8 sphere
-seeds that end on the threshold ground for about a thousand iterations
-more.  With an empty memory, in penalty rounds and at n >= 2 (which has no
-(t, delta) for the threshold test) the direction is -K/||K||, and its first
-trial is the Barzilai-Borwein (BB1) step (Barzilai and Borwein, IMA J.
-Numer. Anal. 8, 1988; on orthogonality constraints, Wen and Yin, Math.
-Program. 142, 2013): with s the last accepted move and y the change in K
-since, the step along the unit direction is ||s||^2/Re<s,y> ||K||, capped
-at MAX_STEP.  Where Re<s,y> <= 0 (no positive curvature seen) the last step
-grows by STEP_GROW.
-Memory in penalty rounds made the constrained triangle slower: its
-searches, which end on the threshold, examined about 1.6 times as many
-trials per iteration.
+It keeps up to MEMORY pairs (s, y) with Re<s,y> > 0, s = eta H the
+accepted move of B = S H and y the change in K since, and goes along
+d = -H_k K (two-loop recursion, H_0 = Re<s,y>/<y,y> of the newest pair):
+B = S d/||d||, slope Re<K,d>/||d||, first trial min(||d||, MAX_STEP).  The
+memory is cleared when that slope is above -1e-3 ||K||, and when the signs
+of t^2/4 - delta over the chain pairs differ from the last iterate's: S is
+kinked on that causal threshold, and pairs that span the kink mislead (the
+m = 8 sphere seeds that end there ground for about a thousand iterations
+more without this rule).  With an empty memory, on the level set and at
+n >= 2 (no (t, delta) for the threshold test) the direction is -K/||K||,
+with the Barzilai-Borwein (BB1) first trial (IMA J. Numer. Anal. 8, 1988;
+on orthogonality constraints, Wen and Yin, Math. Program. 142, 2013)
+||s||^2/Re<s,y> ||K|| for s the last accepted move and y the change in K
+since, capped at MAX_STEP, or the last step grown by STEP_GROW where
+Re<s,y> <= 0.  Memory on the level set made the constrained triangle
+(m = 3, kappa = 0.85, seeds 0-3) slower: 199 iterations in 495 stacked
+requests against 145 in 225 with BB1 alone.
 
 The backtracking steps eta, eta STEP_SHRINK, ... are known before any of them
-is evaluated, so the search evaluates them in batches of s, 2s, 4s, ... trials,
-s the number of steps the previous search of the descent examined (1 for its
-first search), and accepts the first step in order that passes Armijo: the
-iterates are bit for bit those of a search that tries one step at a time.
+is evaluated, so the search evaluates them in batches of s, 2s, 4s, ...,
+s the steps the previous search examined (1 for the first), and accepts the
+first step in order that passes Armijo, bit for bit as one at a time would.
 
 The seeds of a solve descend in lockstep: each seed is a generator that asks
-for its gradients and trial batches, and one loop (``_lockstep``) evaluates
-the batches of all live seeds as one stacked orbit step and chain pass
-(``TrialStack``) valued with per-trial (mu, kappa, nu, w), and their
+for its gradients, trial batches and Newton steps, and one loop
+(``_lockstep``) evaluates the batches of all live seeds as one stacked orbit
+step and chain pass (``TrialStack``) valued with per-trial mu, and their
 gradients as one stacked Q and commutator, each slice bit for bit its
 one-seed evaluation.  Step control, exits, norms and multipliers stay per seed.
 
-Both modes descend one objective, F = S_mu + nu (T-kappa) + w (T-kappa)^2,
-whose gradient operator is the auxiliary Q at the effective weight
-mu - nu - 2 w (T-kappa).  Auxiliary mode is one round at (mu, nu = w = 0).
-Constrained minimization (fix the spectral-weight constraint T = kappa and
-minimize the plain action) runs penalty rounds at (0, nu, w): the multiplier
-nu is updated between rounds and the penalty weight grows geometrically until
-the constraint holds.  The Lagrange multiplier of the constrained problem is
-recovered as -nu, and independently as the least-squares fit of the
-commutator [P, Q_S] by [P, Q_T].  Every seed goes through one function that
-runs its rounds and returns one record.  A penalty that cannot reach kappa
-settles at a stationary point of (T-kappa)^2 (Nocedal and Wright, Numerical
-Optimization, 2nd ed., Thm. 17.2), so the seeds' own records say whether the
-level is attainable.
+A derivative check compares the slope along B with a central finite
+difference of F along B (S_nu on the level set) at a seed's first iterate
+with |slope| > 1e-6 (1 + |F|).  An accepted iterate is re-orthonormalized
+when the Gram drift it measured (``FermionicProjector.gram_dev``) grows.
+The iterate is a chain pass (``dstlab.action.ChainPass``), a trial's slice
+of a stacked pass that holds its own T; its gradient makes no pass but a
+stacked copy of the seeds' passes when several ask together, and reuses the
+pass's dense P.  Only a trial taken or restored becomes a validated
+projector; a renormalized iterate gets one pass of its own.
 
-A derivative check compares the slope along B (-||K||_F along -S K/||K||)
-with a central finite difference of F along B, in each seed's first round
-only (the only round in auxiliary mode), at the first iterate with
-|slope| > 1e-6 (1 + |F|).  Every accepted iterate is kept an exact
-projector by re-orthonormalizing the basis whenever its Gram matrix drifts.
-The drift check reads the Gram deviation each projector measured at
-construction (``FermionicProjector.gram_dev``).
-The iterate is a chain pass (``dstlab.action.ChainPass``): the descent takes
-the start's pass, moves to the accepted trial's slice of the stacked pass of
-its round, and returns the last pass.  A pass holds its own constraint value
-T, so the objective's value and gradient both read T - kappa off it, in either
-order: the gradient makes no chain pass of its own, only a stacked copy of the
-seeds' passes when several seeds ask together, and the commutator reuses the
-dense P the pass read.  Only the accepted trial of a batch becomes a validated
-projector; a renormalized iterate gets one pass of its own, and the multiplier
-update, the next round and the seed's record read the last pass.
-
-A run sets only the ``SolverConfig`` fields, and ``SolverConfig`` alone
-checks them: a mode rejects the parameter it does not read (mu in
-constrained mode, kappa in auxiliary mode), and an unset mu is the critical
-weight 1/(2n) of the space solved on, for library calls and CLI configs
-alike.  The step control (INITIAL_STEP, MAX_STEP, ARMIJO, STEP_SHRINK,
+A run sets only the ``SolverConfig`` fields, which it alone checks and
+defaults.  The step control (INITIAL_STEP, MAX_STEP, ARMIJO, STEP_SHRINK,
 STEP_GROW, MIN_STEP, MEMORY), the stall test (STALL_WINDOW, STALL_TOL),
-DIVERGENCE_FLOOR, the penalty schedule (PENALTY_START, PENALTY_GROWTH,
-OUTER_ROUNDS, CONSTRAINT_TOL) and the multiplier fit (FIT_TOL) are module
-constants, read when a solve runs.
+DIVERGENCE_FLOOR, the restoration (RESTORE_TOL, RESTORE_STEPS) and the
+multiplier fit (FIT_TOL) are module constants, read when a solve runs.
 """
 
 import math
@@ -137,10 +123,8 @@ MIN_STEP = 1e-14
 STALL_WINDOW = 50
 STALL_TOL = 1e-12
 DIVERGENCE_FLOOR = -1e6
-PENALTY_START = 10.0
-PENALTY_GROWTH = 10.0
-OUTER_ROUNDS = 8  # at least one penalty round
-CONSTRAINT_TOL = 1e-6
+RESTORE_TOL = 1e-13  # |T - kappa| of a restored iterate, relative to 1 + |kappa|
+RESTORE_STEPS = 20  # Newton steps that may restore a trial to T = kappa
 FIT_TOL = 1e-3
 MEMORY = 6  # L-BFGS pairs of an auxiliary descent
 
@@ -154,13 +138,13 @@ class SolverConfig:
     """The settings a solve chooses, checked and defaulted here only.
 
     mode: "auxiliary" descends S_mu at the weight mu; "constrained"
-      minimizes the plain action subject to T = kappa by penalty rounds.
+      minimizes the plain action on the level set T = kappa.
     mu: the auxiliary weight.  None, the default, is the critical weight
       1/(2n) of the space that ``minimize`` solves on
       (``dstlab.action.critical_mu``).
     kappa: the constraint level; constrained mode needs it.
     seeds: the seeds of the random starts, nonempty and without repeats.
-    max_iter: the iteration budget of each descent round.
+    max_iter: each seed's iteration budget, a start's Newton steps included.
     residual_tol: the gradient norm at which a descent has converged.
     boost_scale: the scale of each start's random boost
       (``dstlab.core.random_projector``).
@@ -211,12 +195,12 @@ class SolverResult:
     status: str  # "converged" | "max_iterations" | "divergence"
     seed: int
     per_seed: list
-    traces: dict  # seed -> list of per-round objective traces
+    traces: dict  # seed -> [the seed's trace]
 
 
 def _check_slope(chains, objective, b, slope):
     h = chains.tol.fd_step
-    (plus, minus), _ = yield objective, chains.projector, b, [h, -h]
+    (plus, minus), _, _ = yield objective, chains.projector, b, [h, -h]
     fd = (plus - minus) / (2.0 * h)
     rel = abs(fd - slope) / max(abs(fd), abs(slope))
     if rel > chains.tol.grad_check:
@@ -226,16 +210,18 @@ def _check_slope(chains, objective, b, slope):
         )
 
 
-def _backtrack(chains, objective, b, step, current, slope, size, slack=0.0):
+def _backtrack(chains, objective, b, step, current, slope, size, slack=0.0,
+               kappa=None, accept=None):
     """Armijo backtracking from ``step`` along B, in batches of size, 2 size, ... trials.
 
     The steps are step, step STEP_SHRINK, ... down to ``MIN_STEP``; each
     batch is one trials request (:func:`_lockstep`).  Returns (trial,
     value, step, examined) for the first step in order that passes Armijo
-    with F raised by ``slack``, with ``trial`` its pass and ``examined`` the
-    steps the rule looked at up to it, or (None, current, step, examined)
-    when none passes.  The batch boundaries change what is evaluated, not
-    what is returned.
+    with F raised by ``slack`` (|T - kappa| in place of F with ``kappa``),
+    ``trial`` its pass, or what the generator function ``accept`` returns
+    for it, and ``examined`` the steps looked at; (None, current, step,
+    examined) when none passes or ``accept`` returns None for all that do.
+    The batch boundaries change what is evaluated, not what is returned.
     """
     bound = current + slack
     examined = 0
@@ -244,11 +230,15 @@ def _backtrack(chains, objective, b, step, current, slope, size, slack=0.0):
         while len(etas) < size and step >= MIN_STEP:
             etas.append(step)
             step *= STEP_SHRINK
-        values, trial = yield objective, chains.projector, b, etas
+        values, constraints, trial = yield objective, chains.projector, b, etas
+        if kappa is not None:
+            values = np.abs(constraints - kappa)
         for j, eta in enumerate(etas):
             examined += 1
             if values[j] <= bound + ARMIJO * eta * slope:
-                return trial(j), float(values[j]), eta, examined
+                taken = trial(j) if accept is None else (yield from accept(trial(j)))
+                if taken is not None:
+                    return taken, float(values[j]), eta, examined
         size *= 2
     return None, current, step, examined
 
@@ -273,70 +263,107 @@ def _two_loop(pairs, grad):
     return q
 
 
+def _norm(comm):
+    """||K||_F = 4 ||[P, Q]||_F, by np.linalg.norm's arithmetic without its costlier dispatch."""
+    flat = comm.ravel()
+    return 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
+
+def _unit(comm, norm, signs):
+    """K/||K||, K = 4i [P, Q] S made exactly Hermitian, so the Cayley step keeps the Gram matrix."""
+    k = (4j / norm) * (comm * signs)
+    return 0.5 * (k + k.conj().T)
+
+
+def _restore(chains, level, cfg, counts, steps):
+    """A seed generator's damped Newton steps from a pass to T = kappa (module docstring).
+
+    Each asks for the pair at the pass; T moves at the rate ||K_T|| along the
+    unit direction.  Returns (pass, steps taken, exit reason), the reason
+    None once T is within RESTORE_TOL (1 + |kappa|), else "max_iterations"
+    after ``steps``, "stalled" (||K_T|| <= ``residual_tol``) or
+    "line_search_floor".
+    """
+    for taken in range(steps):
+        if not level.missed(chains.constraint):
+            return chains, taken, None
+        (_, ct), fd = yield level, chains
+        counts["fd_pairs"] += int(fd)
+        norm, signs = _norm(ct), chains.space.signs
+        if norm <= cfg.residual_tol:
+            return chains, taken, "stalled"
+        gap = chains.constraint - level.kappa
+        b = math.copysign(1.0, -gap) * signs[:, None] * _unit(ct, norm, signs)
+        trial, _, _, examined = yield from _backtrack(
+            chains, _Objective(0.0), b, abs(gap) / norm, abs(gap), -norm, 1, kappa=level.kappa)
+        counts["armijo_trials"] += examined
+        if trial is None:
+            return chains, taken, "line_search_floor"
+        chains = trial
+    return chains, steps, None if not level.missed(chains.constraint) else "max_iterations"
+
+
 def _descend(chains, objective, cfg, check_first=False):
-    """Backtracking descent of one ``_Objective`` from the pass of one start.
+    """Backtracking descent of an ``_Objective`` or on a ``_LevelSet`` from one start's pass.
 
     A seed generator (:func:`_lockstep`).  The iterate is a ``ChainPass``;
     valuing it writes nothing onto it, and its gradient, evaluated alone,
-    records its ``fd_pairs`` there (0 at n = 1).  Each pass of the loop
-    asks for the iterate's one gradient (k iterations make k + 1 requests),
-    then tests the exits in order: "stalled" (no descent over the stall
-    window), "max_iterations", "divergence", "converged".  The first iterate
-    tries ``INITIAL_STEP`` along -k = -K/||K||.  In an auxiliary round
-    (``objective.w == 0``) at n = 1 a later iterate goes along the L-BFGS
-    direction d = -H_k K of the module docstring when its memory holds a
-    pair, first trying min(||d||, MAX_STEP) with slope Re<K, d>/||d||.
-    Otherwise it goes along -k with slope -||K||, first trying the BB1 step
-    min(||s||^2/Re<s,y> ||K||, MAX_STEP) from the last accepted move s
-    (B = S s/eta) and the gradient change y = K - K_old, or, when
-    Re<s,y> <= 0, the last accepted step times ``STEP_GROW`` (capped the
-    same way).  Trials then shrink by ``STEP_SHRINK`` until Armijo accepts
-    one; they are evaluated in batches of s, 2s, 4s, ..., s the steps the
-    previous search examined, 1 for the first search (:func:`_backtrack`),
-    and none accepted down to ``MIN_STEP`` exits with "line_search_floor".
-    At the smooth end of an auxiliary descent at n = 1 Armijo sees only the
-    rounding of F: when ||K||^2 and the search's predicted decrease
-    eta ||K|| are both below 64 eps (1 + |F|), the search accepts a step
-    that raises F by up to 8 eps (1 + |F|), and the trace is monotone to
-    that.  A first trial already below
-    ``MIN_STEP`` values nothing: that search makes no batch, examines no
-    step, and the descent exits "line_search_floor" on the iterate it has.
-    ``status`` folds every exit but "converged" and "divergence" into
-    "max_iterations".
-    ``armijo_trials`` counts the steps the Armijo rule examined in order, up
-    to the one it accepted: not the rest of that step's batch, which was
+    records its ``fd_pairs`` there (0 at n = 1).  Each loop asks for the
+    iterate's one gradient (k iterations make k + 1 requests), then tests the
+    exits in order: "stalled" (no descent over the stall window),
+    "max_iterations", "divergence", "converged".  On the level set the start
+    is first restored (:func:`_restore`, its steps iterations), and one that
+    ends short of kappa ends the descent with its reason at that gradient.
+    An iterate takes the direction and first trial of the module docstring
+    (the first ``INITIAL_STEP`` along -K/||K||), and its trials shrink by
+    ``STEP_SHRINK`` in the batches of :func:`_backtrack` until Armijo accepts
+    one (on the level set, one restored with S not above the iterate's);
+    none down to ``MIN_STEP``, or a first trial below it (no batch), exits
+    "line_search_floor".  Where the L-BFGS memory serves and ||K||^2 and the
+    predicted decrease eta ||K|| are below 64 eps (1 + |F|), Armijo forgives
+    a rise in F of 8 eps (1 + |F|).  ``status`` folds every exit but
+    "converged" and "divergence" into "max_iterations".  ``armijo_trials``
+    counts the steps the Armijo rules examined in order up to the one they
+    accepted, Newton steps included: not the rest of that step's batch,
     evaluated and discarded, nor the two steps of the derivative check.
     ``renormalizations`` counts the re-orthonormalized iterates,
-    ``fd_pairs`` the chain pairs the gradients sent to finite differences,
-    and ``gradient_norm`` is 4 ||[P, Q]||_F at the last iterate.  An accepted
-    iterate whose Gram drift exceeds ``chains.tol.gram`` is re-orthonormalized
-    before its gradient, also when the descent then stalls on it; a drift
-    above 1e-14 left at the end is removed after the last gradient.
-    ``chains`` is the pass of the returned projector.
+    ``fd_pairs`` the pairs the gradients sent to finite differences, and
+    ``gradient_norm`` is 4 ||[P, Q]||_F and ``multiplier`` mu, or nu, at the
+    last iterate.  An accepted iterate whose Gram drift exceeds
+    ``chains.tol.gram`` is re-orthonormalized before its gradient, and a
+    drift above 1e-14 at the end after the last gradient.  ``chains`` is the
+    pass of ``projector``, whose F is ``action``.
     """
     signs = chains.projector.space.signs
-    neg_signs = -signs[:, None]
+    level = objective if isinstance(objective, _LevelSet) else None
+    counts = dict.fromkeys(("armijo_trials", "renormalizations", "fd_pairs"), 0)
+    newton, exit_reason = 0, None  # the start's Newton steps onto the level set
+    if level is not None:
+        chains, newton, exit_reason = yield from _restore(chains, level, cfg, counts, cfg.max_iter)
+    search = objective  # what values the trials, S_nu on the level set
     current = objective.value(chains)
     trace = [current]
     step = INITIAL_STEP
     moved = None  # (s, K) of the last accepted step
     # L-BFGS pairs of an auxiliary descent at n = 1, and its threshold sides
-    memory = [] if objective.w == 0 and chains.space.n == 1 else None
+    memory = [] if level is None and chains.space.n == 1 else None
     sides = None
-    trials = renormalizations = fd_pairs = 0
     examined = 1  # the first search starts with a batch of one
     while True:
         comm, fd = yield objective, chains
-        fd_pairs += int(fd)
-        # 4 ||[P, Q]||_F by np.linalg.norm's own arithmetic without its
-        # dispatch, which costs more than the sums on small dims
-        flat = comm.ravel()
-        grad_norm = 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+        counts["fd_pairs"] += int(fd)
+        if level is not None:
+            cs, ct = comm
+            nu, comm = _multiplier_fit(cs, ct)
+            search = _Objective(nu)
+        grad_norm = _norm(comm)
+        if exit_reason is not None:
+            break  # the start settled short of kappa or used up the budget
         if len(trace) > STALL_WINDOW and (
                 trace[-1 - STALL_WINDOW] - current <= STALL_TOL * (1.0 + abs(current))):
             exit_reason = "stalled"  # flattened out below resolution
             break
-        if len(trace) > cfg.max_iter:
+        if newton + len(trace) > cfg.max_iter:
             exit_reason = "max_iterations"
             break
         if current < DIVERGENCE_FLOOR:
@@ -345,11 +372,8 @@ def _descend(chains, objective, cfg, check_first=False):
         if grad_norm <= cfg.residual_tol:
             exit_reason = "converged"
             break
-        # B = -S K/||K|| with K = 4i [P,Q] S; symmetrizing K kills the
-        # rounding-level non-Hermitian part so the Cayley step stays exactly
-        # Gram-preserving even when ||Q|| >> ||[P,Q]|| (late penalty rounds)
-        k = (4j / grad_norm) * (comm * signs)
-        k = 0.5 * (k + k.conj().T)
+        # B = -S K/||K|| with K = 4i [P,Q] S
+        k = _unit(comm, grad_norm, signs)
         grad = grad_norm * k
         h = None  # the unit Hermitian direction H of B = S H, when it is not -k
         if moved is not None:
@@ -377,7 +401,7 @@ def _descend(chains, objective, cfg, check_first=False):
                 else:
                     memory.clear()  # too close to an ascent direction
         if h is None:
-            b = neg_signs * k
+            b = -signs[:, None] * k
             if moved is not None:
                 # BB1 on the Hermitian coordinates, scaled to the unit direction
                 if sy > 0.0:
@@ -389,115 +413,139 @@ def _descend(chains, objective, cfg, check_first=False):
         else:
             b = signs[:, None] * h
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
-            yield from _check_slope(chains, objective, b, slope)
+            yield from _check_slope(chains, search, b, slope)
             check_first = False
         slack = 0.0  # the rise in F that Armijo forgives as rounding
         if memory is not None:
             ulp = math.ulp(1.0) * (1.0 + abs(current))
             if grad_norm * max(step, grad_norm) < 64.0 * ulp:
                 slack = 8.0 * ulp
-        trial, current, step, examined = yield from _backtrack(
-            chains, objective, b, step, current, slope, examined, slack)
-        trials += examined
+
+        def restored_below(trial, ceiling=current + slack):  # S not above the iterate's
+            trial, _, reason = yield from _restore(trial, level, cfg, counts, RESTORE_STEPS)
+            return None if reason or level.value(trial) > ceiling else trial
+
+        trial, value, step, examined = yield from _backtrack(
+            chains, search, b, step, current if level is None else search.value(chains), slope,
+            examined, slack, accept=None if level is None else restored_below)
+        counts["armijo_trials"] += examined
         if trial is None:
             exit_reason = "line_search_floor"  # keep the best iterate
             break
-        chains = trial
+        chains, current = trial, value if level is None else level.value(trial)
         trace.append(current)
         moved = (-step * k if h is None else step * h, grad)
         if chains.projector.gram_dev > chains.tol.gram:
             # the trace keeps the accepted value
             chains = ChainPass(chains.projector.renormalized())
-            renormalizations += 1
+            counts["renormalizations"] += 1
     if chains.projector.gram_dev > 1e-14:
         chains = ChainPass(chains.projector.renormalized())
-        renormalizations += 1
+        counts["renormalizations"] += 1
     return {
         "chains": chains,
+        "projector": chains.projector,
+        "action": objective.value(chains),
+        "constraint": float(chains.constraint),
+        "multiplier": search.mu,
         "status": exit_reason if exit_reason in ("converged", "divergence") else "max_iterations",
         "exit_reason": exit_reason,
-        "iterations": len(trace) - 1,
-        "armijo_trials": trials,
-        "renormalizations": renormalizations,
-        "fd_pairs": fd_pairs,
+        "iterations": newton + len(trace) - 1,
+        **counts,
         "gradient_norm": grad_norm,
         "trace": np.array(trace),
     }
 
 
 class _Objective:
-    """F = S_mu + nu (T - kappa) + w (T - kappa)^2 on the projector orbit.
+    """S_mu of a ``ChainPass``, one per trial of a stacked pass (mu then one per trial or
+    a number); Q (``qmat``) and [P, Q] make no pass of their own."""
 
-    Auxiliary mode descends (mu, nu = w = 0), where the terms in d = T - kappa
-    weigh nothing (T is finite); a penalty round sets (nu, w) at mu = 0.  Both
-    methods take a ``ChainPass`` and read d off its ``constraint``.  ``value``
-    returns F, one value per trial of a stacked pass.  ``qmat`` is the
-    auxiliary Q at the effective weight mu - nu - 2 w d and makes no pass of
-    its own.  Its parameters may be arrays, one (mu, kappa, nu, w) per slice
-    of a stacked pass.
-    """
-
-    def __init__(self, mu=0.0, kappa=0.0, nu=0.0, w=0.0):
-        self.mu, self.kappa, self.nu, self.w = mu, kappa, nu, w
+    def __init__(self, mu):
+        self.mu = mu
 
     def value(self, chains):
-        s, t = action_and_constraint(chains, self.mu)
-        d = t - self.kappa
-        return s + self.nu * d + self.w * d * d
+        return action_and_constraint(chains, self.mu)[0]
 
     def qmat(self, chains):
-        d = chains.constraint - self.kappa
-        return q_kernel(chains, self.mu - self.nu - 2.0 * self.w * d)
+        return q_kernel(chains, self.mu)
+
+    def commutator(self, chains):
+        q = self.qmat(chains)
+        return chains.p @ q - q @ chains.p
+
+
+class _LevelSet(_Objective):
+    """S (mu = 0) on the level set T = kappa, its gradient the pair C_S = [P, Q_S], C_T = [P, Q_T]
+    from one ``ChainPass.q`` call, on the third axis from the end."""
+
+    def __init__(self, kappa):
+        self.mu, self.kappa = 0.0, kappa
+
+    def missed(self, t):
+        return abs(t - self.kappa) > RESTORE_TOL * (1.0 + abs(self.kappa))
+
+    @staticmethod
+    def commutator(chains):
+        w = np.eye(2).reshape((2, 2) + (1,) * (chains.p.ndim - 2))
+        q = chains.q(w[:, 0], w[:, 1])
+        return np.moveaxis(chains.p @ q - q @ chains.p, 0, -3)
+
+
+def _multiplier_fit(cs, ct):
+    """The least-squares multiplier nu = Re<C_T, C_S>/||C_T||^2 and C_S - nu C_T."""
+    nu = float(np.vdot(ct, cs).real) / float(np.vdot(ct, ct).real)
+    return nu, cs - nu * ct
 
 
 def _evaluate(requests):
     """The replies to requests of one kind (:func:`_lockstep`), in order.
 
     One request is evaluated alone, with nothing stacked.  Several share one
-    new ``_Objective`` with every slice's (mu, kappa, nu, w), so an objective
-    counts only through these, and one evaluation: their gradients one
-    stacked pass, Q and commutator, their trials one ``TrialStack``, stacked
-    pass and value call.  The lone path is common, not a corner: a seed that
-    outlives the others descends alone (seed 7 of the m = 4 tetrahedron run
-    for 46 of its 88 iterations).  Sending every lone request through the
-    stacked path as a stack of one made that run 3.1% slower, sending only
-    its lone trials so 1.4%, and taking each seed's gradient alone, none
-    stacked, 18.6% (median ``wall_ref`` of four alternating 10 s
-    ``perfbench`` ``tetra`` runs each, one BLAS thread, 2 vCPUs).
+    objective (an ``_Objective`` of every slice's mu, or the level set) and
+    one evaluation: their gradients one stacked pass, Q and commutator, their
+    trials one ``TrialStack``, stacked pass and value call.  The lone path is
+    common, not a corner: a seed that outlives the others descends alone
+    (seed 7 of the m = 4 tetrahedron run for 46 of its 88 iterations).
+    Sending every lone request through the stacked path as a stack of one
+    made that run 3.1% slower, sending only its lone trials so 1.4%, and
+    taking each seed's gradient alone, none stacked, 18.6% (median
+    ``wall_ref`` of four alternating 10 s ``perfbench`` ``tetra`` runs
+    each, one BLAS thread, 2 vCPUs).
     """
     if len(requests) == 1:
         objective, *request = requests[0]
         if len(request) == 1:
-            q = objective.qmat(request[0])
-            return [(request[0].p @ q - q @ request[0].p, request[0].fd_pairs)]
+            return [(objective.commutator(request[0]), request[0].fd_pairs)]
         batch = ChainPass(TrialStack([request]))
-        return [(objective.value(batch), batch.__getitem__)]
+        return [(objective.value(batch), batch.constraint, batch.__getitem__)]
     sizes = [len(request[3]) if len(request) == 4 else 1 for request in requests]
-    params = [(request[0].mu, request[0].kappa, request[0].nu, request[0].w)
-              for request, size in zip(requests, sizes) for _ in range(size)]
-    objective = _Objective(*np.array(params).T)
+    objective = requests[0][0]
+    if not isinstance(objective, _LevelSet):
+        objective = _Objective(np.array(
+            [request[0].mu for request, size in zip(requests, sizes) for _ in range(size)]))
     if len(requests[0]) == 2:
         chains = ChainPass.stacked([request[1] for request in requests])
-        q = objective.qmat(chains)
-        return list(zip(chains.p @ q - q @ chains.p, chains.fd_pairs))
+        return list(zip(objective.commutator(chains), chains.fd_pairs))
     batch = ChainPass(TrialStack([request[1:] for request in requests]))
     values = objective.value(batch)
     starts = np.cumsum([0, *sizes]).tolist()
-    return [(values[o:o + c], lambda j, o=o: batch[o + j]) for o, c in zip(starts, sizes)]
+    return [(values[o:o + c], batch.constraint[o:o + c], lambda j, o=o: batch[o + j])
+            for o, c in zip(starts, sizes)]
 
 
 def _lockstep(solves):
     """Run the seed generators ``solves`` together; returns their results in order.
 
     A seed yields requests and is sent replies: (objective, pass) asks for
-    [P, Q] at the pass and its FD pair count, (objective, projector, B,
-    steps) for the trials' values and a function giving trial j's pass.  Each
-    round evaluates the gradient requests of all live seeds, or, when none is
-    left, their trial requests, and replies in seed order, so the seeds'
-    trials meet in one stack.  A group of one request is evaluated alone,
-    with nothing stacked; as gradients go first, that can be one seed's
-    gradient while the other seeds wait with trials.  An exception ends the
-    run: of the seeds raising in its earliest round, the first does.
+    the commutator at the pass and its FD pair count, (objective, projector,
+    B, steps) for the trials' values, their T and a function giving trial
+    j's pass.  Each round evaluates the gradient requests of all live seeds,
+    or, when none is left, their trial requests, and replies in seed order,
+    so the seeds' trials meet in one stack.  A group of one request is
+    evaluated alone; as gradients go first, that can be one seed's gradient
+    while the other seeds wait with trials.  An exception ends the run: of
+    the seeds raising in its earliest round, the first does.
     """
     results = [None] * len(solves)
     live = [[i, gen, None] for i, gen in enumerate(solves)]  # [index, generator, request]
@@ -516,51 +564,12 @@ def _lockstep(solves):
 
 
 def _solve_seed(start, cfg):
-    """One seed's descent at fixed mu, or its penalty rounds in constrained mode.
-
-    A seed generator (:func:`_lockstep`) that returns (record, traces).  One
-    objective serves every round; between penalty rounds nu takes the
-    first-order multiplier update and w grows.  The multiplier is mu in
-    auxiliary mode and -nu in constrained mode; the iterations, Armijo
-    trials, renormalizations and FD pairs are summed over the rounds, whose
-    traces are returned apart.  A round that cannot bring T to kappa settles
-    where (T - kappa)^2 is stationary, so the record's constraint and last
-    exit reason tell whether kappa was reached.  The last pass of a round
-    starts the next, and its T and the record's (S, T) are read off it.
-    """
-    constrained = cfg.mode == "constrained"
-    mu = critical_mu(start.space.n) if cfg.mu is None else cfg.mu
-    objective = (_Objective(0.0, cfg.kappa, 0.0, PENALTY_START) if constrained
-                 else _Objective(mu))
-    chains = ChainPass(start)
-    traces = []
-    counts = dict.fromkeys(("iterations", "armijo_trials", "renormalizations", "fd_pairs"), 0)
-    for round_idx in range(OUTER_ROUNDS if constrained else 1):
-        out = yield from _descend(chains, objective, cfg, check_first=round_idx == 0)
-        chains, status = out["chains"], out["status"]
-        traces.append(out["trace"])
-        for key in counts:
-            counts[key] += out[key]
-        if not constrained or status == "divergence":
-            break
-        d = chains.constraint - cfg.kappa
-        objective.nu += 2.0 * objective.w * d
-        if abs(d) <= CONSTRAINT_TOL and status == "converged":
-            break
-        status = "max_iterations"
-        objective.w *= PENALTY_GROWTH
-    s, t = action_and_constraint(chains, objective.mu)
-    record = {
-        "projector": chains.projector,
-        "action": s,
-        "constraint": t,
-        "multiplier": objective.mu - objective.nu,
-        "status": status,
-        "exit_reason": out["exit_reason"],
-        **counts,
-        "gradient_norm": out["gradient_norm"],
-    }
-    return record, traces
+    """A seed generator (:func:`_lockstep`) of one seed's descent; returns (record, [trace])."""
+    objective = (_LevelSet(cfg.kappa) if cfg.mode == "constrained" else
+                 _Objective(critical_mu(start.space.n) if cfg.mu is None else cfg.mu))
+    record = yield from _descend(ChainPass(start), objective, cfg, check_first=True)
+    del record["chains"]
+    return record, [record.pop("trace")]
 
 
 def minimize(space, f, config=None, tol=DEFAULT):
@@ -568,14 +577,13 @@ def minimize(space, f, config=None, tol=DEFAULT):
 
     Auxiliary mode descends S_mu at fixed mu, the critical weight 1/(2n)
     when ``config.mu`` is None (detecting the divergence that occurs beyond
-    the critical weight); constrained mode minimizes the plain
-    action subject to T = kappa.  A seed is feasible when it ends within
-    10 CONSTRAINT_TOL of kappa.  If no seed is feasible and no seed's last
-    round stopped on its iteration budget, the penalty rounds have settled
-    where (T - kappa)^2 is stationary and InfeasibleKappa is raised; a seed
-    that ran out of iterations instead lets the run return its best seed
-    with status "max_iterations".  The best seed is chosen deterministically:
-    non-diverged seeds first, then feasible seeds in constrained mode.  Among
+    the critical weight); constrained mode minimizes the plain action on the
+    level set T = kappa.  A seed is feasible when it ends within RESTORE_TOL
+    (1 + |kappa|) of kappa.  If no seed is, and none stopped on its budget,
+    every start settled short of kappa and InfeasibleKappa is raised; a seed
+    out of iterations lets the run return status "max_iterations".  The best
+    seed is chosen deterministically: non-diverged seeds first, then
+    feasible seeds in constrained mode.  Among
     those, the seeds whose action is within 1e-12 (1 + |S_min|) of the
     lowest S_min tie, so seeds that reach one symmetric minimizer tie
     whatever their rounding; the first converged tied seed in seed order is
@@ -588,11 +596,10 @@ def minimize(space, f, config=None, tol=DEFAULT):
     starts = [random_projector(space, f, seed, cfg.boost_scale, tol) for seed in cfg.seeds]
     solved = _lockstep([_solve_seed(start, cfg) for start in starts])
     per_seed = [{"seed": seed, **record} for seed, (record, _) in zip(cfg.seeds, solved)]
-    traces = {seed: rounds for seed, (_, rounds) in zip(cfg.seeds, solved)}
+    traces = {seed: trace for seed, (_, trace) in zip(cfg.seeds, solved)}
 
     def missed(rec):
-        return (cfg.mode == "constrained"
-                and abs(rec["constraint"] - cfg.kappa) > 10.0 * CONSTRAINT_TOL)
+        return cfg.mode == "constrained" and _LevelSet(cfg.kappa).missed(rec["constraint"])
 
     if all(missed(r) and r["exit_reason"] != "max_iterations" for r in per_seed):
         miss = min(abs(r["constraint"] - cfg.kappa) for r in per_seed)
@@ -638,32 +645,22 @@ class MultiplierEstimate:
 def lagrange_multiplier_estimate(projector):
     """Least-squares fit of dS = mu dT over every orbit direction at once.
 
-    The first variations along B = S H are linear in the commutators
-    C_S = [P, Q_S] and C_T = [P, Q_T], so the fit over all Hermitian H (the
-    limit of a fit over isotropic random directions) is the Frobenius
-    projection: mu = Re<C_T, C_S> / ||C_T||^2, with relative residual
-    ||C_S - mu C_T|| / ||C_S||.  This recovers the Lagrange multiplier at
-    constrained minimizers, which are the stationary points of the auxiliary
-    action where the fit is well posed.  Two failure modes are flagged
-    inconclusive: a poor fit residual (the point is not stationary for any
-    multiplier), and C_T vanishing (the point is stationary for the
-    constraint functional itself, e.g. the fully symmetric auxiliary
-    minimizers, where the multiplier is undetermined and the fitted ratio
-    would be pure noise).
+    The first variations along B = S H are linear in C_S = [P, Q_S] and
+    C_T = [P, Q_T], so the fit over all Hermitian H (the limit of a fit over
+    isotropic random directions) is the level-set descent's multiplier
+    (``_multiplier_fit``), with relative residual ||C_S - mu C_T|| / ||C_S||.
+    It is flagged inconclusive for a poor residual (the point is stationary
+    for no multiplier) and where C_T vanishes (the point is stationary for T
+    itself, as the symmetric auxiliary minimizers are, and the ratio noise).
     """
     chains = ChainPass(projector)
-    qs = q_kernel(chains, 0.0)
-    qt = constraint_q_kernel(chains)
-    p = projector.matrix()
-    cs = p @ qs - qs @ p
-    ct = p @ qt - qt @ p
-    t_stat = float(np.linalg.norm(ct)) / (1.0 + float(np.linalg.norm(qt)))
+    cs, ct = _LevelSet.commutator(chains)
+    qt_norm = float(np.linalg.norm(constraint_q_kernel(chains)))
+    t_stat = float(np.linalg.norm(ct)) / (1.0 + qt_norm)
     if t_stat < 1e-7:
         return MultiplierEstimate(math.nan, math.inf, "inconclusive", t_stat)
-    value = float(np.vdot(ct, cs).real) / float(np.vdot(ct, ct).real)
-    residual = float(np.linalg.norm(cs - value * ct)) / max(
-        np.linalg.norm(cs), 1e-300
-    )
+    value, rest = _multiplier_fit(cs, ct)
+    residual = float(np.linalg.norm(rest)) / max(np.linalg.norm(cs), 1e-300)
     status = "ok" if residual <= FIT_TOL else "inconclusive"
     return MultiplierEstimate(value, residual, status, t_stat)
 

@@ -13,7 +13,6 @@ from dstlab.action import (
     TrialStack,
     action_and_constraint,
     constraint_q_kernel,
-    constraint_value,
     first_variation,
     q_kernel,
     transported,
@@ -32,6 +31,7 @@ from dstlab.solver import (
     _backtrack,
     _descend,
     _evaluate,
+    _LevelSet,
     _lockstep,
     _Objective,
     lagrange_multiplier_estimate,
@@ -85,15 +85,15 @@ def test_config_rejects_a_repeated_seed():
         lambda s: s.MIN_STEP > 0,
         lambda s: s.INITIAL_STEP > 0,
         lambda s: s.ARMIJO > 0,
-        lambda s: s.CONSTRAINT_TOL > 0,
-        lambda s: s.OUTER_ROUNDS >= 1,
+        lambda s: s.RESTORE_TOL > 0,
+        lambda s: s.RESTORE_STEPS >= 1,
     ],
     ids=["step_shrink", "min_step", "initial_step", "armijo", "constraint_tol",
-         "outer_rounds"],
+         "restore_steps"],
 )
 def test_descent_constants_are_settings_the_descent_can_run(holds):
-    # with STEP_SHRINK >= 1 the Armijo search never ends, and a constrained
-    # solve needs at least one penalty round
+    # with STEP_SHRINK >= 1 the Armijo search never ends, and a trial off the
+    # level set T = kappa needs at least one Newton step to come back
     assert holds(dstlab.solver)
 
 
@@ -116,45 +116,19 @@ def test_config_fields_are_the_minimize_params():
     )
 
 
-KAPPA, NU, W = 0.85, 0.3, 10.0
-
-
-def _penalty_reference(p):
-    return q_kernel(p, -(NU + 2.0 * W * (constraint_value(p) - KAPPA)))
-
-
-@pytest.mark.parametrize(
-    "objective, reference",
-    [(lambda: _Objective(0.0, KAPPA, NU, W), _penalty_reference)],
-    ids=["penalty"],
-)
-def test_qmat_reuses_the_constraint_value_of_the_last_value_call(
-    monkeypatch, objective, reference
-):
-    # a chain pass is one ChainPass built; Q of a valued pass reads the
-    # constraint value that pass holds and builds no pass, for a
-    # renormalized projector's own pass too
-    calls = _count_chain_passes(monkeypatch)
-    p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
-    built = objective()
-    for proj in (p, p.renormalized()):
-        chains = ChainPass(proj)
-        built.value(chains)
-        before = len(calls)
-        q = built.qmat(chains)
-        assert len(calls) == before
-        assert np.array_equal(q, reference(proj))
+KAPPA, NU = 0.85, 0.3
 
 
 def test_qmat_needs_no_value_call_and_valuing_writes_nothing(monkeypatch):
     # the pass owns its constraint value: valuing it leaves its attributes
-    # as they were, and Q of a pass that was never valued is the reference
-    # and builds no ChainPass, for a fresh pass, a renormalized projector's
-    # pass and a stacked slice
+    # as they were, and Q of a pass that was never valued, or the level
+    # set's pair ([P, Q_S], [P, Q_T]), is the reference and builds no
+    # ChainPass, for a fresh pass, a renormalized projector's pass and a
+    # stacked slice
     p = random_projector(DiscreteSpacetime(1, 3), 2, seed=4)
     b = random_direction(p.space, seed=5)
     stack = transported(p, b / np.linalg.norm(b), [0.4, 0.2])
-    built = _Objective(0.0, KAPPA, NU, W)
+    built = _Objective(NU)
     for chains in (ChainPass(p), ChainPass(stack)):
         before = dict(vars(chains))
         built.value(chains)
@@ -164,9 +138,13 @@ def test_qmat_needs_no_value_call_and_valuing_writes_nothing(monkeypatch):
     passes.append((ChainPass(stack)[1], stack[1]))
     calls = _count_chain_passes(monkeypatch)
     qs = [built.qmat(chains) for chains, _ in passes]
+    pairs = [_LevelSet(KAPPA).commutator(chains) for chains, _ in passes]
     assert calls == []
-    for q, (_, proj) in zip(qs, passes):
-        assert np.array_equal(q, _penalty_reference(proj))
+    for q, pair, (_, proj) in zip(qs, pairs, passes):
+        assert np.array_equal(q, q_kernel(proj, NU))
+        pm, qs_ref, qt_ref = proj.matrix(), q_kernel(proj, 0.0), constraint_q_kernel(proj)
+        assert np.array_equal(pair[0], pm @ qs_ref - qs_ref @ pm)
+        assert np.array_equal(pair[1], pm @ qt_ref - qt_ref @ pm)
 
 
 @pytest.mark.parametrize(
@@ -181,7 +159,6 @@ def test_descent_reads_the_stored_gram_drift(monkeypatch, cfg):
     def fail(self):
         raise AssertionError("the descent must not form P to check the Gram drift")
 
-    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
     monkeypatch.setattr(FermionicProjector, "check_invariants", fail)
     res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
     assert res.projector.gram_dev <= 1e-14
@@ -253,23 +230,28 @@ def test_descent_reports_why_it_stopped(
 def test_a_lone_request_is_its_slice_of_a_stacked_evaluation(n, m, f):
     # _evaluate serves one request with its own objective and nothing
     # stacked; the reply must be bit for bit that request's share of a
-    # stacked evaluation, whatever its place in the stack
+    # stacked evaluation, whatever its place in the stack: the commutator of
+    # S_mu, the level set's pair of commutators, and the trials' values and T
     space = DiscreteSpacetime(n, m)
     starts = [ChainPass(random_projector(space, f, seed=seed)) for seed in (0, 1)]
-    objectives = [_Objective(0.3, KAPPA, NU, W), _Objective(0.25)]
+    objectives = [_Objective(0.3), _Objective(0.25)]
     directions = [random_direction(space, seed=seed) for seed in (2, 3)]
     steps = [[0.9, 0.45, 0.225], [0.5, 0.25]]
     gradients = [(objective, start) for objective, start in zip(objectives, starts)]
+    pairs = [(_LevelSet(KAPPA), start) for start in starts]
     trials = [(objective, start.projector, b / np.linalg.norm(b), etas)
               for objective, start, b, etas in zip(objectives, starts, directions, steps)]
     for mine, order in ((0, (0, 1)), (0, (1, 0)), (1, (0, 1)), (1, (1, 0))):
         at = order.index(mine)
-        (comm, fd), = _evaluate([gradients[mine]])
-        stacked_comm, stacked_fd = _evaluate([gradients[i] for i in order])[at]
-        assert np.array_equal(comm, stacked_comm) and fd == stacked_fd
-        (values, trial), = _evaluate([trials[mine]])
-        stacked_values, stacked_trial = _evaluate([trials[i] for i in order])[at]
+        for requests in (gradients, pairs):
+            (comm, fd), = _evaluate([requests[mine]])
+            stacked_comm, stacked_fd = _evaluate([requests[i] for i in order])[at]
+            assert np.array_equal(comm, stacked_comm) and fd == stacked_fd
+        (values, constraints, trial), = _evaluate([trials[mine]])
+        stacked_values, stacked_constraints, stacked_trial = _evaluate(
+            [trials[i] for i in order])[at]
         assert np.array_equal(values, stacked_values)
+        assert np.array_equal(constraints, stacked_constraints)
         for j in range(len(steps[mine])):
             alone, part = dict(vars(trial(j))), dict(vars(stacked_trial(j)))
             assert np.array_equal(alone.pop("projector").basis, part.pop("projector").basis)
@@ -435,11 +417,49 @@ def test_a_one_seed_solve_stacks_nothing(monkeypatch, settings):
     assert solve((0, 1)) == (True, True)  # the spies see a stacked solve
     assert solve((0,)) == (False, False)
 
+def _level_set_gradient(chains):
+    """K = 4i G S of G = C_S - nu C_T, nu the fit of the level set's pair at the pass."""
+    cs, ct = _LevelSet(KAPPA).commutator(chains)
+    _, g = dstlab.solver._multiplier_fit(cs, ct)
+    k = 4j * g * chains.space.signs[None, :]
+    return 0.5 * (k + k.conj().T)
+
+
+def _level_set_first_trials(monkeypatch, seed, max_iter):
+    """The level-set descent of a start at m = 3, kappa = KAPPA and, for every
+    search after its first, (Re<s, y>, the BB1 rule's first trial, the first
+    step of the search), with s the last accepted move -eta k and y the change
+    in K, both recomputed from the iterates' pairs (C_S, C_T).
+    """
+    searches = []
+    backtrack = dstlab.solver._backtrack
+
+    def spy(chains, objective, b, step, *args, accept=None, **kwargs):
+        out = yield from backtrack(chains, objective, b, step, *args, accept=accept, **kwargs)
+        if accept is not None:  # a level-set search, not the start's restoration
+            searches.append((chains, step, out))
+        return out
+
+    monkeypatch.setattr(dstlab.solver, "_backtrack", spy)
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed))
+    out = _run(_descend(start, _LevelSet(KAPPA), SolverConfig(max_iter=max_iter)))
+    # S never rises once the start is on the level set
+    assert np.all(np.diff(out["trace"][-len(searches) - 1:]) <= 0.0)
+    rows = []
+    for (before, _, (taken, _, eta, _)), (after, first, _) in zip(searches, searches[1:]):
+        assert after is taken  # the restored trial, not renormalized
+        grad_old, grad = _level_set_gradient(before), _level_set_gradient(after)
+        s = -eta * grad_old / np.linalg.norm(grad_old)
+        rows.append((*_bb_step(s, grad_old, grad, eta), first))
+    return out, rows
+
+
 def test_first_trial_is_the_barzilai_borwein_step(monkeypatch):
-    # a penalty round keeps the BB1 rule
-    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2))
-    out, rows = _first_trials(monkeypatch, _Objective(0.0, KAPPA, NU, W), start, 40)
-    assert out["iterations"] == 40 and len(rows) == 39
+    # the level set keeps the BB1 rule (L-BFGS directions made the
+    # constrained triangle slower); past 20 iterations Re<s, y> falls to the
+    # rounding of y on the causal threshold, where no recomputation matches
+    out, rows = _level_set_first_trials(monkeypatch, 0, 20)
+    assert out["iterations"] == 20 and len(rows) >= 10
     for sy, rule, first in rows:
         assert sy > 0.0
         assert first == pytest.approx(rule, rel=1e-12)
@@ -461,11 +481,9 @@ def test_first_trial_grows_the_last_step_without_positive_curvature(monkeypatch)
     ]
 
 
-def _switching_rules(monkeypatch, n, f, objective):
-    # penalty rounds and n = 2 keep the BB1 rule; these descents meet both
+def _switching_rules(out, rows):
+    # the level set and n = 2 keep the BB1 rule; these descents meet both
     # signs of Re<s, y>
-    start = ChainPass(random_projector(DiscreteSpacetime(n, 3), f, seed=0))
-    out, rows = _first_trials(monkeypatch, _Objective(*objective), start, 20)
     assert out["iterations"] == 20
     assert {sy > 0.0 for sy, _, _ in rows} == {True, False}
     for sy, rule, first in rows:
@@ -473,12 +491,13 @@ def _switching_rules(monkeypatch, n, f, objective):
 
 
 def test_first_trial_switches_rules_with_the_sign_of_the_curvature(monkeypatch):
-    _switching_rules(monkeypatch, 1, 2, (0.0, KAPPA, NU, W))
+    _switching_rules(*_level_set_first_trials(monkeypatch, 3, 20))
 
 
 def test_first_trial_at_n2_switches_rules_with_the_sign_of_the_curvature(monkeypatch):
     # beyond the critical weight 1/4 of n = 2
-    _switching_rules(monkeypatch, 2, 3, (0.4,))
+    start = ChainPass(random_projector(DiscreteSpacetime(2, 3), 3, seed=0))
+    _switching_rules(*_first_trials(monkeypatch, _Objective(0.4), start, 20))
 
 
 def test_auxiliary_first_trial_is_the_quasi_newton_step(monkeypatch):
@@ -586,28 +605,18 @@ def test_first_iterate_derivative_check(monkeypatch, scale, seeds):
         assert error(seeds[1:]) != error(seeds[:1])
 
 
-def test_constrained_seed_sums_iterations_over_rounds(monkeypatch):
-    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
-    cfg = SolverConfig(mode="constrained", kappa=0.85, seeds=(0, 1), max_iter=30)
-    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
+def test_level_set_minimum_is_the_closed_form_at_m4():
+    # at m = 4, kappa = 2/5 the constrained minimum is S = (1 + 3 sqrt 5)/20
+    # with multiplier (sqrt 5 - 1)/2 (ROADMAP item 13); every seed converges
+    # there, on T = kappa to the restoration's tolerance
+    cfg = SolverConfig(mode="constrained", kappa=0.4, seeds=tuple(range(4)))
+    res = minimize(DiscreteSpacetime(1, 4), 2, cfg)
     for rec in res.per_seed:
-        segments = res.traces[rec["seed"]]
-        assert len(segments) == 2
-        assert rec["iterations"] == sum(len(t) - 1 for t in segments)
-        assert rec["exit_reason"] in (
-            "converged", "divergence", "line_search_floor", "stalled", "max_iterations"
-        )
-
-
-
-def test_penalty_rounds_stop_once_a_round_converges_on_kappa():
-    # at kappa = 0.7 seed 0 converges with T on kappa in round 4 of 8
-    cfg = SolverConfig(mode="constrained", kappa=0.7, seeds=(0,))
-    res = minimize(DiscreteSpacetime(1, 3), 2, cfg)
-    (rec,) = res.per_seed
-    assert rec["status"] == "converged"
-    assert abs(rec["constraint"] - cfg.kappa) <= dstlab.solver.CONSTRAINT_TOL
-    assert len(res.traces[0]) < dstlab.solver.OUTER_ROUNDS
+        assert rec["exit_reason"] == "converged"
+        assert abs(rec["action"] - (1.0 + 3.0 * math.sqrt(5.0)) / 20.0) <= 1e-12
+        assert abs(rec["multiplier"] - (math.sqrt(5.0) - 1.0) / 2.0) <= 1e-8
+        assert abs(rec["constraint"] - 0.4) <= dstlab.solver.RESTORE_TOL * 1.4
+    assert len(res.traces) == 4 and all(len(rounds) == 1 for rounds in res.traces.values())
 
 def test_tetrahedron_emerges_in_critical_mode():
     cfg = SolverConfig(mode="auxiliary", mu=0.5, seeds=tuple(range(4)))
@@ -621,7 +630,7 @@ def test_tetrahedron_emerges_in_critical_mode():
     checks = res.projector.check_invariants()
     assert checks["idempotency"] < 1e-9
     assert checks["gram"] < 1e-12
-    # monotone descent per seed and per round
+    # monotone descent per seed
     for segments in res.traces.values():
         for seg in segments:
             assert np.all(np.diff(seg) <= 1e-14)
@@ -645,7 +654,7 @@ def test_divergence_beyond_critical_weight(monkeypatch):
 
 
 def test_constrained_triangle_near_threshold():
-    # just above the constraint threshold the penalty rounds end near a
+    # just above the constraint threshold the level-set descents end near a
     # spacelike triangle with nearly equal sides; that endpoint is not known
     # to be the symmetric minimizer (an isosceles triangle with two pairs on
     # the causal threshold lies lower)
@@ -658,7 +667,8 @@ def test_constrained_triangle_near_threshold():
     assert rep["length_mean"] > TRIANGLE_CAUSAL_THRESHOLD
     assert rep["length_spread"] < 0.02
     assert causal_graph(res.projector).off_diagonal_class() is CausalClass.SPACELIKE
-    # the penalty multiplier and the independent least-squares fit agree
+    # the multiplier is the descent's least-squares fit at its last
+    # iterate, so this compares the fit with itself on the returned projector
     assert res.multiplier > 0.5
     est = lagrange_multiplier_estimate(res.projector)
     assert math.isfinite(est.value)
@@ -667,8 +677,8 @@ def test_constrained_triangle_near_threshold():
 
 
 def test_infeasible_constraint_level_rejected():
-    # the penalty rounds of every seed settle at T = 2/3 (m = 3) or 1/3
-    # (m = 4), short of kappa, before the budget runs out
+    # the damped restoration of every start settles at T = 2/3 (m = 3) or
+    # 1/3 (m = 4), short of kappa, before the budget runs out
     for m, kappa in [(3, 0.01), (3, 0.66), (3, 0.6666), (4, 0.3)]:
         cfg = SolverConfig(mode="constrained", kappa=kappa, seeds=(0, 1))
         with pytest.raises(InfeasibleKappa, match=r"best \|T - kappa\|"):
@@ -785,12 +795,12 @@ def _count_chain_passes(monkeypatch):
 
 @pytest.mark.parametrize("objective", [
     lambda: _Objective(0.5),
-    lambda: _Objective(0.0, KAPPA, NU, W),
-], ids=["auxiliary", "penalty"])
+    lambda: _LevelSet(KAPPA),
+], ids=["auxiliary", "level_set"])
 def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
-    # the start's value makes one pass and every batch of line-search trials
-    # one stacked pass; the gradient and the commutator of an accepted
-    # iterate make none
+    # the start's value makes one pass and every batch of trials one stacked
+    # pass, the Newton steps of the level set's restorations included; the
+    # gradient and the commutator of an accepted iterate make none
     passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
     out = _run(_descend(ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=2)),
                         objective(), SolverConfig(max_iter=25)))
@@ -805,11 +815,11 @@ def test_one_chain_pass_per_armijo_batch(monkeypatch, objective):
 def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(
     monkeypatch, gram, seeds
 ):
-    # each start, every stacked orbit step (line-search batches and the
-    # derivative check, of one seed or of seeds descending together) and
-    # every renormalized iterate make one pass each; the next round, the
-    # multiplier update and the record read the last pass
-    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
+    # each start, every stacked orbit step (line-search batches, Newton
+    # steps and the derivative check, of one seed or of seeds descending
+    # together) and every renormalized iterate make one pass each, and
+    # nothing else does: not the replies at the end of a lockstep round,
+    # nor the multiplier fit or the record, which read the last pass
     passes, batches = _count_chain_passes(monkeypatch), _spy_batches(monkeypatch)
     tol = DEFAULT.with_(gram=gram)
     cfg = SolverConfig(mode="constrained", kappa=KAPPA, max_iter=30)
@@ -823,7 +833,7 @@ def test_constrained_seed_makes_no_pass_at_a_round_end_or_for_its_record(
         assert renormalizations > 0
     monkeypatch.undo()
     for record, traces in solved:
-        assert len(traces) == 2
+        assert len(traces) == 1
         assert (record["action"], record["constraint"]) == action_and_constraint(
             record["projector"], 0.0)
 
@@ -867,10 +877,10 @@ def test_the_tolerances_of_a_solve_reach_every_evaluation(
 def _sequential_descent(chains, objective, cfg):
     """The descent with one transported, one chain pass and one value call per Armijo trial.
 
-    Its direction rule is the descent's: L-BFGS directions from
-    ``dstlab.solver._two_loop`` in an auxiliary round at n = 1, restarted
-    where a chain pair crosses the causal threshold, else BB1 along -K/||K||;
-    so is its forgiveness of rounding at the end of an auxiliary descent.
+    Its direction rule is the auxiliary descent's: L-BFGS directions from
+    ``dstlab.solver._two_loop`` at n = 1, restarted where a chain pair
+    crosses the causal threshold, else BB1 along -K/||K||; so is its
+    forgiveness of rounding at the end of a descent at n = 1.
     Returns (projector, trace, Armijo trials, exit reason).
     """
     sv = dstlab.solver
@@ -878,7 +888,7 @@ def _sequential_descent(chains, objective, cfg):
     signs = chains.projector.space.signs
     current = value(chains)
     trace, step, moved, reason, trials = [current], sv.INITIAL_STEP, None, "max_iterations", 0
-    pairs = [] if objective.w == 0 and chains.space.n == 1 else None
+    pairs = [] if chains.space.n == 1 else None
     sides = None
     for _ in range(cfg.max_iter):
         if current < sv.DIVERGENCE_FLOOR:
@@ -922,7 +932,7 @@ def _sequential_descent(chains, objective, cfg):
                 step = min(step, sv.MAX_STEP)
             slope = first_variation(comm, b)
         # a rise in F of 8 ulps passes where ||K||^2 and the predicted
-        # decrease are below 64 ulps (auxiliary rounds at n = 1)
+        # decrease are below 64 ulps (at n = 1)
         ulp = math.ulp(1.0) * (1.0 + abs(current))
         forgive = pairs is not None and grad_norm * max(step, grad_norm) < 64.0 * ulp
         bound = current + (8.0 * ulp if forgive else 0.0)
@@ -952,40 +962,28 @@ def _sequential_descent(chains, objective, cfg):
     return proj, np.array(trace), trials, reason
 
 
-def _second_penalty_round(monkeypatch):
-    """Start pass and (nu, w) of seed 0's second penalty round at m = 3, kappa = 0.85."""
-    rounds = []
-    descend = dstlab.solver._descend
-
-    def recorded(chains, objective, cfg, check_first=False):
-        rounds.append((chains, objective.nu, objective.w))
-        return descend(chains, objective, cfg, check_first)
-
-    monkeypatch.setattr(dstlab.solver, "OUTER_ROUNDS", 2)
-    monkeypatch.setattr(dstlab.solver, "_descend", recorded)
-    _run(dstlab.solver._solve_seed(random_projector(DiscreteSpacetime(1, 3), 2, seed=0),
-                                   SolverConfig(mode="constrained", kappa=KAPPA)))
-    monkeypatch.setattr(dstlab.solver, "_descend", descend)
-    return rounds[1]
+def _floor_start():
+    """The start of seed 4 at m = 8, whose descent at mu = 1/2 ends on the causal
+    threshold with a floor search (``reproduce --figure fig1-2``)."""
+    return ChainPass(random_projector(DiscreteSpacetime(1, 8), 2, seed=4))
 
 
-@pytest.mark.parametrize("case", ["auxiliary_m4", "penalty_floor", "n2_m3"])
-def test_batched_backtracking_matches_the_sequential_search(monkeypatch, case):
+@pytest.mark.parametrize("case", ["auxiliary_m4", "auxiliary_floor", "n2_m3"])
+def test_batched_backtracking_matches_the_sequential_search(case):
     # the batches change what is evaluated, not what is accepted: iterates,
     # trace, trials and exit reason equal one trial at a time bit for bit
     cfg = SolverConfig(max_iter=2000)
     if case == "auxiliary_m4":
-        start, objective = ChainPass(random_projector(DiscreteSpacetime(1, 4), 2, seed=0)), (0.5,)
-    elif case == "penalty_floor":
-        start, nu, w = _second_penalty_round(monkeypatch)
-        objective = (0.0, KAPPA, nu, w)
+        start, mu = ChainPass(random_projector(DiscreteSpacetime(1, 4), 2, seed=0)), 0.5
+    elif case == "auxiliary_floor":
+        start, mu = _floor_start(), 0.5
     else:
-        start, objective = ChainPass(random_projector(DiscreteSpacetime(2, 3), 3, seed=0)), (0.25,)
+        start, mu = ChainPass(random_projector(DiscreteSpacetime(2, 3), 3, seed=0)), 0.25
         cfg = SolverConfig(max_iter=40)
-    out = _run(_descend(start, _Objective(*objective), cfg))
-    proj, trace, trials, reason = _sequential_descent(start, _Objective(*objective), cfg)
+    out = _run(_descend(start, _Objective(mu), cfg))
+    proj, trace, trials, reason = _sequential_descent(start, _Objective(mu), cfg)
     assert out["exit_reason"] == reason
-    assert (case == "penalty_floor") == (reason == "line_search_floor")
+    assert (case == "auxiliary_floor") == (reason == "line_search_floor")
     assert out["armijo_trials"] == trials
     assert np.array_equal(out["trace"], trace)
     assert np.array_equal(out["chains"].projector.basis, proj.basis)
@@ -1001,7 +999,7 @@ def test_stacked_chain_pass_equals_the_single_passes(n, m, f):
     stacked = ChainPass(stack)
     s, t = action_and_constraint(stacked, 0.3)
     # the stacked pass holds one T per trial, and its slices carry theirs
-    objective = _Objective(0.3, KAPPA, NU, W)
+    objective = _Objective(0.3)
     values = objective.value(stacked)
     names = ("p", "t", "det", "delta") if n == 1 else ("p", "kernels", "chains")
     for j, eta in enumerate(steps):
@@ -1050,26 +1048,26 @@ def _spy_searches(monkeypatch):
     searches = []
     backtrack = dstlab.solver._backtrack
 
-    def spy(chains, objective, b, step, current, slope, size, slack=0.0):
+    def spy(chains, objective, b, step, current, slope, size, *args, **kwargs):
         searches.append((chains.projector, step, size))
-        return (yield from backtrack(chains, objective, b, step, current, slope, size, slack))
+        return (yield from backtrack(chains, objective, b, step, current, slope, size,
+                                     *args, **kwargs))
 
     monkeypatch.setattr(dstlab.solver, "_backtrack", spy)
     return searches
 
 
 def test_backtracking_batches_double_and_stop_at_the_min_step(monkeypatch):
-    # a penalty round that ends on a floor search: every search evaluates
+    # a descent that ends on a floor search: every search evaluates
     # batches of s, 2s, 4s, ... of its successive steps, s the trials the
     # previous search examined (1 for the first search), none below MIN_STEP,
     # and at most 2 trials + s - 2 slices for the trials it examined.  A
     # search whose first step is already below MIN_STEP makes no batch, and
     # only the last search, the floor search, can be one
-    start, nu, w = _second_penalty_round(monkeypatch)
+    start = _floor_start()
     batches, accepted = _spy_batches(monkeypatch), _spy_accepted(monkeypatch)
     firsts = _spy_searches(monkeypatch)
-    objective = _Objective(0.0, KAPPA, nu, w)
-    out = _run(_descend(start, objective, SolverConfig()))
+    out = _run(_descend(start, _Objective(0.5), SolverConfig()))
     assert out["exit_reason"] == "line_search_floor"
     assert len(firsts) == out["iterations"] + 1
     searches = {}
@@ -1139,6 +1137,46 @@ def test_the_first_batch_size_changes_no_result_of_a_search(sign):
         assert (other_value, other_step, other_examined) == (value, step, examined)
         assert (other is None if trial is None
                 else np.array_equal(other.projector.basis, trial.projector.basis))
+
+
+@pytest.mark.parametrize("seed", [0, 3], ids=["s_above", "restoration_fails"])
+def test_the_first_batch_size_changes_no_result_of_a_level_set_search(seed):
+    # on the level set a passing trial is taken only once restored to
+    # T = kappa with S not above the iterate's, and the search goes on past
+    # the ones refused, within a batch or into the next: what it returns,
+    # and the restorations' counts, do not depend on its first batch.  From
+    # these starts the search refuses trials whose restored S is too high
+    # (seed 0) or whose restoration runs out of Newton steps (seed 3)
+    level, cfg = _LevelSet(KAPPA), SolverConfig()
+    start = ChainPass(random_projector(DiscreteSpacetime(1, 3), 2, seed=seed))
+    chains, _, reason = _run(dstlab.solver._restore(
+        start, level, cfg, dict.fromkeys(("armijo_trials", "fd_pairs"), 0), 100))
+    assert reason is None and not level.missed(chains.constraint)
+    nu, g = dstlab.solver._multiplier_fit(*level.commutator(chains))
+    grad_norm = 4.0 * np.linalg.norm(g)
+    k = (4j / grad_norm) * (g * chains.space.signs)
+    b = -chains.space.signs[:, None] * (0.5 * (k + k.conj().T))
+    search, ceiling = _Objective(nu), level.value(chains)
+    results, refused = [], []
+    for size in (1, 3, 64):
+        counts = dict.fromkeys(("armijo_trials", "fd_pairs"), 0)
+
+        def accept(trial):
+            trial, _, reason = yield from dstlab.solver._restore(
+                trial, level, cfg, counts, dstlab.solver.RESTORE_STEPS)
+            refused.append(reason is not None or level.value(trial) > ceiling)
+            return None if refused[-1] else trial
+
+        out = _run(_backtrack(chains, search, b, dstlab.solver.MAX_STEP,
+                              search.value(chains), -grad_norm, size, accept=accept))
+        results.append((out, counts))
+    (trial, _, step, examined), counts = results[0]
+    assert refused.count(False) == 3 and refused.count(True) >= 3 * 2
+    assert trial is not None and not level.missed(trial.constraint)
+    assert level.value(trial) <= ceiling and examined > 1
+    for (other, _, other_step, other_examined), other_counts in results[1:]:
+        assert (other_step, other_examined, other_counts) == (step, examined, counts)
+        assert np.array_equal(other.projector.basis, trial.projector.basis)
 
 
 @pytest.mark.parametrize("settings, constants, reason", [
@@ -1288,7 +1326,7 @@ def _critical_minimum(m):
     return minimize(DiscreteSpacetime(1, m), 2, cfg)
 
 
-@pytest.mark.parametrize("m", [4, 6, 8, 9, 16])
+@pytest.mark.parametrize("m", [4, 6, 7, 8, 9, 16])
 def test_critical_minimum_is_the_two_design_bound(m):
     # at mu = 1/2, f = 2 the minimum equals the delta = 0 bound 8/(3 m^2)
     # wherever a spherical 2-design of m points exists (correlation.py)
