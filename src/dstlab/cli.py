@@ -293,11 +293,18 @@ def _json_bytes(obj):
 
 
 def _csv_bytes(header, columns):
-    """CSV of equal-length columns: a float column is written with repr, any other with str."""
+    """CSV of equal-length columns.
+
+    A list of str is written as it is (the join refuses any other item in
+    it).  Any other column is read by np.asarray: a float column is written
+    with repr, any other with str.
+    """
     cells = []
-    for column in map(np.asarray, columns):
-        text = repr if column.dtype.kind == "f" else str
-        cells.append(map(text, column.tolist()))
+    for column in columns:
+        if not (isinstance(column, list) and column and isinstance(column[0], str)):
+            column = np.asarray(column)
+            column = map(repr if column.dtype.kind == "f" else str, column.tolist())
+        cells.append(column)
     lines = [",".join(header), *map(",".join, zip(*cells))]
     return ("\n".join(lines) + "\n").encode()
 
@@ -481,11 +488,11 @@ def _run_lattice(params, seeds, tol, config_dir):
         "origin": origin,
     }
     # each grid value is formatted once, as _csv_bytes would format the float
-    tau_text = np.array([repr(t) for t in scan.tau_values.tolist()])
+    tau_text = [repr(t) for t in scan.tau_values.tolist()]
     outputs = {
         "surface.csv": _csv_bytes(
             ("tau1", "tau2", "S"),
-            (np.repeat(tau_text, tau_text.size), np.tile(tau_text, tau_text.size),
+            ([t for t in tau_text for _ in tau_text], tau_text * len(tau_text),
              scan.surface.ravel()),
         ),
         "minima.json": _json_bytes(minima),

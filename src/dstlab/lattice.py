@@ -45,11 +45,13 @@ for floating point), which are the points where alpha +- sqrt(D) is not
 finite, are refused with a RuntimeError.  The action weights each point by
 configurable time/radius measures.
 
-``lattice_action`` and ``landscape_scan_2d`` use only this closed form,
-``critical_lagrangian``.  The general 4x4 route (``lattice_kernel``,
-``closed_chain_field``, ``chain_root_field``, ``critical_lagrangian_field``)
-builds the matrices and calls an eigenvalue solver; it is kept as the
-reference the tests compare the closed form against.
+``lattice_action`` uses only this closed form, ``critical_lagrangian``.
+``landscape_scan_2d`` evaluates the same invariants in their separable form
+in the two boosts; both share one evaluation of L and its finite check.  The
+general 4x4 route (``lattice_kernel``, ``closed_chain_field``,
+``chain_root_field``, ``critical_lagrangian_field``) builds the matrices and
+calls an eigenvalue solver; it is kept as the reference the tests compare
+the closed form against.
 """
 
 import math
@@ -185,22 +187,71 @@ def chain_root_field(a_field):
 critical_lagrangian_field = pairwise_critical_lagrangian
 
 
+def _abs2(x):
+    """|x|^2 pointwise."""
+    return x.real * x.real + x.imag * x.imag
+
+
+def _re_dot(x, y):
+    """2 Re(conj(x) y) pointwise."""
+    return 2.0 * (x.real * y.real + x.imag * y.imag)
+
+
+def _im_cross(x, y):
+    """2 Im(x conj(y)) pointwise."""
+    return 2.0 * (x.imag * y.real - x.real * y.imag)
+
+
+def _lagrangian(alpha, disc, row=None):
+    """L = 4 min(alpha^2, max(D, 0)) from the chain invariants alpha and D.
+
+    The last two axes are the lattice points (t, r).  Raises RuntimeError
+    naming the first points where alpha or D is not finite.  The scan passes
+    one row of its grid, with a leading tau2 axis, as ``row = (tau1, tau2
+    values)``; the message then also names the first failing (tau1, tau2).
+    """
+    finite = np.isfinite(alpha) & np.isfinite(disc)
+    if not finite.all():
+        bad, where = ~finite, ""
+        if row is not None:
+            tau1, tau2 = row
+            j = int(np.argmax(bad.any(axis=(-2, -1))))
+            bad = bad[j]
+            where = f" of the scan cell (tau1, tau2) = {(float(tau1), float(tau2[j]))}"
+        points = np.argwhere(bad)[:5].tolist()
+        raise RuntimeError(
+            f"chain invariants are not finite at lattice points {points}{where}"
+        )
+    lag = np.maximum(disc, 0.0)
+    np.minimum(alpha * alpha, lag, out=lag)
+    lag *= 4.0
+    return lag
+
+
 def critical_lagrangian(c, a, b):
     """L = 4 min(alpha^2, max(D, 0)) pointwise over coefficient fields (c, a, b).
 
-    Raises RuntimeError naming the first points where alpha or D is not finite.
+    alpha = |c|^2 + |a|^2 - |b|^2 and D = beta^2 - delta^2 - eps^2 with
+    beta = 2 Re(conj(c) a), delta = 2 Re(conj(c) b) and eps = -2 Im(conj(a) b)
+    (the chain's gamma^t gamma^r part is i eps).  For two states (s_A, r_A),
+    (s_B, r_B) with c = s_A + s_B, a = ch1 s_A + ch2 s_B and
+    b = sh1 r_A + sh2 r_B (chX = cosh tauX, shX = sinh tauX) these separate as
+
+        alpha = [|c|^2 + ch1^2 |s_A|^2 - sh1^2 |r_A|^2]
+                + [ch2^2 |s_B|^2 - sh2^2 |r_B|^2]
+                + 2 ch1 ch2 Re(conj(s_A) s_B) - 2 sh1 sh2 Re(conj(r_A) r_B),
+        beta  = ch1 2 Re(conj(c) s_A) + ch2 2 Re(conj(c) s_B),
+        delta = sh1 2 Re(conj(c) r_A) + sh2 2 Re(conj(c) r_B),
+        eps   = sum over X, Y in {A, B} of chX shY 2 Im(s_X conj(r_Y)),
+
+    which ``landscape_scan_2d`` evaluates row by row.  Raises RuntimeError
+    naming the first points where alpha or D is not finite.
     """
-    cr, ci, ar, ai, br, bi = c.real, c.imag, a.real, a.imag, b.real, b.imag
-    alpha = cr * cr + ci * ci + (ar * ar + ai * ai) - (br * br + bi * bi)
-    beta = 2.0 * (cr * ar + ci * ai)
-    delta = 2.0 * (cr * br + ci * bi)
-    eps_im = 2.0 * (ai * br - ar * bi)  # eps = i * eps_im
-    disc = beta * beta - delta * delta - eps_im * eps_im
-    finite = np.isfinite(alpha) & np.isfinite(disc)
-    if not finite.all():
-        bad = np.argwhere(~finite)[:5].tolist()
-        raise RuntimeError(f"chain invariants are not finite at lattice points {bad}")
-    return 4.0 * np.minimum(alpha * alpha, np.maximum(disc, 0.0))
+    alpha = _abs2(c) + _abs2(a) - _abs2(b)
+    beta = _re_dot(c, a)
+    delta = _re_dot(c, b)
+    eps = _im_cross(a, b)
+    return _lagrangian(alpha, beta * beta - delta * delta - eps * eps)
 
 
 def _radial_cell_measure(n_r):
@@ -318,25 +369,64 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
     """Action surface over a (tau1, tau2) grid for two occupied states.
 
     The boost parameters of the two supplied states are scan variables;
-    their amplitudes (hence the trace) stay fixed.
+    their amplitudes (hence the trace) stay fixed.  The chain invariants are
+    a quadratic form in (ch1, sh1, ch2, sh2) = (cosh tau1, sinh tau1,
+    cosh tau2, sinh tau2) over the states' scalar and radial fields s_X, r_X
+    (see ``critical_lagrangian``):
+
+        alpha = A1 + A2 + ch1 [ch2 2 Re(conj(s_A) s_B)] - sh1 [sh2 2 Re(conj(r_A) r_B)],
+        beta  = ch1 2 Re(conj(c) s_A) + [ch2 2 Re(conj(c) s_B)],
+        delta = sh1 2 Re(conj(c) r_A) + [sh2 2 Re(conj(c) r_B)],
+        eps   = ch1 sh1 E_AA + ch1 [sh2 E_AB] + sh1 [ch2 E_BA] + [ch2 sh2 E_BB],
+
+    with A1 = |c|^2 + ch1^2 |s_A|^2 - sh1^2 |r_A|^2,
+    A2 = ch2^2 |s_B|^2 - sh2^2 |r_B|^2 and E_XY = 2 Im(s_X conj(r_Y)).  The
+    tau2 terms (bracketed, and A2) are formed once per scan over the whole
+    grid, so a row costs one product of its tau1 factors with the terms per
+    invariant, a few real ufuncs over (grid, n_t, n_r) and one product with
+    rho_t (x) rho_r.
     """
     _validate_occupation(geom, (state_a, state_b))
     rho_t, rho_r = weight_arrays(geom, weights)
     tau_values = np.asarray(tau_values, dtype=float)
-    scalar_a, radial_a = _state_fields(geom, state_a)
-    scalar_b, radial_b = _state_fields(geom, state_b)
-    scalar_sum = scalar_a + scalar_b
-
+    s_a, r_a = _state_fields(geom, state_a)
+    s_b, r_b = _state_fields(geom, state_b)
+    c = s_a + s_b
     ch = np.cosh(tau_values)
     sh = np.sinh(tau_values)
-    surface = np.empty((tau_values.size, tau_values.size))
-    for i in range(tau_values.size):
-        # coefficients over all tau2 at fixed tau1 = tau_values[i]; one row at
-        # a time keeps the temporaries at (grid, n_t, n_r)
-        coeff_t = ch[i] * scalar_a + ch[:, None, None] * scalar_b
-        coeff_r = sh[i] * radial_a + sh[:, None, None] * radial_b
-        lag = critical_lagrangian(scalar_sum, coeff_t, coeff_r)
-        surface[i] = np.einsum("t,r,gtr->g", rho_t, rho_r, lag)
+    n = tau_values.size
+    one = np.ones(n)
+    shape = (n, geom.n_t, geom.n_r)
+
+    def terms(*fields):
+        # (terms, grid * n_t * n_r); a field without a tau2 axis repeats over it
+        stacked = np.stack([np.broadcast_to(f, shape) for f in fields])
+        return stacked.reshape(len(fields), -1)
+
+    ch2, sh2 = ch[:, None, None], sh[:, None, None]
+    # each invariant is (tau1 factors of row i) @ (terms), one product per row
+    invariants = (
+        (np.stack([one, ch * ch, -sh * sh, ch, -sh], axis=1),
+         terms(_abs2(c) + ch2 * ch2 * _abs2(s_b) - sh2 * sh2 * _abs2(r_b),
+               _abs2(s_a), _abs2(r_a),
+               ch2 * _re_dot(s_a, s_b), sh2 * _re_dot(r_a, r_b))),
+        (np.stack([one, ch], axis=1), terms(ch2 * _re_dot(c, s_b), _re_dot(c, s_a))),
+        (np.stack([one, sh], axis=1), terms(sh2 * _re_dot(c, r_b), _re_dot(c, r_a))),
+        (np.stack([one, ch * sh, ch, sh], axis=1),
+         terms(ch2 * sh2 * _im_cross(s_b, r_b), _im_cross(s_a, r_a),
+               sh2 * _im_cross(s_a, r_b), ch2 * _im_cross(s_b, r_a))),
+    )
+    weight = np.outer(rho_t, rho_r).ravel()
+    surface = np.empty((n, n))
+    for i in range(n):
+        # one row (tau1 = tau_values[i]) at a time keeps the temporaries at
+        # (grid, n_t, n_r); the whole grid at once is slower for memory traffic
+        alpha, beta, delta, eps = (
+            (factors[i] @ fields).reshape(shape) for factors, fields in invariants
+        )
+        disc = beta * beta - delta * delta - eps * eps
+        lag = _lagrangian(alpha, disc, (tau_values[i], tau_values))
+        surface[i] = lag.reshape(n, -1) @ weight
     minima = _grid_local_minima(tau_values, surface)
     floor = min(rec[2] for rec in minima)
     global_minima = tuple(

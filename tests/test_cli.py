@@ -605,6 +605,22 @@ def test_lattice_surface_csv_matches_the_float_columns(tmp_path):
     assert (out / "surface.csv").read_bytes() == expected
 
 
+def test_csv_bytes_column_rule():
+    # a list of str as it is; an ndarray or any other list through np.asarray,
+    # floats with repr (a list of np.float64, as landscape.csv passes, too)
+    columns = (
+        ["-2.5", "x"],
+        np.array([3, -40]),
+        np.array([1.0 / 3.0, 1e-20]),
+        [np.float64(0.1), 2.0],
+    )
+    assert cli._csv_bytes(("s", "i", "f", "g"), columns) == (
+        b"s,i,f,g\n-2.5,3,0.3333333333333333,0.1\nx,-40,1e-20,2.0\n"
+    )
+    with pytest.raises(TypeError):
+        cli._csv_bytes(("s",), (["a", 1.5],))
+
+
 def _lattice_config(tmp_path, scan, **params):
     return write_config(
         tmp_path / "c.json",

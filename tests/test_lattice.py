@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -283,16 +285,30 @@ def test_landscape_double_well_contract():
 
 
 def test_landscape_surface_matches_pointwise_action():
-    # spot-check the vectorized scan against the scalar path off the fast path
-    taus = np.array([-1.0, 0.0, 1.5])
-    scan = landscape_scan_2d(GEOM, STATE_A, STATE_B, taus)
-    for i, t1 in enumerate(taus):
-        for j, t2 in enumerate(taus):
-            direct = lattice_action(
-                GEOM,
-                [OccupiedState(-1, 1, tau=t1), OccupiedState(-2, 2, tau=t2)],
-            ).total
-            np.testing.assert_allclose(scan.surface[i, j], direct, rtol=1e-11)
+    # the scan's separable invariants against lattice_action cell by cell, on
+    # an asymmetric grid, for every weight form and for occupations with
+    # phi != 1 at other dual points
+    taus = np.array([-2.2, -0.3, 0.0, 0.7, 1.9])
+    rng = np.random.default_rng(7)
+    explicit = (rng.uniform(0.5, 2.0, GEOM.n_t), rng.uniform(0.1, 30.0, GEOM.n_r))
+    pairs = [(STATE_A, STATE_B, w) for w in ("sphere", "flat-time", explicit)]
+    for _ in range(3):
+        state_a, state_b = (
+            OccupiedState(
+                omega=int(rng.integers(-(GEOM.n_t - 1), 1)),
+                k=int(rng.integers(1, GEOM.n_r + 1)),
+                phi=float(rng.uniform(0.2, 0.9)),
+            )
+            for _ in range(2)
+        )
+        pairs.append((state_a, state_b, "sphere"))
+    for state_a, state_b, weights in pairs:
+        scan = landscape_scan_2d(GEOM, state_a, state_b, taus, weights=weights)
+        for i, t1 in enumerate(taus):
+            for j, t2 in enumerate(taus):
+                states = [replace(state_a, tau=t1), replace(state_b, tau=t2)]
+                direct = lattice_action(GEOM, states, weights=weights).total
+                np.testing.assert_allclose(scan.surface[i, j], direct, rtol=1e-12)
 
 
 def _random_occupation(rng):
@@ -356,6 +372,55 @@ def test_overflowing_boost_is_refused_not_returned_as_nan():
     only_origin = r"not finite at lattice points \[\[0, 0\]\]"
     with pytest.raises(RuntimeError, match=only_origin):
         critical_lagrangian(*one_point)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_refusal_names_the_failing_cell():
+    # cosh(400)^2 overflows: the first failing cell is (tau1, tau2) = (0, 400)
+    # of row 0, where every lattice point fails
+    bad = (r"not finite at lattice points \[\[0, 0\], \[0, 1\], \[0, 2\], \[0, 3\], "
+           r"\[0, 4\]\] of the scan cell \(tau1, tau2\) = \(0\.0, 400\.0\)$")
+    with pytest.raises(RuntimeError, match=bad):
+        landscape_scan_2d(GEOM, STATE_A, STATE_B, [0.0, 1.0, 400.0])
+
+
+# the grid-local minima of the fig5 scan (8x6 lattice, STATE_A and STATE_B,
+# sphere weights, 61 boosts over [-2.5, 2.5]) in the scan's order, as
+# (tau1, tau2, S)
+FIG5_MINIMA = [
+    (-1.75, -0.75, 305.9236223815591),
+    (1.75, 0.75, 305.9236223815591),
+    (-1.8333333333333335, -0.5833333333333335, 317.91318137104236),
+    (1.833333333333333, 0.583333333333333, 317.91318137104247),
+    (-1.9166666666666667, -0.41666666666666696, 329.0409909823787),
+    (1.916666666666666, 0.4166666666666665, 329.0409909823789),
+    (-0.8333333333333335, 1.916666666666666, 335.4360590049621),
+    (0.833333333333333, -1.9166666666666667, 335.43605900496186),
+    (-1.25, -1.3333333333333335, 338.8625031620048),
+    (1.25, 1.333333333333333, 338.8625031620048),
+    (-2.0833333333333335, 0.0, 360.43975854393295),
+    (2.083333333333333, 0.0, 360.4397585439334),
+    (-0.08333333333333348, -1.6666666666666667, 365.5251491005258),
+    (0.08333333333333304, 1.666666666666666, 365.5251491005258),
+    (0.0, 0.0, 366.6250737475249),
+    (-0.25, 1.75, 372.69030584682577),
+    (0.25, -1.75, 372.69030584682577),
+    (-0.9166666666666667, -1.5, 373.1631049397141),
+    (0.9166666666666665, 1.5, 373.16310493971395),
+    (-0.5, -1.5833333333333335, 373.28464258577606),
+    (0.5, 1.583333333333333, 373.28464258577617),
+]
+
+
+def test_fig5_grid_minima_are_pinned():
+    # a rounding change in the scan must not move, add, drop or reorder a
+    # grid-local minimum
+    scan = landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-2.5, 2.5, 61))
+    assert [m[:2] for m in scan.minima] == [m[:2] for m in FIG5_MINIMA]
+    np.testing.assert_allclose(
+        [m[2] for m in scan.minima], [m[2] for m in FIG5_MINIMA], rtol=1e-12
+    )
+    assert scan.global_minima == scan.minima[:2]
 
 
 def test_grid_minima_order_ignores_ulp_noise_between_antipodal_minima():
