@@ -13,6 +13,7 @@ from .core import (
     DiscreteSpacetime,
     FermionicProjector,
     GaugeTransform,
+    InvalidInput,
     indefinite_orthonormalize,
     random_direction,
     random_gauge,

@@ -10,8 +10,11 @@ the same config yields byte-identical CSV/JSON artifacts; the manifest
 records a hash of the config, tool and platform versions, the RNG
 algorithm, and every file written.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
-4 divergence detected.
+Exit codes: 0 success, 2 invalid input, 3 any other failure of a run (a
+numerical one), 4 divergence detected.  Invalid input is any
+``dstlab.InvalidInput``: the config file, its schema, and the input checks
+of the library and of the handlers here all raise it, so ``main`` maps each
+exception to its exit code in one place.
 """
 
 import argparse
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .causal import causal_graph, classify
-from .core import DiscreteSpacetime, random_projector
+from .core import DiscreteSpacetime, InvalidInput, random_projector
 from .correlation import (
     geometry_diagnostics,
     local_correlations,
@@ -43,7 +46,7 @@ from .lattice import (
     OccupiedState,
     landscape_scan_2d,
 )
-from .continuum.seas import GridCoverage, state_stability_check
+from .continuum.seas import state_stability_check
 from .solver import SolverConfig, landscape_scan, minimize
 from .tolerances import DEFAULT, Tolerances
 
@@ -53,12 +56,6 @@ EXIT_NUMERICAL = 3
 EXIT_DIVERGENCE = 4
 
 RNG_ALGORITHM = "numpy Philox"
-
-
-class CliError(Exception):
-    def __init__(self, exit_code, message):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +322,11 @@ def _validate(config, subcommand):
     error = best_match(validators[subcommand].iter_errors(config))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise CliError(EXIT_VALIDATION, f"config invalid at {path}: {error.message}")
+        raise InvalidInput(f"config invalid at {path}: {error.message}")
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: params -> {filename: bytes}, exit code
-
-def _space(n, m, f):
-    """The space of a solve or a sample; a rank above n*m is a config error."""
-    if f > n * m:
-        raise CliError(EXIT_VALIDATION, f"rank f={f} outside 1..{n * m}")
-    return DiscreteSpacetime(n, m)
-
-
-def _solver_config(params, seeds):
-    # the SolverConfig fields are the minimize params other than n, f and m;
-    # SolverConfig checks the mode rule and minimize defaults mu to 1/(2n)
-    kwargs = {k: v for k, v in params.items() if k not in ("n", "f", "m")}
-    try:
-        return SolverConfig(seeds=tuple(seeds), **kwargs)
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
-
 
 def _result_payload(res):
     return {
@@ -368,9 +348,12 @@ def _pauli_csv(corr):
 
 
 def _run_minimize(params, seeds, tol, config_dir):
-    space = _space(params["n"], params["m"], params["f"])
-    cfg = _solver_config(params, seeds)
-    res = minimize(space, params["f"], cfg, tol)
+    # the SolverConfig fields are the minimize params other than n, f and m;
+    # SolverConfig checks the mode rule, random_projector the rank, and
+    # minimize defaults mu to 1/(2n)
+    kwargs = {k: v for k, v in params.items() if k not in ("n", "f", "m")}
+    cfg = SolverConfig(seeds=seeds, **kwargs)
+    res = minimize(DiscreteSpacetime(params["n"], params["m"]), params["f"], cfg, tol)
     outputs = {"result.json": _json_bytes(_result_payload(res))}
     if params["n"] == 1 and params["f"] == 2:
         corr = local_correlations(res.projector)
@@ -404,8 +387,8 @@ def _run_classify_causal(params, seeds, tol, config_dir):
 
     sample = params["sample"]
     if not seeds:
-        raise CliError(EXIT_VALIDATION, "sampled classification needs seeds")
-    space = _space(sample["n"], sample["m"], sample["f"])
+        raise InvalidInput("sampled classification needs seeds")
+    space = DiscreteSpacetime(sample["n"], sample["m"])
     graphs = []
     for seed in seeds:
         proj = random_projector(
@@ -455,18 +438,14 @@ def _run_landscape(params, seeds, tol, config_dir):
 
 
 def _run_lattice(params, seeds, tol, config_dir):
-    # geometry/occupation/weight problems are config mistakes, not numerics
-    try:
-        geom = LatticeGeometry(params["n_t"], params["n_r"])
-        states = [OccupiedState(**s) for s in params["states"]]
-        weights = params.get("weights", "sphere")
-        if isinstance(weights, dict):
-            weights = (weights["rho_t"], weights["rho_r"])
-        scan_grid = params["scan"]
-        taus = np.linspace(scan_grid["start"], scan_grid["stop"], scan_grid["num"])
-        scan = landscape_scan_2d(geom, states[0], states[1], taus, weights=weights)
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    geom = LatticeGeometry(params["n_t"], params["n_r"])
+    state_a, state_b = (OccupiedState(**s) for s in params["states"])
+    weights = params.get("weights", "sphere")
+    if isinstance(weights, dict):
+        weights = (weights["rho_t"], weights["rho_r"])
+    scan_grid = params["scan"]
+    taus = np.linspace(scan_grid["start"], scan_grid["stop"], scan_grid["num"])
+    scan = landscape_scan_2d(geom, state_a, state_b, taus, weights=weights)
     # a linspace through zero may miss it by an ulp; the minima records carry
     # the grid's own value, so the flags compare against that
     i0 = int(np.argmin(np.abs(taus)))
@@ -524,23 +503,20 @@ def _run_state_stability(params, seeds, tol, config_dir):
     if not path.is_absolute():
         path = config_dir / path
     if not path.is_file():
-        raise CliError(EXIT_VALIDATION, f"table file not found: {path}")
+        raise InvalidInput(f"table file not found: {path}")
     try:
         # a one-row table parses to a 0-d record
         table = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     except (ValueError, IndexError) as exc:  # IndexError: an empty file
-        raise CliError(EXIT_VALIDATION, f"cannot parse table {path}: {exc}")
+        raise InvalidInput(f"cannot parse table {path}: {exc}")
     names = table.dtype.names
     if names is None or set(names) != {"qsq", "a", "b"}:
-        raise CliError(
-            EXIT_VALIDATION,
-            f"table needs columns qsq,a,b; found {names}",
-        )
+        raise InvalidInput(f"table needs columns qsq,a,b; found {names}")
     if table.size == 0:
-        raise CliError(EXIT_VALIDATION, f"table {path} has a header but no rows")
+        raise InvalidInput(f"table {path} has a header but no rows")
     if not all(np.isfinite(table[name]).all() for name in names):
         # genfromtxt reads a blank cell as nan
-        raise CliError(EXIT_VALIDATION, f"table {path} has a blank or non-finite cell")
+        raise InvalidInput(f"table {path} has a blank or non-finite cell")
     report = state_stability_check(
         table["qsq"], table["a"], table["b"],
         params["masses"], tol=params.get("tol", 1e-9),
@@ -605,17 +581,6 @@ HANDLERS = {
 }
 
 
-def _execute(config, tol, config_dir):
-    """Run a validated config: ({filename: bytes}, exit code), or a CliError."""
-    handler = HANDLERS[config["subcommand"]]
-    try:
-        return handler(config["params"], config.get("seeds", []), tol, config_dir)
-    except GridCoverage as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
-
-
 def _reject_constant(token):
     # json reads NaN, Infinity and -Infinity, which are not JSON, as floats
     # that every "number" schema admits
@@ -632,14 +597,14 @@ def _finite_float(token):
 
 
 def _load_json(path):
-    """The JSON document at ``path``; an unreadable file or invalid JSON exits 2."""
+    """The JSON document at ``path``; an unreadable file or invalid JSON is InvalidInput."""
     try:
         with open(path) as fh:
             return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot read config: {exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"config is not valid JSON: {exc}")
+        raise InvalidInput(f"cannot read config: {exc}")
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to parse
+        raise InvalidInput(f"config is not valid JSON: {exc}")
 
 
 def _resolve_out(cli_out, *subdirs):
@@ -689,7 +654,8 @@ def _run(request, plan, outdir, tol, config_dir):
     outputs = {}
     worst = EXIT_OK
     for prefix, config in plan:
-        payloads, code = _execute(config, tol, config_dir)
+        handler = HANDLERS[config["subcommand"]]
+        payloads, code = handler(config["params"], config.get("seeds", []), tol, config_dir)
         worst = max(worst, code)
         outputs.update((prefix + name, payload) for name, payload in payloads.items())
     _write_run(outdir, request, outputs, worst)
@@ -726,8 +692,7 @@ def main(argv=None):
     try:
         if args.subcommand == "reproduce":
             if args.figure not in PLANS:
-                raise CliError(EXIT_VALIDATION,
-                               f"unknown figure {args.figure!r}; have {FIGURES}")
+                raise InvalidInput(f"unknown figure {args.figure!r}; have {FIGURES}")
             # the manifest hashes the canned request
             request = {"subcommand": "reproduce", "params": {"figure": args.figure},
                        "seeds": []}
@@ -737,17 +702,19 @@ def main(argv=None):
         config = _load_json(config_path)
         # a config that is not an object fails validation below
         if isinstance(config, dict) and config.get("subcommand") != args.subcommand:
-            raise CliError(
-                EXIT_VALIDATION,
-                f"config is for {config.get('subcommand')!r}, invoked as {args.subcommand!r}",
+            raise InvalidInput(
+                f"config is for {config.get('subcommand')!r}, invoked as {args.subcommand!r}"
             )
         _validate(config, args.subcommand)
         tol = DEFAULT.with_(**config.get("tolerances", {}))
         outdir = _resolve_out(args.out, args.subcommand)
         return _run(config, [("", config)], outdir, tol, config_path.resolve().parent)
-    except CliError as exc:
-        print(f"dstlab: error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    except InvalidInput as exc:
+        error, code = exc, EXIT_VALIDATION
+    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+        error, code = exc, EXIT_NUMERICAL
+    print(f"dstlab: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

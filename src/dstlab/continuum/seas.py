@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import InvalidInput
+
 REL_TOL = 1e-6  # regularized_action's cross-checks, relative to the value
 
 
@@ -24,7 +26,7 @@ class NotRegularizable(ValueError):
     """The counter terms do not render the action finite."""
 
 
-class GridCoverage(ValueError):
+class GridCoverage(InvalidInput):
     """A mass shell falls outside the sampled q^2 grid."""
 
 
@@ -177,22 +179,23 @@ def state_stability_check(qsq, a, b, masses, tol=1e-9):
     ``a`` must be nonnegative on the grid, and a + b must attain its
     infimum on every mass shell q^2 = m^2 (linear interpolation within one
     grid cell).  Returns a verdict dict with the violating cells; masses
-    not covered by the grid raise GridCoverage, and an empty grid or a
-    non-finite sample, mass or ``tol`` raises ValueError.
+    not covered by the grid raise GridCoverage, and an empty, unordered or
+    nonpositive grid or a non-finite sample, mass or ``tol`` raises
+    InvalidInput (GridCoverage is one).
     """
     qsq = np.asarray(qsq, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if qsq.ndim != 1 or qsq.shape != a.shape or qsq.shape != b.shape:
-        raise ValueError("qsq, a, b must be equal-length 1D arrays")
+        raise InvalidInput("qsq, a, b must be equal-length 1D arrays")
     if qsq.size == 0:
-        raise ValueError("qsq, a, b are empty: the grid needs at least one sample")
+        raise InvalidInput("qsq, a, b are empty: the grid needs at least one sample")
     if not all(np.isfinite(x).all() for x in (qsq, a, b, np.asarray(masses, dtype=float), tol)):
-        raise ValueError("qsq, a, b, masses and tol must be finite")
+        raise InvalidInput("qsq, a, b, masses and tol must be finite")
     if np.any(qsq <= 0.0):
-        raise ValueError("the grid parametrizes q^2 > 0")
+        raise InvalidInput("the grid parametrizes q^2 > 0")
     if np.any(np.diff(qsq) <= 0.0):
-        raise ValueError("q^2 grid must be strictly increasing")
+        raise InvalidInput("q^2 grid must be strictly increasing")
 
     violations = []
     for i in np.nonzero(a < -tol)[0]:

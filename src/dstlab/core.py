@@ -38,12 +38,21 @@ __all__ = [
     "DiscreteSpacetime",
     "FermionicProjector",
     "GaugeTransform",
+    "InvalidInput",
     "indefinite_orthonormalize",
     "random_projector",
     "random_gauge",
     "random_direction",
     "random_generator",
 ]
+
+
+class InvalidInput(ValueError):
+    """An input refused by a check that a run's config can reach.
+
+    ``dstlab.cli`` exits 2 on it and 3 on any other failure of a run; a check
+    that no config can reach raises a plain ValueError.
+    """
 
 
 def indefinite_adjoint(a, signs):
@@ -83,7 +92,7 @@ class DiscreteSpacetime:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
+            raise InvalidInput(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
         block = np.concatenate([np.ones(self.n), -np.ones(self.n)])
         signs = np.tile(block, self.m)
         block.flags.writeable = False
@@ -301,7 +310,7 @@ def random_projector(space, f, seed, boost_scale=1.0, tol=DEFAULT):
     import scipy.linalg
 
     if not 1 <= f <= space.n * space.m:
-        raise ValueError(f"rank f={f} outside 1..{space.n * space.m}")
+        raise InvalidInput(f"rank f={f} outside 1..{space.n * space.m}")
     rng = random_generator(seed)
     d = space.dim
     neg = space.signs < 0

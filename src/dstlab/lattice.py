@@ -61,6 +61,7 @@ import numpy as np
 
 from .action import critical_mu, pairwise_critical_lagrangian
 from .continuum.dirac import GAMMA4, spin_adjoint
+from .core import InvalidInput
 
 _ID4 = np.eye(4, dtype=complex)
 _GAMMA_T = GAMMA4[0]
@@ -91,7 +92,7 @@ class LatticeGeometry:
 
     def __post_init__(self):
         if self.n_t < 1 or self.n_r < 1:
-            raise ValueError("lattice sizes must be positive")
+            raise InvalidInput("lattice sizes must be positive")
 
     def time_values(self):
         return 2.0 * np.pi * np.arange(self.n_t)
@@ -119,9 +120,9 @@ class OccupiedState:
 
     def __post_init__(self):
         if self.omega != int(self.omega) or self.k != int(self.k):
-            raise ValueError("dual-lattice coordinates are integers")
+            raise InvalidInput("dual-lattice coordinates are integers")
         if self.phi <= 0:
-            raise ValueError("amplitude phi must be positive")
+            raise InvalidInput("amplitude phi must be positive")
 
     def velocity(self):
         """Momentum-space vector (v_time, v_radial); v.v = phi^2 identically."""
@@ -131,7 +132,7 @@ class OccupiedState:
 def _validate_occupation(geom, states):
     bad = [(s.omega, s.k) for s in states if not geom.contains_dual(s.omega, s.k)]
     if bad:
-        raise ValueError(f"occupied points outside the dual lattice: {bad}")
+        raise InvalidInput(f"occupied points outside the dual lattice: {bad}")
 
 
 def _state_fields(geom, state):
@@ -284,20 +285,28 @@ WEIGHT_PRESETS = {
 
 
 def weight_arrays(geom, weights="sphere"):
-    """Resolve a preset name or explicit (rho_t, rho_r) pair to arrays."""
+    """Resolve a preset name or explicit (rho_t, rho_r) pair to arrays.
+
+    Weights that are not positive, or whose point weights rho_t[t] rho_r[r]
+    are not finite, raise InvalidInput.
+    """
     if isinstance(weights, str):
         try:
             rho_t, rho_r = WEIGHT_PRESETS[weights](geom)
         except KeyError:
-            raise ValueError(
+            raise InvalidInput(
                 f"unknown weight preset {weights!r}; have {sorted(WEIGHT_PRESETS)}"
             ) from None
     else:
         rho_t, rho_r = (np.asarray(w, dtype=float) for w in weights)
         if rho_t.shape != (geom.n_t,) or rho_r.shape != (geom.n_r,):
-            raise ValueError("weight arrays must match the lattice shape")
+            raise InvalidInput("weight arrays must match the lattice shape")
     if np.any(rho_t <= 0) or np.any(rho_r <= 0):
-        raise ValueError("weights must be positive")
+        raise InvalidInput("weights must be positive")
+    # NaN passes the sign test, and max propagates it; of the point weights
+    # rho_t[t] rho_r[r], all positive, the largest is the product of the maxima
+    if not math.isfinite(float(rho_t.max()) * float(rho_r.max())):
+        raise InvalidInput("weights and their products rho_t[t] rho_r[r] must be finite")
     return rho_t, rho_r
 
 

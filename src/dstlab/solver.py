@@ -99,7 +99,7 @@ from .action import (
     spectral_weight,
     transported,
 )
-from .core import random_projector
+from .core import InvalidInput, random_projector
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -149,9 +149,9 @@ class SolverConfig:
     boost_scale: the scale of each start's random boost
       (``dstlab.core.random_projector``).
 
-    A mode reads only its own parameter, so mu in constrained mode and
-    kappa in auxiliary mode are ValueErrors, raised after the check that
-    mu, kappa, residual_tol and boost_scale are finite.
+    Every check raises InvalidInput.  A mode reads only its own parameter,
+    so mu in constrained mode and kappa in auxiliary mode are refused, after
+    the check that mu, kappa, residual_tol and boost_scale are finite.
     """
 
     mode: str = "auxiliary"  # "auxiliary" | "constrained"
@@ -164,23 +164,23 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.mode not in ("auxiliary", "constrained"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidInput(f"unknown mode {self.mode!r}")
         if self.mode == "constrained" and self.kappa is None:
-            raise ValueError("constrained mode needs a kappa level")
+            raise InvalidInput("constrained mode needs a kappa level")
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
-            raise ValueError("a solve needs a nonempty seed list")
+            raise InvalidInput("a solve needs a nonempty seed list")
         if len(set(self.seeds)) < len(self.seeds):
-            raise ValueError(f"repeated seed in {list(self.seeds)}")
+            raise InvalidInput(f"repeated seed in {list(self.seeds)}")
         for name in ("mu", "kappa", "residual_tol", "boost_scale"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, not {value}")
+                raise InvalidInput(f"{name} must be finite, not {value}")
         if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+            raise InvalidInput("residual_tol must be positive")
         unused = "kappa" if self.mode == "auxiliary" else "mu"
         if getattr(self, unused) is not None:
-            raise ValueError(f"{unused} is unused in {self.mode} mode")
+            raise InvalidInput(f"{unused} is unused in {self.mode} mode")
 
 
 @dataclass

@@ -139,6 +139,16 @@ def test_an_overflowing_number_is_a_validation_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def test_too_deeply_nested_config_is_validation_error(tmp_path, capsys):
+    # json raises RecursionError, not a ValueError, on nesting this deep
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000)
+    out = tmp_path / "o"
+    assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     built, build = [], cli.build_parser
 
@@ -721,6 +731,17 @@ def test_lattice_explicit_weights(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lattice_weights_whose_products_overflow_are_validation_error(tmp_path, capsys):
+    # each weight is finite, but rho_t[t] rho_r[r] is inf
+    scan = {"start": -1.0, "stop": 1.0, "num": 5}
+    weights = {"rho_t": [1e200] * 8, "rho_r": [1e200] * 6}
+    out = tmp_path / "o"
+    assert main(["lattice", "--config", _lattice_config(tmp_path, scan, weights=weights),
+                 "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # lightcone-check
 
@@ -900,6 +921,23 @@ def test_state_stability_table_without_its_columns_is_validation_error(tmp_path,
     assert "table needs columns qsq,a,b" in capsys.readouterr().err
     assert not out.exists()
 
+@pytest.mark.parametrize("text, message",
+                         [("qsq,a,b\n2,0,1\n1,0,1\n", "q^2 grid must be strictly increasing"),
+                          ("qsq,a,b\n0,0,1\n1,0,1\n", "the grid parametrizes q^2 > 0")],
+                         ids=["decreasing", "nonpositive"])
+def test_state_stability_bad_qsq_grid_is_validation_error(tmp_path, capsys, text, message):
+    # state_stability_check refuses the grid with InvalidInput, as the table checks do
+    (tmp_path / "table.csv").write_text(text)
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "state-stability", "params": {"table": "table.csv", "masses": [1.0]}},
+    )
+    out = tmp_path / "o"
+    assert main(["state-stability", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_stability_missing_table(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -1029,6 +1067,21 @@ def test_a_param_the_mode_ignores_is_validation_error(tmp_path, capsys, subcomma
 
 # ---------------------------------------------------------------------------
 # reproduce + output-root resolution
+
+def test_infeasible_kappa_is_numerical_error(tmp_path, capsys):
+    # InfeasibleKappa is a ValueError but no InvalidInput: the level is out
+    # of reach of every start, which only the solve can tell
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"subcommand": "minimize",
+         "params": {"n": 1, "f": 2, "m": 3, "mode": "constrained", "kappa": 0.1},
+         "seeds": [0, 1, 2, 3]},
+    )
+    out = tmp_path / "o"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 3
+    assert "best |T - kappa|" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_reproduce_fig3_emits_transition_table(tmp_path):
     out = tmp_path / "fig3"

@@ -6,11 +6,15 @@ import pytest
 from dstlab import (
     DiscreteSpacetime,
     FermionicProjector,
+    InvalidInput,
     indefinite_orthonormalize,
     random_direction,
     random_gauge,
     random_projector,
 )
+from dstlab.continuum.seas import GridCoverage, state_stability_check
+from dstlab.lattice import LatticeGeometry, OccupiedState, landscape_scan_2d, weight_arrays
+from dstlab.solver import InfeasibleKappa, SolverConfig
 
 
 def test_signature_layout():
@@ -179,3 +183,32 @@ def test_direction_is_selfadjoint():
     sp = DiscreteSpacetime(1, 3)
     b = random_direction(sp, seed=8)
     assert np.allclose(sp.adjoint(b), b)
+
+
+def test_invalid_input_is_a_value_error():
+    # a caller that catches ValueError still catches every refused input
+    assert issubclass(InvalidInput, ValueError)
+    assert issubclass(GridCoverage, InvalidInput)
+    # an unreachable constraint level is a numerical outcome, not an input check
+    assert not issubclass(InfeasibleKappa, InvalidInput)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: SolverConfig(mode="constrained", kappa=0.5, mu=0.3),
+        lambda: DiscreteSpacetime(0, 3),
+        lambda: random_projector(DiscreteSpacetime(1, 2), 5, seed=0),
+        lambda: LatticeGeometry(0, 6),
+        lambda: OccupiedState(omega=-1, k=1, phi=0.0),
+        lambda: landscape_scan_2d(LatticeGeometry(8, 6), OccupiedState(1, 1),
+                                  OccupiedState(-2, 2), [0.0, 1.0]),
+        lambda: weight_arrays(LatticeGeometry(8, 6), "cube"),
+        lambda: state_stability_check([2.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0]),
+    ],
+    ids=["solver-config", "spacetime", "rank", "lattice-geometry", "occupied-state",
+         "occupation", "weights", "stability-grid"],
+)
+def test_checks_a_config_reaches_raise_invalid_input(check):
+    with pytest.raises(InvalidInput):
+        check()

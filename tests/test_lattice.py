@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dstlab.lattice
+from dstlab import InvalidInput
 from dstlab.lattice import (
     CRITICAL_MU,
     LatticeGeometry,
@@ -73,6 +74,27 @@ def test_geometry_and_dual_lattice():
     assert not GEOM.contains_dual(0, 0)
     assert not GEOM.contains_dual(0, 7)
     assert len(GEOM.dual_points()) == 8 * 6
+
+
+@pytest.mark.parametrize(
+    "rho_t, rho_r",
+    [
+        ([1.0, 2.0, 2.0, np.nan, 2.0, 2.0, 2.0, 2.0], np.ones(6)),
+        (np.ones(8), [1.0, 1.0, np.inf, 1.0, 1.0, 1.0]),
+        (np.full(8, 1e200), np.full(6, 1e200)),  # each finite, their products not
+    ],
+    ids=["nan", "inf", "overflowing-product"],
+)
+def test_non_finite_weights_are_refused(rho_t, rho_r):
+    # NaN passes the sign test: the scan then found no minimum ("min() arg is
+    # an empty sequence") and the action was nan
+    with pytest.raises(InvalidInput, match="must be finite"):
+        weight_arrays(GEOM, (rho_t, rho_r))
+    with pytest.raises(InvalidInput, match="must be finite"):
+        landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-1.0, 1.0, 5),
+                          weights=(rho_t, rho_r))
+    with pytest.raises(InvalidInput, match="must be finite"):
+        lattice_action(GEOM, [STATE_A, STATE_B], weights=(rho_t, rho_r))
 
 
 def test_geometry_rejects_bad_sizes():
