@@ -101,7 +101,7 @@ import functools
 
 import numpy as np
 
-from .core import FermionicProjector, projector_matrix
+from .core import FermionicProjector, gram_deviation, projector_matrix
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -588,7 +588,10 @@ class TrialStack:
     and one batched product the read-only (k, md, md) stack ``dense`` that
     ``matrix()`` returns, so the :class:`ChainPass` of the stack is one
     stacked pass.  ``stack[j]`` makes trial j a validated
-    :class:`~dstlab.core.FermionicProjector`.
+    :class:`~dstlab.core.FermionicProjector`: the first index measures the
+    Gram drift of every slice with one batched product
+    (:func:`~dstlab.core.gram_deviation`), which each trial taken then
+    carries, and a slice above 1e3 ``tol.gram`` is refused.
     """
 
     def __init__(self, moves):
@@ -614,8 +617,12 @@ class TrialStack:
     def matrix(self):
         return self.dense
 
+    @functools.cached_property
+    def gram_devs(self):
+        return gram_deviation(self.space, self.bases)
+
     def __getitem__(self, j):
-        return FermionicProjector(self.space, self.bases[j], self.tol)
+        return FermionicProjector.measured(self.space, self.bases[j], self.tol, self.gram_devs[j])
 
 
 def transported(projector, b, eta):

@@ -11,7 +11,7 @@ records a hash of the config, tool and platform versions, the RNG
 algorithm, and every file written.
 
 Exit codes: 0 success, 2 invalid input, 3 any other failure of a run (a
-numerical one), 4 divergence detected.  Invalid input is any
+numerical one, or an ``OSError`` writing its output), 4 divergence detected.  Invalid input is any
 ``dstlab.InvalidInput``: the config file, its schema, and the input checks
 of the library and of the handlers here all raise it, so ``main`` maps each
 exception to its exit code in one place.
@@ -711,7 +711,7 @@ def main(argv=None):
         return _run(config, [("", config)], outdir, tol, config_path.resolve().parent)
     except InvalidInput as exc:
         error, code = exc, EXIT_VALIDATION
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as exc:
         error, code = exc, EXIT_NUMERICAL
     print(f"dstlab: error: {error}", file=sys.stderr)
     return code

@@ -132,6 +132,16 @@ def _gram(space, basis):
     return basis.conj().T @ (space.signs[:, None] * basis)
 
 
+def gram_deviation(space, bases):
+    """max |<u_i|u_j> + delta_ij| of an image basis, or of each basis of a stack (..., dim, f).
+
+    One batched product serves a stack, each slice bit for bit the deviation
+    of its basis alone.
+    """
+    gram = bases.conj().swapaxes(-1, -2) @ (space.signs[:, None] * bases)
+    return np.abs(gram + np.eye(bases.shape[-1])).max(axis=(-2, -1))
+
+
 def projector_matrix(space, basis):
     """Dense P = -U U^dagger S of an image basis U, or of a stack (..., dim, f) of them."""
     return -basis @ (basis.conj().swapaxes(-1, -2) * space.signs)
@@ -175,8 +185,9 @@ class FermionicProjector:
     :meth:`from_span` over building the array by hand.
 
     ``gram_dev`` is the largest entry of |<u_i|u_j> + delta_ij|, measured
-    once when the projector is built (the basis is read-only).  The dense
-    matrix is formed on the first :meth:`matrix` call.
+    once when the projector is built (the basis is read-only), or by the
+    maker of a basis it hands to :meth:`measured`.  The dense matrix is
+    formed on the first :meth:`matrix` call.
     """
 
     space: DiscreteSpacetime
@@ -193,7 +204,9 @@ class FermionicProjector:
                 f"rank f={basis.shape[1]} outside 1..{self.space.n * self.space.m} "
                 "(a negative definite subspace has dimension at most nm)"
             )
-        gram_dev = np.abs(_gram(self.space, basis) + np.eye(basis.shape[1])).max()
+        self._seal(basis, gram_deviation(self.space, basis))
+
+    def _seal(self, basis, gram_dev):
         if gram_dev > 1e3 * self.tol.gram:
             raise ValueError(
                 f"basis Gram deviates from -Id by {gram_dev:.3e}; "
@@ -202,6 +215,20 @@ class FermionicProjector:
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram_dev", float(gram_dev))
+
+    @classmethod
+    def measured(cls, space, basis, tol, gram_dev):
+        """The projector of a contiguous complex (dim, f) ``basis`` whose ``gram_dev`` is known.
+
+        The shape and rank checks are the caller's, as is the measurement
+        (:func:`gram_deviation`); a basis above 1e3 ``tol.gram`` is still
+        refused.
+        """
+        proj = object.__new__(cls)
+        object.__setattr__(proj, "space", space)
+        object.__setattr__(proj, "tol", tol)
+        proj._seal(basis, gram_dev)
+        return proj
 
     @classmethod
     def from_span(cls, space, vectors, tol=DEFAULT):

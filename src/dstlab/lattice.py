@@ -436,6 +436,14 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
         disc = beta * beta - delta * delta - eps * eps
         lag = _lagrangian(alpha, disc, (tau_values[i], tau_values))
         surface[i] = lag.reshape(n, -1) @ weight
+    # finite invariants can still overflow in the weighted sum (rho ~ 1e154)
+    finite = np.isfinite(surface)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise RuntimeError(
+            "the action surface is not finite at the scan cell (tau1, tau2) = "
+            f"{(float(tau_values[i]), float(tau_values[j]))}"
+        )
     minima = _grid_local_minima(tau_values, surface)
     floor = min(rec[2] for rec in minima)
     global_minima = tuple(

@@ -59,8 +59,15 @@ The seeds of a solve descend in lockstep: each seed is a generator that asks
 for its gradients, trial batches and Newton steps, and one loop
 (``_lockstep``) evaluates the batches of all live seeds as one stacked orbit
 step and chain pass (``TrialStack``) valued with per-trial mu, and their
-gradients as one stacked Q and commutator, each slice bit for bit its
-one-seed evaluation.  Step control, exits, norms and multipliers stay per seed.
+gradients as one stacked Q and commutator.  The step arithmetic of a round's
+gradients is one stack too (``_Directions``): the multiplier fit, ||K||, the
+unit gradient, B, y and Re<s,y>, the threshold signs and the restart test,
+the L-BFGS memory update and two-loop recursion over every seed's memory,
+kept between rounds in stacked buffers, ||d||, the slope, the BB1 and the
+Newton steps.  Each slice and each row is bit for bit its one-seed
+evaluation.  A seed keeps its control flow: the exits, the Armijo decisions,
+the restorations and the derivative check.  A seed alone in a round is a
+stack of one, its recursion ``_two_loop`` on views of its pairs.
 
 A derivative check compares the slope along B with a central finite
 difference of F along B (S_nu on the level set) at a seed's first iterate
@@ -249,6 +256,7 @@ def _two_loop(pairs, grad):
     ``pairs`` holds (s, y, 1/<s, y>), oldest first, and ``grad`` is a
     gradient: flat real vectors whose dot product is Re<., .> of the
     Hermitian matrices they view.  H_0 is <s, y>/<y, y> of the newest pair.
+    The oracle of :func:`_two_loops`, and its one-row case.
     """
     q = -grad
     alphas = []
@@ -263,39 +271,79 @@ def _two_loop(pairs, grad):
     return q
 
 
-def _norm(comm):
-    """||K||_F = 4 ||[P, Q]||_F, by np.linalg.norm's arithmetic without its costlier dispatch."""
-    flat = comm.ravel()
-    return 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+def _two_loops(s, y, rho, grad):
+    """:func:`_two_loop` of every row of a stack, each row bit for bit its own recursion.
+
+    Row i holds its len(rho[i]) >= 1 pairs in the last slots of ``s`` and
+    ``y`` (k, MEMORY, n), oldest first, and ``rho[i]`` lists their
+    1/<s, y>; ``grad`` is (k, n).  The step over the pairs of one age
+    leaves the rows with fewer pairs as they are.  A stack of one takes
+    :func:`_two_loop` on views of its pairs, which makes fewer and cheaper
+    numpy calls.
+    """
+    if len(grad) == 1:
+        c = len(rho[0])
+        return _two_loop(list(zip(s[0, -c:], y[0, -c:], rho[0])), grad[0])[None]
+    counts = [len(r) for r in rho]
+    fewest, held = min(counts), np.array(counts)[:, None]
+    rho = np.array([[0.0] * (MEMORY - c) + r for c, r in zip(counts, rho)])[:, :, None]
+    # the pairs of each age, newest first, and where a row holds one
+    ages = [(s[:, -age], y[:, -age], rho[:, -age], age <= fewest or held >= age)
+            for age in range(1, max(counts) + 1)]
+    q = -grad
+    alphas = []
+    for s_age, y_age, rho_age, live in ages:
+        alpha = rho_age * np.vecdot(s_age, q)[:, None]
+        np.subtract(q, alpha * y_age, out=q, where=live)
+        alphas.append(alpha)
+    newest = y[:, -1]
+    q *= 1.0 / (rho[:, -1] * np.vecdot(newest, newest)[:, None])
+    for (s_age, y_age, rho_age, live), alpha in zip(reversed(ages), reversed(alphas)):
+        np.add(q, (alpha - rho_age * np.vecdot(y_age, q)[:, None]) * s_age, out=q, where=live)
+    return q
 
 
-def _unit(comm, norm, signs):
-    """K/||K||, K = 4i [P, Q] S made exactly Hermitian, so the Cayley step keeps the Gram matrix."""
-    k = (4j / norm) * (comm * signs)
-    return 0.5 * (k + k.conj().T)
+def _stack(arrays):
+    """Equal-shape ``arrays`` on a new first axis; a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _lengths(flat):
+    """sqrt(Re<x, x>) of every row x of a complex stack (k, n), as Python floats.
+
+    Re<x, x> is the dot product of the real parts plus that of the imaginary
+    parts, each one BLAS dot per row, as ``||.||_F`` of a lone matrix was.
+    """
+    return [math.sqrt(a + b) for a, b in zip(np.vecdot(flat.real, flat.real).tolist(),
+                                             np.vecdot(flat.imag, flat.imag).tolist())]
+
+
+def _units(g, norms, signs):
+    """K/||K|| of every slice of G, K = 4i G S made exactly Hermitian, so the Cayley step keeps the Gram matrix."""
+    k = np.array([4j / norm for norm in norms])[:, None, None] * (g * signs)
+    return 0.5 * (k + k.conj().swapaxes(-1, -2))
 
 
 def _restore(chains, level, cfg, counts, steps):
     """A seed generator's damped Newton steps from a pass to T = kappa (module docstring).
 
-    Each asks for the pair at the pass; T moves at the rate ||K_T|| along the
-    unit direction.  Returns (pass, steps taken, exit reason), the reason
-    None once T is within RESTORE_TOL (1 + |kappa|), else "max_iterations"
-    after ``steps``, "stalled" (||K_T|| <= ``residual_tol``) or
-    "line_search_floor".
+    Each asks for the pair at the pass and the step ("newton", T - kappa,
+    ``residual_tol``) of :class:`_Directions`; T moves at the rate ||K_T||
+    along the unit direction.  Returns (pass, steps taken, exit reason),
+    the reason None once T is within RESTORE_TOL (1 + |kappa|), else
+    "max_iterations" after ``steps``, "stalled" (||K_T|| <= ``residual_tol``)
+    or "line_search_floor".
     """
     for taken in range(steps):
         if not level.missed(chains.constraint):
             return chains, taken, None
-        (_, ct), fd = yield level, chains
-        counts["fd_pairs"] += int(fd)
-        norm, signs = _norm(ct), chains.space.signs
-        if norm <= cfg.residual_tol:
-            return chains, taken, "stalled"
         gap = chains.constraint - level.kappa
-        b = math.copysign(1.0, -gap) * signs[:, None] * _unit(ct, norm, signs)
+        fd, _, _, b, step, slope = yield level, chains, ("newton", gap, cfg.residual_tol)
+        counts["fd_pairs"] += int(fd)
+        if b is None:
+            return chains, taken, "stalled"
         trial, _, _, examined = yield from _backtrack(
-            chains, _Objective(0.0), b, abs(gap) / norm, abs(gap), -norm, 1, kappa=level.kappa)
+            chains, _Objective(0.0), b, step, abs(gap), slope, 1, kappa=level.kappa)
         counts["armijo_trials"] += examined
         if trial is None:
             return chains, taken, "line_search_floor"
@@ -308,33 +356,35 @@ def _descend(chains, objective, cfg, check_first=False):
 
     A seed generator (:func:`_lockstep`).  The iterate is a ``ChainPass``;
     valuing it writes nothing onto it, and its gradient, evaluated alone,
-    records its ``fd_pairs`` there (0 at n = 1).  Each loop asks for the
-    iterate's one gradient (k iterations make k + 1 requests), then tests the
-    exits in order: "stalled" (no descent over the stall window),
-    "max_iterations", "divergence", "converged".  On the level set the start
-    is first restored (:func:`_restore`, its steps iterations), and one that
-    ends short of kappa ends the descent with its reason at that gradient.
-    An iterate takes the direction and first trial of the module docstring
-    (the first ``INITIAL_STEP`` along -K/||K||), and its trials shrink by
-    ``STEP_SHRINK`` in the batches of :func:`_backtrack` until Armijo accepts
-    one (on the level set, one restored with S not above the iterate's);
-    none down to ``MIN_STEP``, or a first trial below it (no batch), exits
-    "line_search_floor".  Where the L-BFGS memory serves and ||K||^2 and the
-    predicted decrease eta ||K|| are below 64 eps (1 + |F|), Armijo forgives
-    a rise in F of 8 eps (1 + |F|).  ``status`` folds every exit but
-    "converged" and "divergence" into "max_iterations".  ``armijo_trials``
-    counts the steps the Armijo rules examined in order up to the one they
-    accepted, Newton steps included: not the rest of that step's batch,
-    evaluated and discarded, nor the two steps of the derivative check.
-    ``renormalizations`` counts the re-orthonormalized iterates,
-    ``fd_pairs`` the pairs the gradients sent to finite differences, and
-    ``gradient_norm`` is 4 ||[P, Q]||_F and ``multiplier`` mu, or nu, at the
-    last iterate.  An accepted iterate whose Gram drift exceeds
-    ``chains.tol.gram`` is re-orthonormalized before its gradient, and a
-    drift above 1e-14 at the end after the last gradient.  ``chains`` is the
-    pass of ``projector``, whose F is ``action``.
+    records its ``fd_pairs`` there (0 at n = 1).  Each loop tests the exits
+    that the gradient does not decide, in order: "stalled" (no descent over
+    the stall window), "max_iterations", "divergence"; then asks for the
+    iterate's one gradient and step (k iterations make k + 1 requests), the
+    plan ("descent", the step accepted from the last iterate, the floor
+    ``residual_tol``, or inf once an exit is taken) of :class:`_Directions`,
+    and exits "converged" where ||K|| is not above the floor.  On the level
+    set the start is first restored (:func:`_restore`, its steps
+    iterations), and one that ends short of kappa ends the descent with its
+    reason at that gradient.  An iterate takes the direction and first trial
+    of the module docstring (the first ``INITIAL_STEP`` along -K/||K||), and
+    its trials shrink by ``STEP_SHRINK`` in the batches of :func:`_backtrack`
+    until Armijo accepts one (on the level set, one restored with S not
+    above the iterate's); none down to ``MIN_STEP``, or a first trial below
+    it (no batch), exits "line_search_floor".  Where the L-BFGS memory
+    serves and ||K||^2 and the predicted decrease eta ||K|| are below 64 eps
+    (1 + |F|), Armijo forgives a rise in F of 8 eps (1 + |F|).  ``status``
+    folds every exit but "converged" and "divergence" into
+    "max_iterations".  ``armijo_trials`` counts the steps the Armijo rules
+    examined in order up to the one they accepted, Newton steps included:
+    not the rest of that step's batch, evaluated and discarded, nor the two
+    steps of the derivative check.  ``renormalizations`` counts the
+    re-orthonormalized iterates, ``fd_pairs`` the pairs the gradients sent to
+    finite differences, and ``gradient_norm`` is 4 ||[P, Q]||_F and
+    ``multiplier`` mu, or nu, at the last iterate.  An accepted iterate whose
+    Gram drift exceeds ``chains.tol.gram`` is re-orthonormalized before its
+    gradient, and a drift above 1e-14 at the end after the last gradient.
+    ``chains`` is the pass of ``projector``, whose F is ``action``.
     """
-    signs = chains.projector.space.signs
     level = objective if isinstance(objective, _LevelSet) else None
     counts = dict.fromkeys(("armijo_trials", "renormalizations", "fd_pairs"), 0)
     newton, exit_reason = 0, None  # the start's Newton steps onto the level set
@@ -343,80 +393,33 @@ def _descend(chains, objective, cfg, check_first=False):
     search = objective  # what values the trials, S_nu on the level set
     current = objective.value(chains)
     trace = [current]
-    step = INITIAL_STEP
-    moved = None  # (s, K) of the last accepted step
-    # L-BFGS pairs of an auxiliary descent at n = 1, and its threshold sides
-    memory = [] if level is None and chains.space.n == 1 else None
-    sides = None
+    lbfgs = level is None and chains.space.n == 1  # L-BFGS directions
+    eta = None  # the step accepted from the last iterate
     examined = 1  # the first search starts with a batch of one
     while True:
-        comm, fd = yield objective, chains
+        # a start that settled short of kappa or used up the budget has its exit
+        if exit_reason is None:
+            if len(trace) > STALL_WINDOW and (
+                    trace[-1 - STALL_WINDOW] - current <= STALL_TOL * (1.0 + abs(current))):
+                exit_reason = "stalled"  # flattened out below resolution
+            elif newton + len(trace) > cfg.max_iter:
+                exit_reason = "max_iterations"
+            elif current < DIVERGENCE_FLOOR:
+                exit_reason = "divergence"
+        floor = cfg.residual_tol if exit_reason is None else math.inf
+        fd, grad_norm, nu, b, step, slope = yield objective, chains, ("descent", eta, floor)
         counts["fd_pairs"] += int(fd)
         if level is not None:
-            cs, ct = comm
-            nu, comm = _multiplier_fit(cs, ct)
             search = _Objective(nu)
-        grad_norm = _norm(comm)
-        if exit_reason is not None:
-            break  # the start settled short of kappa or used up the budget
-        if len(trace) > STALL_WINDOW and (
-                trace[-1 - STALL_WINDOW] - current <= STALL_TOL * (1.0 + abs(current))):
-            exit_reason = "stalled"  # flattened out below resolution
-            break
-        if newton + len(trace) > cfg.max_iter:
-            exit_reason = "max_iterations"
-            break
-        if current < DIVERGENCE_FLOOR:
-            exit_reason = "divergence"
-            break
-        if grad_norm <= cfg.residual_tol:
+        if exit_reason is None and b is None:
             exit_reason = "converged"
+        if exit_reason is not None:
             break
-        # B = -S K/||K|| with K = 4i [P,Q] S
-        k = _unit(comm, grad_norm, signs)
-        grad = grad_norm * k
-        h = None  # the unit Hermitian direction H of B = S H, when it is not -k
-        if moved is not None:
-            s, grad_old = moved
-            y = grad - grad_old
-            sy = float(np.vdot(s, y).real)
-        if memory is not None:
-            # S is kinked where a chain crosses the causal threshold
-            # t^2/4 = delta, and pairs that span the kink mislead
-            side = np.sign(0.25 * chains.t * chains.t - chains.delta)
-            if moved is not None and sy > 0.0:
-                memory.append((s.ravel().view(float), y.ravel().view(float), 1.0 / sy))
-                del memory[:-MEMORY]
-            if sides is not None and not np.array_equal(side, sides):
-                memory.clear()
-            sides = side
-            if memory:
-                d = _two_loop(memory, grad.ravel().view(float)).view(complex).reshape(k.shape)
-                d = 0.5 * (d + d.conj().T)
-                flat = d.ravel()
-                d_norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-                slope = grad.ravel().view(float).dot(flat.view(float)) / d_norm
-                if slope < -1e-3 * grad_norm:
-                    h, step = d / d_norm, min(d_norm, MAX_STEP)
-                else:
-                    memory.clear()  # too close to an ascent direction
-        if h is None:
-            b = -signs[:, None] * k
-            if moved is not None:
-                # BB1 on the Hermitian coordinates, scaled to the unit direction
-                if sy > 0.0:
-                    step = float(np.vdot(s, s).real) / sy * grad_norm
-                else:
-                    step *= STEP_GROW
-                step = min(step, MAX_STEP)
-            slope = -grad_norm  # 4i Tr([P,Q] B) along the unit direction B
-        else:
-            b = signs[:, None] * h
         if check_first and abs(slope) > 1e-6 * (1.0 + abs(current)):
             yield from _check_slope(chains, search, b, slope)
             check_first = False
         slack = 0.0  # the rise in F that Armijo forgives as rounding
-        if memory is not None:
+        if lbfgs:
             ulp = math.ulp(1.0) * (1.0 + abs(current))
             if grad_norm * max(step, grad_norm) < 64.0 * ulp:
                 slack = 8.0 * ulp
@@ -425,7 +428,7 @@ def _descend(chains, objective, cfg, check_first=False):
             trial, _, reason = yield from _restore(trial, level, cfg, counts, RESTORE_STEPS)
             return None if reason or level.value(trial) > ceiling else trial
 
-        trial, value, step, examined = yield from _backtrack(
+        trial, value, eta, examined = yield from _backtrack(
             chains, search, b, step, current if level is None else search.value(chains), slope,
             examined, slack, accept=None if level is None else restored_below)
         counts["armijo_trials"] += examined
@@ -434,7 +437,6 @@ def _descend(chains, objective, cfg, check_first=False):
             break
         chains, current = trial, value if level is None else level.value(trial)
         trace.append(current)
-        moved = (-step * k if h is None else step * h, grad)
         if chains.projector.gram_dev > chains.tol.gram:
             # the trace keeps the accepted value
             chains = ChainPass(chains.projector.renormalized())
@@ -479,6 +481,9 @@ class _LevelSet(_Objective):
     """S (mu = 0) on the level set T = kappa, its gradient the pair C_S = [P, Q_S], C_T = [P, Q_T]
     from one ``ChainPass.q`` call, on the third axis from the end."""
 
+    # the weight sets (w_sq, w_abs) of S and of T as columns, for a lone pass and a stacked one
+    _weights = (np.eye(2), np.eye(2)[:, :, None])
+
     def __init__(self, kappa):
         self.mu, self.kappa = 0.0, kappa
 
@@ -487,15 +492,195 @@ class _LevelSet(_Objective):
 
     @staticmethod
     def commutator(chains):
-        w = np.eye(2).reshape((2, 2) + (1,) * (chains.p.ndim - 2))
+        w = _LevelSet._weights[chains.p.ndim - 2]
         q = chains.q(w[:, 0], w[:, 1])
         return np.moveaxis(chains.p @ q - q @ chains.p, 0, -3)
 
 
 def _multiplier_fit(cs, ct):
-    """The least-squares multiplier nu = Re<C_T, C_S>/||C_T||^2 and C_S - nu C_T."""
-    nu = float(np.vdot(ct, cs).real) / float(np.vdot(ct, ct).real)
-    return nu, cs - nu * ct
+    """The least-squares multiplier nu = Re<C_T, C_S>/||C_T||^2 and C_S - nu C_T.
+
+    Of one pair, or of every pair of a stack (k, md, md) each, one nu per pair.
+    """
+    shape = cs.shape[:-2] + (-1,)
+    flat = ct.reshape(shape)
+    nu = np.vecdot(flat, cs.reshape(shape)).real / np.vecdot(flat, flat).real
+    return nu, cs - nu[..., None, None] * ct
+
+
+class _Directions:
+    """The step arithmetic of the seeds of one lockstep, one row per seed.
+
+    :meth:`serve` answers a round's gradient requests that carry a plan
+    (:func:`_lockstep`).  The matrix arithmetic is one numpy call per stack
+    of the rows that need it: the multiplier fit on the level set, the dot
+    products of ||K||, the unit gradient K/||K||, B and, of a descent, s, y,
+    Re<s, y>, the memory update, the threshold signs, the two-loop
+    recursion and the dot products of ||d|| and of the slope.  The numbers
+    of each row (its norms, BB1 and Newton steps, the restart and ascent
+    tests) are Python floats, as a lone seed's were.  Every row is bit for
+    bit the arithmetic of its seed alone.  A descent row keeps K at its last
+    direction, that direction's unit Hermitian matrix and the sign of its
+    move (s = sign eta unit for the step eta it accepted; 0 before its
+    first), and at n = 1 off the level set its L-BFGS memory: s and y of up
+    to MEMORY pairs in the last slots of its rows of (rows, MEMORY,
+    2 (md)^2) buffers, their 1/Re<s, y> in a list, oldest first, and the
+    signs of t^2/4 - delta at its last iterate (NaN before its first, so
+    that its first iterate clears the empty memory).  The buffers are made
+    at the first request, for the space of its pass.  Consecutive rows, as
+    in the common rounds and every round of a lone seed, are read and
+    written as slices.
+    """
+
+    def __init__(self, rows):
+        self.rows, self.grad = rows, None
+        self.sign = [0.0] * rows
+        self.rho = [[] for _ in range(rows)]
+
+    def _allocate(self, space):
+        rows, dim = self.rows, space.dim
+        self.grad = np.zeros((rows, dim, dim), dtype=complex)
+        self.unit = np.zeros_like(self.grad)
+        self.s = np.zeros((rows, MEMORY, 2 * dim * dim))
+        self.y = np.zeros_like(self.s)
+        self.sides = np.full((rows, space.m, space.m), np.nan)
+
+    def serve(self, rows, requests, replies):
+        """The replies (fd, ||K||, nu, B, first step, slope) to requests (objective, pass, plan).
+
+        ``rows`` are the requests' rows, increasing, and ``replies`` their
+        (commutator, FD pair count) from :func:`_evaluate`.  A plan is
+        ("descent", the step accepted since the row's last descent step or
+        None, floor) or ("newton", T - kappa, floor).  A Newton step goes
+        along B = sign(kappa - T) S K_T/||K_T|| with the first step
+        |T - kappa|/||K_T|| and the slope -||K_T||.  B, the first step and
+        the slope are None where ||K|| is not above the floor; nu is None but
+        on a descent on the level set.
+        """
+        head = requests[0]
+        space, level, count = head[1].space, isinstance(head[0], _LevelSet), len(requests)
+        if self.grad is None:
+            self._allocate(space)
+        plans = [request[2] for request in requests]
+        newton = [plan[0] == "newton" for plan in plans] if level else [False] * count
+        g = _stack([reply[0] for reply in replies])
+        nus = [None] * count
+        if level:
+            ct = g[:, 1]
+            if all(newton):
+                g = ct
+            else:
+                nu, g = _multiplier_fit(g[:, 0], ct)
+                nus = [None if kind else mu for kind, mu in zip(newton, nu.tolist())]
+                if any(newton):
+                    g = np.where(np.array(newton)[:, None, None], ct, g)
+        norms = [4.0 * length for length in _lengths(g.reshape(count, -1))]
+        out = [[fd, norm, nu, None, None, None] for (_, fd), norm, nu in zip(replies, norms, nus)]
+        on = [i for i in range(count) if not norms[i] <= plans[i][2]]
+        if not on:
+            return out
+        if len(on) < count:
+            g = g[on]
+        unit = _units(g, [norms[i] for i in on], space.signs)
+        # B = sides S unit: -1 along -K/||K||, +1 along an L-BFGS direction,
+        # sign(kappa - T) for a Newton step
+        sides, descent = [], []
+        for j, i in enumerate(on):
+            if newton[i]:
+                gap = plans[i][1]
+                sides.append(math.copysign(1.0, -gap))
+                out[i][4:] = abs(gap) / norms[i], -norms[i]
+            else:
+                sides.append(-1.0)
+                descent.append(j)
+        if descent:
+            pick = slice(None) if len(descent) == len(on) else descent
+            at = [on[j] for j in descent]
+            k = unit[pick]
+            steps, taken = self._descent(
+                [rows[i] for i in at], [requests[i][1] for i in at], [plans[i][1] for i in at],
+                k, [norms[i] for i in at], space.n == 1 and not level)
+            if taken and not isinstance(pick, slice):
+                unit[pick] = k  # a copy took the L-BFGS directions
+            for i, step in zip(at, steps):
+                out[i][4:] = step
+            for j in taken:
+                sides[descent[j]] = 1.0
+        b = (np.array(sides)[:, None, None] * space.signs[:, None]) * unit
+        for i, b_i in zip(on, b):
+            out[i][3] = b_i
+        return out
+
+    def _descent(self, rows, passes, etas, k, norms, lbfgs):
+        """The (first step, slope) of each descent row, and the rows that take L-BFGS directions.
+
+        ``k`` holds the rows' unit gradients; a row taken has its unit
+        L-BFGS direction written over it.
+        """
+        count = len(rows)
+        ix = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == count - 1 else rows
+        grad = np.array(norms)[:, None, None] * k
+        move = np.array([0.0 if eta is None else self.sign[row] * eta
+                         for row, eta in zip(rows, etas)])
+        s = (move[:, None, None] * self.unit[ix]).reshape(count, -1)
+        y = (grad - self.grad[ix]).reshape(count, -1)
+        sy = np.vecdot(s, y).real.tolist()
+        steps = [None] * count
+        taken = []  # the rows that take an L-BFGS direction
+        if lbfgs:
+            new = [j for j, c in enumerate(sy) if c > 0.0]
+            if new:
+                pick, at = (slice(None), ix) if len(new) == count else (new, [rows[j] for j in new])
+                for buffer, pairs in ((self.s, s[pick]), (self.y, y[pick])):
+                    buffer[at, :-1] = buffer[at, 1:]
+                    buffer[at, -1] = pairs.view(float)
+                for j in new:
+                    rho = self.rho[rows[j]]
+                    rho.append(1.0 / sy[j])
+                    del rho[:-MEMORY]
+            # S is kinked where a chain crosses the causal threshold
+            # t^2/4 = delta, and pairs that span the kink mislead
+            t = _stack([chains.t for chains in passes])
+            side = np.sign(0.25 * t * t - _stack([chains.delta for chains in passes]))
+            for row, crossed in zip(rows, (side != self.sides[ix]).any(axis=(-2, -1)).tolist()):
+                if crossed:
+                    self.rho[row].clear()
+            self.sides[ix] = side
+            held = [j for j, row in enumerate(rows) if self.rho[row]]
+            if held:
+                pick, at = (slice(None), ix) if len(held) == count else (held, [rows[j] for j in held])
+                flat = grad[pick].reshape(len(held), -1).view(float)
+                d = _two_loops(self.s[at], self.y[at], [self.rho[rows[j]] for j in held], flat)
+                d = d.view(complex).reshape((len(held),) + k.shape[1:])
+                d = 0.5 * (d + d.conj().swapaxes(-1, -2))
+                flat_d = d.reshape(len(held), -1)
+                lengths = []
+                for j, length, along in zip(held, _lengths(flat_d),
+                                            np.vecdot(flat, flat_d.view(float)).tolist()):
+                    if along / length < -1e-3 * norms[j]:
+                        taken.append(j)
+                        lengths.append(length)
+                        steps[j] = min(length, MAX_STEP), along / length
+                    else:
+                        self.rho[rows[j]].clear()  # too close to an ascent direction
+                if taken:
+                    pick = slice(None) if len(taken) == len(held) else [held.index(j) for j in taken]
+                    k[taken] = d[pick] / np.array(lengths)[:, None, None]
+        # the first step along -K/||K||: INITIAL_STEP before the first move,
+        # else BB1 on the Hermitian coordinates, scaled to the unit
+        # direction, or the last step grown where Re<s, y> <= 0
+        rest = [j for j in range(count) if steps[j] is None]
+        if rest:
+            pick = slice(None) if len(rest) == count else rest
+            for j, ss in zip(rest, np.vecdot(s[pick], s[pick]).real.tolist()):
+                eta, c = etas[j], sy[j]
+                steps[j] = (INITIAL_STEP if eta is None else
+                            min(ss / c * norms[j] if c > 0.0 else eta * STEP_GROW, MAX_STEP),
+                            -norms[j])
+        for j, row in enumerate(rows):
+            self.sign[row] = 1.0 if j in taken else -1.0
+        self.grad[ix], self.unit[ix] = grad, k
+        return steps, taken
 
 
 def _evaluate(requests):
@@ -506,12 +691,9 @@ def _evaluate(requests):
     one evaluation: their gradients one stacked pass, Q and commutator, their
     trials one ``TrialStack``, stacked pass and value call.  The lone path is
     common, not a corner: a seed that outlives the others descends alone
-    (seed 7 of the m = 4 tetrahedron run for 46 of its 88 iterations).
-    Sending every lone request through the stacked path as a stack of one
-    made that run 3.1% slower, sending only its lone trials so 1.4%, and
-    taking each seed's gradient alone, none stacked, 18.6% (median
-    ``wall_ref`` of four alternating 10 s ``perfbench`` ``tetra`` runs
-    each, one BLAS thread, 2 vCPUs).
+    (seed 7 of the m = 4 tetrahedron run for 46 of its 88 iterations), its
+    commutator of one pass and its step arithmetic a :class:`_Directions`
+    stack of one.
     """
     if len(requests) == 1:
         objective, *request = requests[0]
@@ -537,18 +719,24 @@ def _evaluate(requests):
 def _lockstep(solves):
     """Run the seed generators ``solves`` together; returns their results in order.
 
-    A seed yields requests and is sent replies: (objective, pass) asks for
-    the commutator at the pass and its FD pair count, (objective, projector,
-    B, steps) for the trials' values, their T and a function giving trial
-    j's pass.  Each round evaluates the gradient requests of all live seeds,
-    or, when none is left, their trial requests, and replies in seed order,
-    so the seeds' trials meet in one stack.  A group of one request is
-    evaluated alone; as gradients go first, that can be one seed's gradient
-    while the other seeds wait with trials.  An exception ends the run: of
-    the seeds raising in its earliest round, the first does.
+    A seed yields requests and is sent replies: (objective, pass, plan) asks
+    for the commutator at the pass and the step arithmetic of ``plan`` on it
+    (:meth:`_Directions.serve`, each seed a row of one ``_Directions``),
+    answered by its FD pair count, ||K||, nu, B, the first step and the
+    slope; (objective, projector, B, steps) asks for the trials' values,
+    their T and a function giving trial j's pass.  Each round evaluates the
+    gradient requests of all live seeds, their commutators one
+    :func:`_evaluate` call and their step arithmetic one ``serve`` call, or,
+    when none is left, their trial requests, and replies in seed order, so
+    the seeds' trials meet in one stack.  A group of one request is
+    evaluated alone and served as a stack of one; as gradients go first,
+    that can be one seed's gradient while the other seeds wait with trials.
+    An exception ends the run: of the seeds raising in its earliest round,
+    the first does.
     """
     results = [None] * len(solves)
     live = [[i, gen, None] for i, gen in enumerate(solves)]  # [index, generator, request]
+    directions = _Directions(len(solves))
     group, replies = live, [None] * len(live)
     while True:
         for seed, reply in zip(group, replies):
@@ -559,8 +747,13 @@ def _lockstep(solves):
                 live = [other for other in live if other is not seed]
         if not live:
             return results
-        group = [seed for seed in live if len(seed[2]) == 2] or live  # gradients first
-        replies = _evaluate([seed[2] for seed in group])
+        group = [seed for seed in live if len(seed[2]) == 3] or live  # gradients first
+        requests = [seed[2] for seed in group]
+        if len(requests[0]) == 4:
+            replies = _evaluate(requests)
+        else:
+            replies = directions.serve([seed[0] for seed in group], requests,
+                                       _evaluate([request[:2] for request in requests]))
 
 
 def _solve_seed(start, cfg):
@@ -660,6 +853,7 @@ def lagrange_multiplier_estimate(projector):
     if t_stat < 1e-7:
         return MultiplierEstimate(math.nan, math.inf, "inconclusive", t_stat)
     value, rest = _multiplier_fit(cs, ct)
+    value = float(value)
     residual = float(np.linalg.norm(rest)) / max(np.linalg.norm(cs), 1e-300)
     status = "ok" if residual <= FIT_TOL else "inconclusive"
     return MultiplierEstimate(value, residual, status, t_stat)

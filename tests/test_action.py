@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from dstlab import DiscreteSpacetime, random_direction, random_gauge, random_projector
+from dstlab import (
+    DiscreteSpacetime,
+    FermionicProjector,
+    random_direction,
+    random_gauge,
+    random_projector,
+)
 from dstlab.solver import SolverConfig, minimize
 from dstlab.tolerances import DEFAULT
 import dstlab.action as act
@@ -434,6 +440,33 @@ def test_cayley_trials_keep_the_gram_matrix_up_to_the_max_step(n, m, f):
     stack = act.transported(p, b, np.concatenate([etas, -etas]))
     gram = stack.bases.conj().swapaxes(-1, -2) @ (p.space.signs[:, None] * stack.bases)
     assert np.abs(gram + np.eye(f)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, m, f", RETRACTION_CASES)
+def test_a_taken_trial_carries_the_gram_drift_of_its_basis(n, m, f):
+    # the stack measures every slice's Gram drift in one batched product;
+    # a trial taken from it has the drift of its basis measured alone
+    p, b = _start_and_direction(n, m, f)
+    other = random_projector(p.space, f, seed=3)
+    stack = act.TrialStack([(p, b, [0.9, 0.45, 0.225]), (other, -b, [4.0])])
+    for j in range(4):
+        taken, basis = stack[j], stack.bases[j]
+        alone = np.abs(basis.conj().T @ (p.space.signs[:, None] * basis) + np.eye(f)).max()
+        assert taken.gram_dev == FermionicProjector(p.space, basis).gram_dev == alone
+        assert np.shares_memory(taken.basis, stack.bases)  # no copy
+        assert not taken.basis.flags.writeable and taken.tol is p.tol
+
+
+def test_a_trial_above_the_gram_tolerance_is_refused():
+    # B not self-adjoint: its Cayley step is no indefinite unitary, and the
+    # stack refuses the slice it would hand out, as the projector would
+    p, b = _start_and_direction(1, 3, 2)
+    skew = np.triu(b) * (1.0 + 1j)
+    stack = act.TrialStack([(p, skew, [1e-9, 0.5])])
+    assert stack[0].gram_dev <= 1e3 * p.tol.gram < stack.gram_devs[1]
+    for refuse in (lambda: stack[1], lambda: FermionicProjector(p.space, stack.bases[1])):
+        with pytest.raises(ValueError, match="basis Gram deviates from -Id"):
+            refuse()
 
 
 @pytest.mark.parametrize("n, m, f", RETRACTION_CASES)

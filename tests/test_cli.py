@@ -1065,6 +1065,19 @@ def test_a_param_the_mode_ignores_is_validation_error(tmp_path, capsys, subcomma
     assert not out.exists()
 
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weighted sums overflow
+def test_lattice_weights_whose_surface_overflows_are_numerical_error(tmp_path, capsys):
+    # each point weight rho_t[t] rho_r[r] = 1e308 is finite, the surface is
+    # not: surface.csv held inf in every cell and minima.json Infinity tokens
+    scan = {"start": -1.0, "stop": 1.0, "num": 5}
+    weights = {"rho_t": [1e154] * 8, "rho_r": [1e154] * 6}
+    out = tmp_path / "o"
+    assert main(["lattice", "--config", _lattice_config(tmp_path, scan, weights=weights),
+                 "--out", str(out)]) == 3
+    assert "not finite at the scan cell" in capsys.readouterr().err
+    assert not out.exists()
+
 # ---------------------------------------------------------------------------
 # reproduce + output-root resolution
 
@@ -1080,6 +1093,18 @@ def test_infeasible_kappa_is_numerical_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["minimize", "--config", cfg, "--out", str(out)]) == 3
     assert "best |T - kappa|" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_out_directory_that_cannot_be_written_is_a_run_failure(tmp_path, capsys):
+    # --out below a regular file: the OSError of writing the run exits 3
+    # with the one-line message, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main(["reproduce", "--figure", "fig5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dstlab: error:") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -570,6 +570,152 @@ def test_two_loop_is_the_bfgs_inverse_hessian_product(md, count):
     assert np.linalg.norm(d - d.conj().T) <= 1e-14 * np.linalg.norm(d)
 
 
+def _unit_gradient(comm, signs):
+    """(||K||, K/||K||, K) of K = 4i [P, Q] S by one seed's matrix operations."""
+    flat = comm.ravel()
+    grad_norm = 4.0 * math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    k = (4j / grad_norm) * (comm * signs)
+    k = 0.5 * (k + k.conj().T)
+    return grad_norm, k, grad_norm * k
+
+
+def _one_seed_step(chains, comm, moved, memory, sides, eta):
+    """(||K||, B, first step, slope) of one auxiliary seed at n = 1 alone; updates ``memory``.
+
+    The oracle of ``dstlab.solver._Directions``: one seed's matrix
+    operations, Re<s, y> by np.vdot, the threshold signs compared by
+    np.array_equal, L-BFGS directions by ``dstlab.solver._two_loop`` on a
+    list of pairs, and BB1 along -K/||K|| where the memory is empty or its
+    direction too close to an ascent.  ``moved`` is (s, K at the last
+    iterate) or None, ``sides`` the last iterate's signs or None and ``eta``
+    the step accepted from it.
+    """
+    sv, signs = dstlab.solver, chains.space.signs
+    grad_norm, k, grad = _unit_gradient(comm, signs)
+    if moved is not None:
+        s, grad_old = moved
+        y = grad - grad_old
+        sy = float(np.vdot(s, y).real)
+        if sy > 0.0:
+            memory.append((_flat(s), _flat(y), 1.0 / sy))
+            del memory[:-sv.MEMORY]
+    side = np.sign(0.25 * chains.t * chains.t - chains.delta)
+    if sides is not None and not np.array_equal(side, sides):
+        memory.clear()
+    if memory:
+        d = sv._two_loop(memory, _flat(grad)).view(complex).reshape(k.shape)
+        d = 0.5 * (d + d.conj().T)
+        flat = d.ravel()
+        d_norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+        slope = _flat(grad).dot(flat.view(float)) / d_norm
+        if slope < -1e-3 * grad_norm:
+            return grad_norm, signs[:, None] * (d / d_norm), min(d_norm, sv.MAX_STEP), slope
+        memory.clear()
+    step = sv.INITIAL_STEP
+    if moved is not None:
+        step = float(np.vdot(s, s).real) / sy * grad_norm if sy > 0.0 else eta * sv.STEP_GROW
+        step = min(step, sv.MAX_STEP)
+    return grad_norm, -signs[:, None] * k, step, -grad_norm
+
+
+def _ascent_pair(space):
+    """(s, y) with Re<s, y> = 1e-6 whose L-BFGS direction at the m = 4 start of seed 6 is too
+    close to an ascent direction, so the memory holding it is cleared."""
+    rng = np.random.default_rng(53)
+    s, y = (rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+            for _ in range(2))
+    s, y = s + s.conj().T, y + y.conj().T
+    return s, y + (1e-6 - np.vdot(s, y).real) / np.vdot(s, s).real * s
+
+
+@pytest.mark.parametrize("rows", [range(7), (0, 2, 3, 5, 7, 8, 10)], ids=["consecutive", "spread"])
+def test_stacked_directions_are_each_seeds_own_arithmetic(rows):
+    # one round of seven seeds served together, their memories holding 0,
+    # 0, 1, 3, 6, 6 and 1 pairs before it: the first seed at its first
+    # iterate, the sixth crossing the causal threshold, which clears its
+    # memory, and the last with a pair whose direction is too close to an
+    # ascent, which clears it too.  The slots a row does not hold keep stale
+    # pairs.  Each reply is bit for bit that seed's own step arithmetic, the
+    # L-BFGS recursion _two_loop on its own pairs, whether the rows of the
+    # stack are consecutive or not
+    sv = dstlab.solver
+    space = DiscreteSpacetime(1, 4)
+    rng = np.random.default_rng(11)
+
+    def hermitian():
+        a = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+        return a + a.conj().T
+
+    directions = sv._Directions(max(rows) + 1)
+    directions._allocate(space)
+    directions.s[:], directions.y[:] = (rng.normal(size=directions.s.shape) for _ in range(2))
+    requests, replies, expected, memories = [], [], [], []
+    for seed, (row, held) in enumerate(zip(rows, (0, 0, 1, 3, 6, 6, 1))):
+        chains = ChainPass(random_projector(space, 2, seed=seed))
+        comm = _Objective(0.5).commutator(chains)
+        grad = _unit_gradient(comm, space.signs)[2]
+        side = np.sign(0.25 * chains.t * chains.t - chains.delta)
+        moved = sides = eta = None
+        if seed:
+            h = hermitian()
+            h /= np.linalg.norm(h)
+            eta = 0.3 + 0.1 * seed
+            s = eta * h
+            # Re<s, y> > 0 adds the pair (s, y), but not for the last seed
+            y = 2.0 * s + 0.1 * hermitian() if seed < 6 else -2.0 * s
+            moved, sides = (s, grad - y), side.copy()
+            if seed == 5:
+                sides[0, 1] = -sides[0, 1]  # the last iterate was across the threshold
+            directions.unit[row], directions.sign[row] = h, 1.0
+            directions.grad[row], directions.sides[row] = grad - y, sides
+        pairs = [_ascent_pair(space)] if seed == 6 else []
+        while len(pairs) < held:
+            s_i = hermitian()
+            pairs.append((s_i, 2.0 * s_i + 0.1 * hermitian()))
+        memory = [(_flat(s_i), _flat(y_i), 1.0 / float(np.vdot(s_i, y_i).real))
+                  for s_i, y_i in pairs]
+        if held:
+            directions.s[row, -held:] = [pair[0] for pair in memory]
+            directions.y[row, -held:] = [pair[1] for pair in memory]
+            directions.rho[row] = [pair[2] for pair in memory]
+        requests.append((_Objective(0.5), chains, ("descent", eta, 1e-8)))
+        replies.append((comm, 0))
+        expected.append(_one_seed_step(chains, comm, moved, memory, sides, eta))
+        memories.append(len(memory))
+    served = directions.serve(list(rows), requests, replies)
+    for (fd, norm, nu, b, step, slope), (norm_1, b_1, step_1, slope_1) in zip(served, expected):
+        assert (fd, norm, nu, step, slope) == (0, norm_1, None, step_1, slope_1)
+        assert b.tobytes() == b_1.tobytes()
+    assert [len(directions.rho[row]) for row in rows] == memories == [0, 1, 2, 4, 6, 0, 0]
+    # the first iterate and the two cleared memories go along -K/||K||, the
+    # others take L-BFGS directions
+    assert [slope == -norm for _, norm, _, _, _, slope in served] == [
+        True, False, False, False, False, True, True]
+    assert served[0][4] == sv.INITIAL_STEP
+    assert served[6][4] == min((0.3 + 0.1 * 6) * sv.STEP_GROW, sv.MAX_STEP)
+
+
+def test_a_mixed_level_set_round_is_each_seeds_round_alone():
+    # on the level set one round can hold Newton steps of restorations and
+    # descent steps; served together, each reply is bit for bit the seed's
+    # reply served alone
+    sv, level = dstlab.solver, _LevelSet(KAPPA)
+    space = DiscreteSpacetime(1, 3)
+    requests, replies = [], []
+    for seed in range(4):
+        chains = ChainPass(random_projector(space, 2, seed=seed))
+        plan = (("newton", chains.constraint - KAPPA, 1e-8) if seed % 2 else
+                ("descent", None, 1e-8))
+        requests.append((level, chains, plan))
+        replies.append((level.commutator(chains), 0))
+    together = sv._Directions(4).serve(list(range(4)), requests, replies)
+    for row, (request, reply, served) in enumerate(zip(requests, replies, together)):
+        alone, = sv._Directions(4).serve([row], [request], [reply])
+        assert (alone[2] is None) == (request[2][0] == "newton")
+        assert alone[:3] + alone[4:] == served[:3] + served[4:]
+        assert alone[3].tobytes() == served[3].tobytes()
+
+
 @pytest.mark.parametrize("scale, seeds", [(1.0, (0,)), (2.0, (0,)), (1.0, (0, 1)),
                                           (2.0, (0, 1)), (2.0, (1, 0))],
                          ids=["true_q", "mis_scaled_q", "true_q_two_seeds",
