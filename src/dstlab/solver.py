@@ -312,14 +312,18 @@ def _lengths(flat):
     """sqrt(Re<x, x>) of every row x of a complex stack (k, n), as Python floats.
 
     Re<x, x> is the dot product of the real parts plus that of the imaginary
-    parts, each one BLAS dot per row, as ``||.||_F`` of a lone matrix was.
+    parts, one BLAS dot each per row: the arithmetic of ``np.linalg.norm`` of
+    one complex matrix, without its dispatch.
     """
     return [math.sqrt(a + b) for a, b in zip(np.vecdot(flat.real, flat.real).tolist(),
                                              np.vecdot(flat.imag, flat.imag).tolist())]
 
 
 def _units(g, norms, signs):
-    """K/||K|| of every slice of G, K = 4i G S made exactly Hermitian, so the Cayley step keeps the Gram matrix."""
+    """K/||K|| of every slice of G, K = 4i G S made exactly Hermitian.
+
+    So the Cayley step keeps the Gram matrix.
+    """
     k = np.array([4j / norm for norm in norms])[:, None, None] * (g * signs)
     return 0.5 * (k + k.conj().swapaxes(-1, -2))
 
@@ -619,6 +623,10 @@ class _Directions:
         """
         count = len(rows)
         ix = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == count - 1 else rows
+
+        def part(js):  # the positions and the rows of the rows js, slices when they are all
+            return (slice(None), ix) if len(js) == count else (js, [rows[j] for j in js])
+
         grad = np.array(norms)[:, None, None] * k
         move = np.array([0.0 if eta is None else self.sign[row] * eta
                          for row, eta in zip(rows, etas)])
@@ -630,7 +638,7 @@ class _Directions:
         if lbfgs:
             new = [j for j, c in enumerate(sy) if c > 0.0]
             if new:
-                pick, at = (slice(None), ix) if len(new) == count else (new, [rows[j] for j in new])
+                pick, at = part(new)
                 for buffer, pairs in ((self.s, s[pick]), (self.y, y[pick])):
                     buffer[at, :-1] = buffer[at, 1:]
                     buffer[at, -1] = pairs.view(float)
@@ -648,7 +656,7 @@ class _Directions:
             self.sides[ix] = side
             held = [j for j, row in enumerate(rows) if self.rho[row]]
             if held:
-                pick, at = (slice(None), ix) if len(held) == count else (held, [rows[j] for j in held])
+                pick, at = part(held)
                 flat = grad[pick].reshape(len(held), -1).view(float)
                 d = _two_loops(self.s[at], self.y[at], [self.rho[rows[j]] for j in held], flat)
                 d = d.view(complex).reshape((len(held),) + k.shape[1:])
@@ -664,14 +672,14 @@ class _Directions:
                     else:
                         self.rho[rows[j]].clear()  # too close to an ascent direction
                 if taken:
-                    pick = slice(None) if len(taken) == len(held) else [held.index(j) for j in taken]
+                    pick = [held.index(j) for j in taken] if len(taken) < len(held) else slice(None)
                     k[taken] = d[pick] / np.array(lengths)[:, None, None]
         # the first step along -K/||K||: INITIAL_STEP before the first move,
         # else BB1 on the Hermitian coordinates, scaled to the unit
         # direction, or the last step grown where Re<s, y> <= 0
         rest = [j for j in range(count) if steps[j] is None]
         if rest:
-            pick = slice(None) if len(rest) == count else rest
+            pick = part(rest)[0]
             for j, ss in zip(rest, np.vecdot(s[pick], s[pick]).real.tolist()):
                 eta, c = etas[j], sy[j]
                 steps[j] = (INITIAL_STEP if eta is None else
