@@ -11,10 +11,11 @@ records a hash of the config, tool and platform versions, the RNG
 algorithm, and every file written.
 
 Exit codes: 0 success, 2 invalid input, 3 any other failure of a run (a
-numerical one, or an ``OSError`` writing its output), 4 divergence detected.  Invalid input is any
-``dstlab.InvalidInput``: the config file, its schema, and the input checks
-of the library and of the handlers here all raise it, so ``main`` maps each
-exception to its exit code in one place.
+numerical one, or an ``OSError`` writing its output), 4 divergence
+detected.  Invalid input is any ``dstlab.InvalidInput``: the config file,
+its schema, and the input checks of the library and of the handlers here
+all raise it, so ``main`` maps each exception to its exit code in one
+place.
 """
 
 import argparse

@@ -393,7 +393,8 @@ def landscape_scan_2d(geom, state_a, state_b, tau_values, weights="sphere"):
     tau2 terms (bracketed, and A2) are formed once per scan over the whole
     grid, so a row costs one product of its tau1 factors with the terms per
     invariant, a few real ufuncs over (grid, n_t, n_r) and one product with
-    rho_t (x) rho_r.
+    rho_t (x) rho_r.  Raises RuntimeError naming the first cell whose action
+    is not finite: finite chain invariants whose weighted sum overflows.
     """
     _validate_occupation(geom, (state_a, state_b))
     rho_t, rho_r = weight_arrays(geom, weights)
