@@ -522,8 +522,8 @@ class _Directions:
     Re<s, y>, the memory update, the threshold signs, the two-loop
     recursion and the dot products of ||d|| and of the slope.  The numbers
     of each row (its norms, BB1 and Newton steps, the restart and ascent
-    tests) are Python floats, as a lone seed's were.  Every row is bit for
-    bit the arithmetic of its seed alone.  A descent row keeps K at its last
+    tests) are Python floats.  Every row is bit for bit the arithmetic of
+    its seed alone.  A descent row keeps K at its last
     direction, that direction's unit Hermitian matrix and the sign of its
     move (s = sign eta unit for the step eta it accepted; 0 before its
     first), and at n = 1 off the level set its L-BFGS memory: s and y of up
