@@ -322,8 +322,9 @@ class ChainPass:
 
     def __getitem__(self, j):
         part = object.__new__(ChainPass)
-        vars(part).update({name: value[j] if isinstance(value, np.ndarray) else value
-                           for name, value in vars(self).items()})
+        state = vars(part)
+        for name, value in vars(self).items():
+            state[name] = value[j] if isinstance(value, np.ndarray) else value
         part.projector = self.projector[j]
         return part
 

@@ -64,10 +64,12 @@ gradients is one stack too (``_Directions``): the multiplier fit, ||K||, the
 unit gradient, B, y and Re<s,y>, the threshold signs and the restart test,
 the L-BFGS memory update and two-loop recursion over every seed's memory,
 kept between rounds in stacked buffers, ||d||, the slope, the BB1 and the
-Newton steps.  Each slice and each row is bit for bit its one-seed
-evaluation.  A seed keeps its control flow: the exits, the Armijo decisions,
-the restorations and the derivative check.  A seed alone in a round is a
-stack of one, its recursion ``_two_loop`` on views of its pairs.
+Newton steps; the dot products of a stack are batched matrix products.
+Each slice and each row is bit for bit its one-seed evaluation.  A seed
+keeps its control flow: the exits, the Armijo decisions, the restorations
+and the derivative check.  A seed alone in a round is a stack of one: it
+works on views of its rows of the buffers, with its own numbers and dot
+products, and its recursion is ``_two_loop`` on views of its pairs.
 
 A derivative check compares the slope along B with a central finite
 difference of F along B (S_nu on the level set) at a seed's first iterate
@@ -271,6 +273,12 @@ def _two_loop(pairs, grad):
     return q
 
 
+def _dot_column(a, b):
+    """a_i . b_i of every row of stacks (k, n) as a (k, 1) column, each row bit for bit
+    ``a_i.dot(b_i)``: one batched (k, 1, n) @ (k, n, 1) product."""
+    return (a[:, None] @ b[..., None])[:, 0]
+
+
 def _two_loops(s, y, rho, grad):
     """:func:`_two_loop` of every row of a stack, each row bit for bit its own recursion.
 
@@ -278,8 +286,7 @@ def _two_loops(s, y, rho, grad):
     ``y`` (k, MEMORY, n), oldest first, and ``rho[i]`` lists their
     1/<s, y>; ``grad`` is (k, n).  The step over the pairs of one age
     leaves the rows with fewer pairs as they are.  A stack of one takes
-    :func:`_two_loop` on views of its pairs, which makes fewer and cheaper
-    numpy calls.
+    :func:`_two_loop` on views of its pairs.
     """
     if len(grad) == 1:
         c = len(rho[0])
@@ -293,14 +300,28 @@ def _two_loops(s, y, rho, grad):
     q = -grad
     alphas = []
     for s_age, y_age, rho_age, live in ages:
-        alpha = rho_age * np.vecdot(s_age, q)[:, None]
+        alpha = rho_age * _dot_column(s_age, q)
         np.subtract(q, alpha * y_age, out=q, where=live)
         alphas.append(alpha)
     newest = y[:, -1]
-    q *= 1.0 / (rho[:, -1] * np.vecdot(newest, newest)[:, None])
+    q *= 1.0 / (rho[:, -1] * _dot_column(newest, newest))
     for (s_age, y_age, rho_age, live), alpha in zip(reversed(ages), reversed(alphas)):
-        np.add(q, (alpha - rho_age * np.vecdot(y_age, q)[:, None]) * s_age, out=q, where=live)
+        np.add(q, (alpha - rho_age * _dot_column(y_age, q)) * s_age, out=q, where=live)
     return q
+
+
+# A stack of one row works on the row's own views and numbers: _rows,
+# _take, _stack and _column make no copy and no array for it, and _dots,
+# _inner and _lengths take the row's own dot products.
+
+def _rows(js):
+    """The index of the rows ``js`` of a stack: the list, or the slice of one row."""
+    return slice(js[0], js[0] + 1) if len(js) == 1 else js
+
+
+def _take(stack, js):
+    """The rows ``js`` of a stack made this round: itself where they are all of it."""
+    return stack if len(js) == len(stack) else stack[_rows(js)]
 
 
 def _stack(arrays):
@@ -308,15 +329,38 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+def _column(values):
+    """Numbers, one per row, as a factor of a stack (k, ...) of matrices; a lone one as is."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+
+
+def _dots(a, b):
+    """[a_i . b_i] over the rows of stacks (k, n), as Python floats (:func:`_dot_column`)."""
+    if len(a) == 1:
+        return [a[0].dot(b[0]).item()]
+    return _dot_column(a, b).ravel().tolist()
+
+
+def _inner(a, b):
+    """[Re<a_i, b_i>] over the rows of complex stacks (k, n), as Python floats, each bit for
+    bit ``np.vdot(a_i, b_i).real``."""
+    if len(a) == 1:
+        return [np.vdot(a[0], b[0]).real.item()]
+    return _dot_column(a.conj(), b).real.ravel().tolist()
+
+
 def _lengths(flat):
     """sqrt(Re<x, x>) of every row x of a complex stack (k, n), as Python floats.
 
     Re<x, x> is the dot product of the real parts plus that of the imaginary
-    parts, one BLAS dot each per row: the arithmetic of ``np.linalg.norm`` of
-    one complex matrix, without its dispatch.
+    parts, one per row: the arithmetic of ``np.linalg.norm`` of one complex
+    matrix, without its dispatch.
     """
-    return [math.sqrt(a + b) for a, b in zip(np.vecdot(flat.real, flat.real).tolist(),
-                                             np.vecdot(flat.imag, flat.imag).tolist())]
+    if len(flat) == 1:
+        x = flat[0]
+        return [math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))]
+    re, im = flat.real, flat.imag
+    return [math.sqrt(a + b) for a, b in zip(_dots(re, re), _dots(im, im))]
 
 
 def _units(g, norms, signs):
@@ -324,7 +368,7 @@ def _units(g, norms, signs):
 
     So the Cayley step keeps the Gram matrix.
     """
-    k = np.array([4j / norm for norm in norms])[:, None, None] * (g * signs)
+    k = _column([4j / norm for norm in norms]) * (g * signs)
     return 0.5 * (k + k.conj().swapaxes(-1, -2))
 
 
@@ -498,7 +542,7 @@ class _LevelSet(_Objective):
     def commutator(chains):
         w = _LevelSet._weights[chains.p.ndim - 2]
         q = chains.q(w[:, 0], w[:, 1])
-        return np.moveaxis(chains.p @ q - q @ chains.p, 0, -3)
+        return (chains.p @ q - q @ chains.p).swapaxes(0, -3)
 
 
 def _multiplier_fit(cs, ct):
@@ -506,9 +550,10 @@ def _multiplier_fit(cs, ct):
 
     Of one pair, or of every pair of a stack (k, md, md) each, one nu per pair.
     """
-    shape = cs.shape[:-2] + (-1,)
-    flat = ct.reshape(shape)
-    nu = np.vecdot(flat, cs.reshape(shape)).real / np.vecdot(flat, flat).real
+    flat = ct.reshape(-1, ct.shape[-2] * ct.shape[-1])
+    conj = flat.conj()
+    nu = _dot_column(conj, cs.reshape(flat.shape)).real / _dot_column(conj, flat).real
+    nu = nu.reshape(cs.shape[:-2])[()]
     return nu, cs - nu[..., None, None] * ct
 
 
@@ -523,17 +568,18 @@ class _Directions:
     recursion and the dot products of ||d|| and of the slope.  The numbers
     of each row (its norms, BB1 and Newton steps, the restart and ascent
     tests) are Python floats.  Every row is bit for bit the arithmetic of
-    its seed alone.  A descent row keeps K at its last
-    direction, that direction's unit Hermitian matrix and the sign of its
-    move (s = sign eta unit for the step eta it accepted; 0 before its
-    first), and at n = 1 off the level set its L-BFGS memory: s and y of up
-    to MEMORY pairs in the last slots of its rows of (rows, MEMORY,
-    2 (md)^2) buffers, their 1/Re<s, y> in a list, oldest first, and the
-    signs of t^2/4 - delta at its last iterate (NaN before its first, so
-    that its first iterate clears the empty memory).  The buffers are made
-    at the first request, for the space of its pass.  Consecutive rows, as
-    in the common rounds and every round of a lone seed, are read and
-    written as slices.
+    its seed alone.  A descent row keeps K at its last iterate, the unit
+    Hermitian matrix of its direction there and the sign of its move (s =
+    sign eta unit for the step eta it accepted; 0 before its first), and at
+    n = 1 off the level set its L-BFGS memory: s and y of up to MEMORY
+    pairs in the last slots of its rows of (rows, MEMORY, 2 (md)^2)
+    buffers, their 1/Re<s, y> in a list, oldest first, and the signs of
+    t^2/4 - delta at its last iterate (NaN before its first, so that its
+    first iterate clears the empty memory).  The buffers are made at the
+    first request, for the space of its pass.  A round indexes its rows by
+    lists and a stack of one row by its views (:func:`_rows`), and it
+    gathers nothing from a stack of its own when it needs all of its rows
+    (:func:`_take`).
     """
 
     def __init__(self, rows):
@@ -583,65 +629,51 @@ class _Directions:
         on = [i for i in range(count) if not norms[i] <= plans[i][2]]
         if not on:
             return out
-        if len(on) < count:
-            g = g[on]
-        unit = _units(g, [norms[i] for i in on], space.signs)
+        unit = _units(_take(g, on), [norms[i] for i in on], space.signs)
         # B = sides S unit: -1 along -K/||K||, +1 along an L-BFGS direction,
         # sign(kappa - T) for a Newton step
-        sides, descent = [], []
+        sides, descent = [-1.0] * len(on), []
         for j, i in enumerate(on):
             if newton[i]:
                 gap = plans[i][1]
-                sides.append(math.copysign(1.0, -gap))
+                sides[j] = math.copysign(1.0, -gap)
                 out[i][4:] = abs(gap) / norms[i], -norms[i]
             else:
-                sides.append(-1.0)
                 descent.append(j)
         if descent:
-            pick = slice(None) if len(descent) == len(on) else descent
             at = [on[j] for j in descent]
-            k = unit[pick]
-            steps, taken = self._descent(
-                [rows[i] for i in at], [requests[i][1] for i in at], [plans[i][1] for i in at],
-                k, [norms[i] for i in at], space.n == 1 and not level)
-            if taken and not isinstance(pick, slice):
-                unit[pick] = k  # a copy took the L-BFGS directions
-            for i, step in zip(at, steps):
-                out[i][4:] = step
-            for j in taken:
-                sides[descent[j]] = 1.0
-        b = (np.array(sides)[:, None, None] * space.signs[:, None]) * unit
-        for i, b_i in zip(on, b):
+            steps = self._descent([rows[i] for i in at], [requests[i][1] for i in at],
+                                  [plans[i][1] for i in at], unit, descent,
+                                  [norms[i] for i in at], space.n == 1 and not level)
+            for i, j, (step, slope, side) in zip(at, descent, steps):
+                out[i][4:] = step, slope
+                sides[j] = side
+        for i, b_i in zip(on, (_column(sides) * space.signs[:, None]) * unit):
             out[i][3] = b_i
         return out
 
-    def _descent(self, rows, passes, etas, k, norms, lbfgs):
-        """The (first step, slope) of each descent row, and the rows that take L-BFGS directions.
+    def _descent(self, rows, passes, etas, unit, js, norms, lbfgs):
+        """(first step, slope, side of B) of each descent row, at the rows ``js`` of ``unit``.
 
-        ``k`` holds the rows' unit gradients; a row taken has its unit
-        L-BFGS direction written over it.
+        ``unit`` holds the rows' unit gradients; a row that takes an L-BFGS
+        direction has its unit direction written over its own, and side 1.
         """
-        count = len(rows)
-        ix = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == count - 1 else rows
-
-        def part(js):  # the positions and the rows of the rows js, slices when they are all
-            return (slice(None), ix) if len(js) == count else (js, [rows[j] for j in js])
-
-        grad = np.array(norms)[:, None, None] * k
-        move = np.array([0.0 if eta is None else self.sign[row] * eta
-                         for row, eta in zip(rows, etas)])
-        s = (move[:, None, None] * self.unit[ix]).reshape(count, -1)
+        count, ix = len(rows), _rows(rows)
+        grad = _column(norms) * _take(unit, js)
+        s = (_column([0.0 if eta is None else self.sign[row] * eta
+                      for row, eta in zip(rows, etas)]) * self.unit[ix]).reshape(count, -1)
         y = (grad - self.grad[ix]).reshape(count, -1)
-        sy = np.vecdot(s, y).real.tolist()
+        self.grad[ix] = grad
+        sy = _inner(s, y)
         steps = [None] * count
-        taken = []  # the rows that take an L-BFGS direction
         if lbfgs:
             new = [j for j, c in enumerate(sy) if c > 0.0]
             if new:
-                pick, at = part(new)
-                for buffer, pairs in ((self.s, s[pick]), (self.y, y[pick])):
-                    buffer[at, :-1] = buffer[at, 1:]
-                    buffer[at, -1] = pairs.view(float)
+                at = _rows([rows[j] for j in new])
+                self.s[at, :-1] = self.s[at, 1:]
+                self.s[at, -1] = _take(s, new).view(float)
+                self.y[at, :-1] = self.y[at, 1:]
+                self.y[at, -1] = _take(y, new).view(float)
                 for j in new:
                     rho = self.rho[rows[j]]
                     rho.append(1.0 / sy[j])
@@ -656,39 +688,38 @@ class _Directions:
             self.sides[ix] = side
             held = [j for j, row in enumerate(rows) if self.rho[row]]
             if held:
-                pick, at = part(held)
-                flat = grad[pick].reshape(len(held), -1).view(float)
+                at = _rows([rows[j] for j in held])
+                flat = _take(grad, held).reshape(len(held), -1).view(float)
                 d = _two_loops(self.s[at], self.y[at], [self.rho[rows[j]] for j in held], flat)
-                d = d.view(complex).reshape((len(held),) + k.shape[1:])
+                d = d.view(complex).reshape((len(held),) + grad.shape[1:])
                 d = 0.5 * (d + d.conj().swapaxes(-1, -2))
                 flat_d = d.reshape(len(held), -1)
-                lengths = []
-                for j, length, along in zip(held, _lengths(flat_d),
-                                            np.vecdot(flat, flat_d.view(float)).tolist()):
+                taken, lengths = [], []  # the positions in held that take their direction
+                for p, (j, length, along) in enumerate(zip(
+                        held, _lengths(flat_d), _dots(flat, flat_d.view(float)))):
                     if along / length < -1e-3 * norms[j]:
-                        taken.append(j)
+                        taken.append(p)
                         lengths.append(length)
-                        steps[j] = min(length, MAX_STEP), along / length
+                        steps[j] = min(length, MAX_STEP), along / length, 1.0
                     else:
                         self.rho[rows[j]].clear()  # too close to an ascent direction
                 if taken:
-                    pick = [held.index(j) for j in taken] if len(taken) < len(held) else slice(None)
-                    k[taken] = d[pick] / np.array(lengths)[:, None, None]
+                    unit[_rows([js[held[p]] for p in taken])] = _take(d, taken) / _column(lengths)
         # the first step along -K/||K||: INITIAL_STEP before the first move,
         # else BB1 on the Hermitian coordinates, scaled to the unit
         # direction, or the last step grown where Re<s, y> <= 0
         rest = [j for j in range(count) if steps[j] is None]
         if rest:
-            pick = part(rest)[0]
-            for j, ss in zip(rest, np.vecdot(s[pick], s[pick]).real.tolist()):
+            moves = _take(s, rest)
+            for j, ss in zip(rest, _inner(moves, moves)):
                 eta, c = etas[j], sy[j]
                 steps[j] = (INITIAL_STEP if eta is None else
                             min(ss / c * norms[j] if c > 0.0 else eta * STEP_GROW, MAX_STEP),
-                            -norms[j])
-        for j, row in enumerate(rows):
-            self.sign[row] = 1.0 if j in taken else -1.0
-        self.grad[ix], self.unit[ix] = grad, k
-        return steps, taken
+                            -norms[j], -1.0)
+        for row, step in zip(rows, steps):
+            self.sign[row] = step[2]
+        self.unit[ix] = _take(unit, js)
+        return steps
 
 
 def _evaluate(requests):

@@ -1065,7 +1065,6 @@ def test_a_param_the_mode_ignores_is_validation_error(tmp_path, capsys, subcomma
     assert not out.exists()
 
 
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weighted sums overflow
 def test_lattice_weights_whose_surface_overflows_are_numerical_error(tmp_path, capsys):
     # each point weight rho_t[t] rho_r[r] = 1e308 is finite, the surface is
@@ -1077,6 +1076,7 @@ def test_lattice_weights_whose_surface_overflows_are_numerical_error(tmp_path, c
                  "--out", str(out)]) == 3
     assert "not finite at the scan cell" in capsys.readouterr().err
     assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # reproduce + output-root resolution

@@ -97,7 +97,6 @@ def test_non_finite_weights_are_refused(rho_t, rho_r):
         lattice_action(GEOM, [STATE_A, STATE_B], weights=(rho_t, rho_r))
 
 
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weighted sums overflow
 def test_a_scan_whose_surface_overflows_is_refused():
     # every point weight rho_t rho_r = 1e308 is finite and so are the chain
@@ -106,6 +105,7 @@ def test_a_scan_whose_surface_overflows_is_refused():
     weights = (np.full(8, 1e154), np.full(6, 1e154))
     with pytest.raises(RuntimeError, match=r"scan cell \(tau1, tau2\) = \(-1.0, -1.0\)"):
         landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-1.0, 1.0, 5), weights=weights)
+
 
 def test_geometry_rejects_bad_sizes():
     with pytest.raises(ValueError):
