@@ -320,11 +320,16 @@ class ChainPass:
             self.sq, self.ab = np.sum(mod * mod, axis=-1), np.sum(mod, axis=-1) ** 2
         self.constraint = self.ab.sum(axis=(-2, -1))
 
+    # the arrays that carry a stacked pass's leading axis, at n >= 2 and at n = 1
+    _sliced = (("p", "kernels", "chains", "roots", "sq", "ab", "constraint"),
+               ("p", "t", "det", "delta", "sq", "ab", "constraint"))
+
     def __getitem__(self, j):
         part = object.__new__(ChainPass)
         state = vars(part)
-        for name, value in vars(self).items():
-            state[name] = value[j] if isinstance(value, np.ndarray) else value
+        state["space"], state["tol"], state["fd_pairs"] = self.space, self.tol, self.fd_pairs
+        for name in self._sliced[self.space.n == 1]:
+            state[name] = getattr(self, name)[j]
         part.projector = self.projector[j]
         return part
 

@@ -43,7 +43,7 @@ is L = 4 min(alpha^2, max(D, 0)), a polynomial in the real and imaginary
 parts of (c, a, b).  Points where alpha or D is not finite (a boost too large
 for floating point), which are the points where alpha +- sqrt(D) is not
 finite, are refused with a RuntimeError.  The action weights each point by
-configurable time/radius measures.
+configurable time/radius measures; a sum that overflows is refused too.
 
 ``lattice_action`` uses only this closed form, ``critical_lagrangian``.
 ``landscape_scan_2d`` evaluates the same invariants in their separable form
@@ -319,9 +319,12 @@ class LatticeAction:
 
 
 def lattice_action(geom, states, weights="sphere"):
+    """The Lagrangian of ``states`` and its weighted sum, refused (RuntimeError) if not finite."""
     rho_t, rho_r = weight_arrays(geom, weights)
     lag = critical_lagrangian(*kernel_coefficients(geom, states))
     total = float(np.einsum("t,r,tr->", rho_t, rho_r, lag))
+    if not math.isfinite(total):
+        raise RuntimeError(f"the weighted lattice action is not finite: {total}")
     return LatticeAction(lag, rho_t, rho_r, total)
 
 

@@ -59,13 +59,15 @@ The seeds of a solve descend in lockstep: each seed is a generator that asks
 for its gradients, trial batches and Newton steps, and one loop
 (``_lockstep``) evaluates the batches of all live seeds as one stacked orbit
 step and chain pass (``TrialStack``) valued with per-trial mu, and their
-gradients as one stacked Q and commutator.  The step arithmetic of a round's
-gradients is one stack too (``_Directions``): the multiplier fit, ||K||, the
-unit gradient, B, y and Re<s,y>, the threshold signs and the restart test,
-the L-BFGS memory update and two-loop recursion over every seed's memory,
-kept between rounds in stacked buffers, ||d||, the slope, the BB1 and the
-Newton steps; the dot products of a stack are batched matrix products.
-Each slice and each row is bit for bit its one-seed evaluation.  A seed
+gradients as one stacked Q and commutator.  That round is handed once, as
+its stacked commutators, FD pair counts and pass, to the step arithmetic
+(``_Directions``), which serves it in one pass over one set of row lists:
+the multiplier fit, ||K||, the unit gradient, B, y and Re<s,y>, the
+threshold signs of the pass and the restart test, the L-BFGS memory update
+and two-loop recursion over every seed's memory, kept between rounds in
+stacked buffers, ||d||, the slope, the BB1 and the Newton steps; the dot
+products of a stack are batched matrix products.  Each slice and each row
+is bit for bit its one-seed evaluation.  A seed
 keeps its control flow: the exits, the Armijo decisions, the restorations
 and the derivative check.  A seed alone in a round is a stack of one: it
 works on views of its rows of the buffers, with its own numbers and dot
@@ -284,35 +286,30 @@ def _two_loops(s, y, rho, grad):
 
     Row i holds its len(rho[i]) >= 1 pairs in the last slots of ``s`` and
     ``y`` (k, MEMORY, n), oldest first, and ``rho[i]`` lists their
-    1/<s, y>; ``grad`` is (k, n).  The step over the pairs of one age
-    leaves the rows with fewer pairs as they are.  A stack of one takes
-    :func:`_two_loop` on views of its pairs.
+    1/<s, y>; ``grad`` is (k, n).  A slot that a row does not hold weighs
+    1/<s, y> = 0, so the step over that age changes the row's q by zeros.
+    A stack of one takes :func:`_two_loop` on views of its pairs.
     """
     if len(grad) == 1:
         c = len(rho[0])
         return _two_loop(list(zip(s[0, -c:], y[0, -c:], rho[0])), grad[0])[None]
-    counts = [len(r) for r in rho]
-    fewest, held = min(counts), np.array(counts)[:, None]
-    rho = np.array([[0.0] * (MEMORY - c) + r for c, r in zip(counts, rho)])[:, :, None]
-    # the pairs of each age, newest first, and where a row holds one
-    ages = [(s[:, -age], y[:, -age], rho[:, -age], age <= fewest or held >= age)
-            for age in range(1, max(counts) + 1)]
+    ages = range(1, max(map(len, rho)) + 1)  # newest first
+    rho = np.array([[0.0] * (MEMORY - len(r)) + r for r in rho])[:, :, None]
     q = -grad
     alphas = []
-    for s_age, y_age, rho_age, live in ages:
-        alpha = rho_age * _dot_column(s_age, q)
-        np.subtract(q, alpha * y_age, out=q, where=live)
+    for age in ages:
+        alpha = rho[:, -age] * _dot_column(s[:, -age], q)
+        q -= alpha * y[:, -age]
         alphas.append(alpha)
-    newest = y[:, -1]
-    q *= 1.0 / (rho[:, -1] * _dot_column(newest, newest))
-    for (s_age, y_age, rho_age, live), alpha in zip(reversed(ages), reversed(alphas)):
-        np.add(q, (alpha - rho_age * _dot_column(y_age, q)) * s_age, out=q, where=live)
+    q *= 1.0 / (rho[:, -1] * _dot_column(y[:, -1], y[:, -1]))
+    for age, alpha in zip(reversed(ages), reversed(alphas)):
+        q += (alpha - rho[:, -age] * _dot_column(y[:, -age], q)) * s[:, -age]
     return q
 
 
 # A stack of one row works on the row's own views and numbers: _rows,
-# _take, _stack and _column make no copy and no array for it, and _dots,
-# _inner and _lengths take the row's own dot products.
+# _take and _column make no copy and no array for it, and _dots, _inner
+# and _lengths take the row's own dot products.
 
 def _rows(js):
     """The index of the rows ``js`` of a stack: the list, or the slice of one row."""
@@ -322,11 +319,6 @@ def _rows(js):
 def _take(stack, js):
     """The rows ``js`` of a stack made this round: itself where they are all of it."""
     return stack if len(js) == len(stack) else stack[_rows(js)]
-
-
-def _stack(arrays):
-    """Equal-shape ``arrays`` on a new first axis; a view of a lone one."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _column(values):
@@ -370,6 +362,11 @@ def _units(g, norms, signs):
     """
     k = _column([4j / norm for norm in norms]) * (g * signs)
     return 0.5 * (k + k.conj().swapaxes(-1, -2))
+
+
+def _signed(sides, signs, unit):
+    """B = side S unit of every slice of a stack of unit Hermitian matrices."""
+    return (_column(sides) * signs[:, None]) * unit
 
 
 def _restore(chains, level, cfg, counts, steps):
@@ -563,23 +560,23 @@ class _Directions:
     :meth:`serve` answers a round's gradient requests that carry a plan
     (:func:`_lockstep`).  The matrix arithmetic is one numpy call per stack
     of the rows that need it: the multiplier fit on the level set, the dot
-    products of ||K||, the unit gradient K/||K||, B and, of a descent, s, y,
-    Re<s, y>, the memory update, the threshold signs, the two-loop
-    recursion and the dot products of ||d|| and of the slope.  The numbers
-    of each row (its norms, BB1 and Newton steps, the restart and ascent
-    tests) are Python floats.  Every row is bit for bit the arithmetic of
-    its seed alone.  A descent row keeps K at its last iterate, the unit
-    Hermitian matrix of its direction there and the sign of its move (s =
-    sign eta unit for the step eta it accepted; 0 before its first), and at
-    n = 1 off the level set its L-BFGS memory: s and y of up to MEMORY
-    pairs in the last slots of its rows of (rows, MEMORY, 2 (md)^2)
-    buffers, their 1/Re<s, y> in a list, oldest first, and the signs of
-    t^2/4 - delta at its last iterate (NaN before its first, so that its
-    first iterate clears the empty memory).  The buffers are made at the
-    first request, for the space of its pass.  A round indexes its rows by
-    lists and a stack of one row by its views (:func:`_rows`), and it
-    gathers nothing from a stack of its own when it needs all of its rows
-    (:func:`_take`).
+    products of ||K||, and per kind of step the unit gradient K/||K|| and B
+    and, of the descent rows, s, y, Re<s, y>, the memory update, the
+    threshold signs, the two-loop recursion and the dot products of ||d||
+    and of the slope.  The numbers of each row (its norms, BB1 and Newton
+    steps, the restart and ascent tests) are Python floats.  Every row is
+    bit for bit the arithmetic of its seed alone.  A descent row keeps K at
+    its last iterate, the unit Hermitian matrix of its direction there and
+    the sign of its move (s = sign eta unit for the step eta it accepted; 0
+    before its first), and at n = 1 off the level set its L-BFGS memory: s
+    and y of up to MEMORY pairs in the last slots of its rows of (rows,
+    MEMORY, 2 (md)^2) buffers, their 1/Re<s, y> in a list, oldest first,
+    and the signs of t^2/4 - delta at its last iterate (NaN before its
+    first, so that its first iterate clears the empty memory).  The buffers
+    are made at the first request, for the space of its pass.  A round
+    indexes its rows by lists and a stack of one row by its views
+    (:func:`_rows`), and it gathers nothing from a stack of its own when it
+    needs all of its rows (:func:`_take`).
     """
 
     def __init__(self, rows):
@@ -595,25 +592,28 @@ class _Directions:
         self.y = np.zeros_like(self.s)
         self.sides = np.full((rows, space.m, space.m), np.nan)
 
-    def serve(self, rows, requests, replies):
+    def serve(self, rows, requests, gradients):
         """The replies (fd, ||K||, nu, B, first step, slope) to requests (objective, pass, plan).
 
-        ``rows`` are the requests' rows, increasing, and ``replies`` their
-        (commutator, FD pair count) from :func:`_evaluate`.  A plan is
-        ("descent", the step accepted since the row's last descent step or
-        None, floor) or ("newton", T - kappa, floor).  A Newton step goes
-        along B = sign(kappa - T) S K_T/||K_T|| with the first step
+        ``rows`` are the requests' rows, increasing, and ``gradients`` the
+        round's (commutators, FD pair counts, pass) from :func:`_evaluate`:
+        stacked, or a lone request's own, which is viewed as a stack of one.
+        A plan is ("descent", the step accepted since the row's last descent
+        step or None, floor) or ("newton", T - kappa, floor).  A Newton step
+        goes along B = sign(kappa - T) S K_T/||K_T|| with the first step
         |T - kappa|/||K_T|| and the slope -||K_T||.  B, the first step and
         the slope are None where ||K|| is not above the floor; nu is None but
         on a descent on the level set.
         """
-        head = requests[0]
-        space, level, count = head[1].space, isinstance(head[0], _LevelSet), len(requests)
+        g, fds, chains = gradients
+        count, space = len(requests), chains.space
+        if count == 1:
+            g, fds = g[None], [fds]
         if self.grad is None:
             self._allocate(space)
         plans = [request[2] for request in requests]
+        level = isinstance(requests[0][0], _LevelSet)
         newton = [plan[0] == "newton" for plan in plans] if level else [False] * count
-        g = _stack([reply[0] for reply in replies])
         nus = [None] * count
         if level:
             ct = g[:, 1]
@@ -625,119 +625,108 @@ class _Directions:
                 if any(newton):
                     g = np.where(np.array(newton)[:, None, None], ct, g)
         norms = [4.0 * length for length in _lengths(g.reshape(count, -1))]
-        out = [[fd, norm, nu, None, None, None] for (_, fd), norm, nu in zip(replies, norms, nus)]
+        out = [[fd, norm, nu, None, None, None] for fd, norm, nu in zip(fds, norms, nus)]
         on = [i for i in range(count) if not norms[i] <= plans[i][2]]
-        if not on:
+        steps = [i for i in on if newton[i]]
+        if steps:
+            unit = _units(_take(g, steps), [norms[i] for i in steps], space.signs)
+            sides = [math.copysign(1.0, -plans[i][1]) for i in steps]
+            for i, b_i in zip(steps, _signed(sides, space.signs, unit)):
+                out[i][3:] = b_i, abs(plans[i][1]) / norms[i], -norms[i]
+        at = [i for i in on if not newton[i]] if steps else on
+        if not at:
             return out
-        unit = _units(_take(g, on), [norms[i] for i in on], space.signs)
-        # B = sides S unit: -1 along -K/||K||, +1 along an L-BFGS direction,
-        # sign(kappa - T) for a Newton step
-        sides, descent = [-1.0] * len(on), []
-        for j, i in enumerate(on):
-            if newton[i]:
-                gap = plans[i][1]
-                sides[j] = math.copysign(1.0, -gap)
-                out[i][4:] = abs(gap) / norms[i], -norms[i]
-            else:
-                descent.append(j)
-        if descent:
-            at = [on[j] for j in descent]
-            steps = self._descent([rows[i] for i in at], [requests[i][1] for i in at],
-                                  [plans[i][1] for i in at], unit, descent,
-                                  [norms[i] for i in at], space.n == 1 and not level)
-            for i, j, (step, slope, side) in zip(at, descent, steps):
-                out[i][4:] = step, slope
-                sides[j] = side
-        for i, b_i in zip(on, (_column(sides) * space.signs[:, None]) * unit):
-            out[i][3] = b_i
-        return out
-
-    def _descent(self, rows, passes, etas, unit, js, norms, lbfgs):
-        """(first step, slope, side of B) of each descent row, at the rows ``js`` of ``unit``.
-
-        ``unit`` holds the rows' unit gradients; a row that takes an L-BFGS
-        direction has its unit direction written over its own, and side 1.
-        """
-        count, ix = len(rows), _rows(rows)
-        grad = _column(norms) * _take(unit, js)
-        s = (_column([0.0 if eta is None else self.sign[row] * eta
-                      for row, eta in zip(rows, etas)]) * self.unit[ix]).reshape(count, -1)
-        y = (grad - self.grad[ix]).reshape(count, -1)
+        # the descent rows: ids their rows of the buffers, j their place in the stack
+        k, ids = len(at), [rows[i] for i in at]
+        ix = _rows(ids)
+        unit = _units(_take(g, at), [norms[i] for i in at], space.signs)
+        grad = _column([norms[i] for i in at]) * unit
+        s = (_column([0.0 if plans[i][1] is None else self.sign[row] * plans[i][1]
+                      for i, row in zip(at, ids)]) * self.unit[ix]).reshape(k, -1)
+        y = (grad - self.grad[ix]).reshape(k, -1)
         self.grad[ix] = grad
         sy = _inner(s, y)
-        steps = [None] * count
-        if lbfgs:
-            new = [j for j, c in enumerate(sy) if c > 0.0]
+        # B = side S unit: -1 along -K/||K||, +1 along an L-BFGS direction
+        sides = [-1.0] * k
+        if space.n == 1 and not level:
+            new = [j for j in range(k) if sy[j] > 0.0]
             if new:
-                at = _rows([rows[j] for j in new])
-                self.s[at, :-1] = self.s[at, 1:]
-                self.s[at, -1] = _take(s, new).view(float)
-                self.y[at, :-1] = self.y[at, 1:]
-                self.y[at, -1] = _take(y, new).view(float)
+                nx = _rows([ids[j] for j in new])
+                self.s[nx, :-1] = self.s[nx, 1:]
+                self.s[nx, -1] = _take(s, new).view(float)
+                self.y[nx, :-1] = self.y[nx, 1:]
+                self.y[nx, -1] = _take(y, new).view(float)
                 for j in new:
-                    rho = self.rho[rows[j]]
+                    rho = self.rho[ids[j]]
                     rho.append(1.0 / sy[j])
                     del rho[:-MEMORY]
             # S is kinked where a chain crosses the causal threshold
             # t^2/4 = delta, and pairs that span the kink mislead
-            t = _stack([chains.t for chains in passes])
-            side = np.sign(0.25 * t * t - _stack([chains.delta for chains in passes]))
-            for row, crossed in zip(rows, (side != self.sides[ix]).any(axis=(-2, -1)).tolist()):
+            side = np.sign(0.25 * chains.t * chains.t - chains.delta)
+            if k < count:
+                side = side[_rows(at)]
+            for row, crossed in zip(ids, (side != self.sides[ix]).any(axis=(-2, -1)).tolist()):
                 if crossed:
                     self.rho[row].clear()
             self.sides[ix] = side
-            held = [j for j, row in enumerate(rows) if self.rho[row]]
+            held = [j for j in range(k) if self.rho[ids[j]]]
             if held:
-                at = _rows([rows[j] for j in held])
+                hx = _rows([ids[j] for j in held])
                 flat = _take(grad, held).reshape(len(held), -1).view(float)
-                d = _two_loops(self.s[at], self.y[at], [self.rho[rows[j]] for j in held], flat)
+                d = _two_loops(self.s[hx], self.y[hx], [self.rho[ids[j]] for j in held], flat)
                 d = d.view(complex).reshape((len(held),) + grad.shape[1:])
                 d = 0.5 * (d + d.conj().swapaxes(-1, -2))
                 flat_d = d.reshape(len(held), -1)
-                taken, lengths = [], []  # the positions in held that take their direction
+                taken, lengths = [], []  # the places in held that take their direction
                 for p, (j, length, along) in enumerate(zip(
                         held, _lengths(flat_d), _dots(flat, flat_d.view(float)))):
-                    if along / length < -1e-3 * norms[j]:
+                    i = at[j]
+                    if along / length < -1e-3 * norms[i]:
                         taken.append(p)
                         lengths.append(length)
-                        steps[j] = min(length, MAX_STEP), along / length, 1.0
+                        sides[j] = 1.0
+                        out[i][4:] = min(length, MAX_STEP), along / length
                     else:
-                        self.rho[rows[j]].clear()  # too close to an ascent direction
+                        self.rho[ids[j]].clear()  # too close to an ascent direction
                 if taken:
-                    unit[_rows([js[held[p]] for p in taken])] = _take(d, taken) / _column(lengths)
+                    unit[_rows([held[p] for p in taken])] = _take(d, taken) / _column(lengths)
         # the first step along -K/||K||: INITIAL_STEP before the first move,
         # else BB1 on the Hermitian coordinates, scaled to the unit
         # direction, or the last step grown where Re<s, y> <= 0
-        rest = [j for j in range(count) if steps[j] is None]
+        rest = [j for j in range(k) if sides[j] < 0.0]
         if rest:
             moves = _take(s, rest)
             for j, ss in zip(rest, _inner(moves, moves)):
-                eta, c = etas[j], sy[j]
-                steps[j] = (INITIAL_STEP if eta is None else
-                            min(ss / c * norms[j] if c > 0.0 else eta * STEP_GROW, MAX_STEP),
-                            -norms[j], -1.0)
-        for row, step in zip(rows, steps):
-            self.sign[row] = step[2]
-        self.unit[ix] = _take(unit, js)
-        return steps
+                i, c = at[j], sy[j]
+                eta = plans[i][1]
+                out[i][4:] = (INITIAL_STEP if eta is None else
+                              min(ss / c * norms[i] if c > 0.0 else eta * STEP_GROW, MAX_STEP),
+                              -norms[i])
+        for row, side in zip(ids, sides):
+            self.sign[row] = side
+        self.unit[ix] = unit
+        for i, b_i in zip(at, _signed(sides, space.signs, unit)):
+            out[i][3] = b_i
+        return out
 
 
 def _evaluate(requests):
-    """The replies to requests of one kind (:func:`_lockstep`), in order.
+    """The replies to requests of one kind (:func:`_lockstep`).
 
-    One request is evaluated alone, with nothing stacked.  Several share one
-    objective (an ``_Objective`` of every slice's mu, or the level set) and
-    one evaluation: their gradients one stacked pass, Q and commutator, their
-    trials one ``TrialStack``, stacked pass and value call.  The lone path is
-    common, not a corner: a seed that outlives the others descends alone
-    (seed 7 of the m = 4 tetrahedron run for 46 of its 88 iterations), its
-    commutator of one pass and its step arithmetic a :class:`_Directions`
-    stack of one.
+    Trial requests get one reply each, in order; gradient requests get one
+    reply for the round, (commutators, FD pair counts, pass).  One request
+    is evaluated alone, with nothing stacked: its reply holds its own
+    commutator, FD pair count and pass.  Several share one objective (an
+    ``_Objective`` of every slice's mu, or the level set) and one
+    evaluation: their gradients one stacked pass, Q and commutator, their
+    trials one ``TrialStack``, stacked pass and value call.  The lone path
+    is common: a seed that outlives the others descends alone.
     """
     if len(requests) == 1:
         objective, *request = requests[0]
         if len(request) == 1:
-            return [(objective.commutator(request[0]), request[0].fd_pairs)]
+            chains = request[0]
+            return objective.commutator(chains), chains.fd_pairs, chains
         batch = ChainPass(TrialStack([request]))
         return [(objective.value(batch), batch.constraint, batch.__getitem__)]
     sizes = [len(request[3]) if len(request) == 4 else 1 for request in requests]
@@ -747,7 +736,7 @@ def _evaluate(requests):
             [request[0].mu for request, size in zip(requests, sizes) for _ in range(size)]))
     if len(requests[0]) == 2:
         chains = ChainPass.stacked([request[1] for request in requests])
-        return list(zip(objective.commutator(chains), chains.fd_pairs))
+        return objective.commutator(chains), chains.fd_pairs, chains
     batch = ChainPass(TrialStack([request[1:] for request in requests]))
     values = objective.value(batch)
     starts = np.cumsum([0, *sizes]).tolist()
@@ -764,8 +753,9 @@ def _lockstep(solves):
     answered by its FD pair count, ||K||, nu, B, the first step and the
     slope; (objective, projector, B, steps) asks for the trials' values,
     their T and a function giving trial j's pass.  Each round evaluates the
-    gradient requests of all live seeds, their commutators one
-    :func:`_evaluate` call and their step arithmetic one ``serve`` call, or,
+    gradient requests of all live seeds, one :func:`_evaluate` call whose
+    reply (commutators, FD pair counts, pass) goes as it is to one ``serve``
+    call, or,
     when none is left, their trial requests, and replies in seed order, so
     the seeds' trials meet in one stack.  A group of one request is
     evaluated alone and served as a stack of one; as gradients go first,

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from dstlab import cli
+from dstlab.causal import causal_graph
 from dstlab.cli import main
+from dstlab.core import DiscreteSpacetime, random_projector
 from dstlab.correlation import (
     correlation_chain_roots,
     planar_square_family,
@@ -416,6 +418,31 @@ def test_classify_sample_without_seeds_is_validation_error(tmp_path, capsys):
     assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 2
     assert "needs seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_classify_sample_writes_one_graph_per_seed(tmp_path):
+    # one random projector per seed, in seed order, each graph with the
+    # off-diagonal class of its causal graph; a rerun writes the same bytes
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "classify-causal",
+            "params": {"sample": {"n": 1, "m": 3, "f": 2}},
+            "seeds": [0, 1],
+        },
+    )
+    written = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["classify-causal", "--config", cfg, "--out", str(out)]) == 0
+        written.append((out / "classifications.json").read_bytes())
+    assert written[0] == written[1]
+    graphs = json.loads(written[0])["graphs"]
+    assert [graph["seed"] for graph in graphs] == [0, 1]
+    for graph in graphs:
+        off = causal_graph(
+            random_projector(DiscreteSpacetime(1, 3), 2, graph["seed"])).off_diagonal_class()
+        assert graph["off_diagonal"] == (off.value if off is not None else "mixed")
 
 def test_negative_seed_list_override_fails_validation(tmp_path, capsys):
     cfg = write_config(

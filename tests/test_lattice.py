@@ -15,6 +15,7 @@ from dstlab.lattice import (
     critical_lagrangian,
     critical_lagrangian_field,
     enforce_trace,
+    kernel_coefficients,
     landscape_scan_2d,
     lattice_action,
     lattice_kernel,
@@ -105,6 +106,16 @@ def test_a_scan_whose_surface_overflows_is_refused():
     weights = (np.full(8, 1e154), np.full(6, 1e154))
     with pytest.raises(RuntimeError, match=r"scan cell \(tau1, tau2\) = \(-1.0, -1.0\)"):
         landscape_scan_2d(GEOM, STATE_A, STATE_B, np.linspace(-1.0, 1.0, 5), weights=weights)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weighted sum overflows
+def test_a_lattice_action_whose_total_overflows_is_refused():
+    # the same weights: the Lagrangian is finite, and the total was returned
+    # as inf
+    weights = (np.full(8, 1e154), np.full(6, 1e154))
+    assert np.isfinite(critical_lagrangian(*kernel_coefficients(GEOM, [STATE_A, STATE_B]))).all()
+    with pytest.raises(RuntimeError, match="weighted lattice action is not finite"):
+        lattice_action(GEOM, [STATE_A, STATE_B], weights=weights)
 
 
 def test_geometry_rejects_bad_sizes():

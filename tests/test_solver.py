@@ -244,9 +244,9 @@ def test_a_lone_request_is_its_slice_of_a_stacked_evaluation(n, m, f):
     for mine, order in ((0, (0, 1)), (0, (1, 0)), (1, (0, 1)), (1, (1, 0))):
         at = order.index(mine)
         for requests in (gradients, pairs):
-            (comm, fd), = _evaluate([requests[mine]])
-            stacked_comm, stacked_fd = _evaluate([requests[i] for i in order])[at]
-            assert np.array_equal(comm, stacked_comm) and fd == stacked_fd
+            comm, fd, _ = _evaluate([requests[mine]])
+            stacked_comm, stacked_fd, _ = _evaluate([requests[i] for i in order])
+            assert np.array_equal(comm, stacked_comm[at]) and fd == stacked_fd[at]
         (values, constraints, trial), = _evaluate([trials[mine]])
         stacked_values, stacked_constraints, stacked_trial = _evaluate(
             [trials[i] for i in order])[at]
@@ -649,7 +649,7 @@ def test_stacked_directions_are_each_seeds_own_arithmetic(rows):
     directions = sv._Directions(max(rows) + 1)
     directions._allocate(space)
     directions.s[:], directions.y[:] = (rng.normal(size=directions.s.shape) for _ in range(2))
-    requests, replies, expected, memories = [], [], [], []
+    requests, comms, passes, expected, memories = [], [], [], [], []
     for seed, (row, held) in enumerate(zip(rows, (0, 0, 1, 3, 6, 6, 1))):
         chains = ChainPass(random_projector(space, 2, seed=seed))
         comm = _Objective(0.5).commutator(chains)
@@ -679,10 +679,12 @@ def test_stacked_directions_are_each_seeds_own_arithmetic(rows):
             directions.y[row, -held:] = [pair[1] for pair in memory]
             directions.rho[row] = [pair[2] for pair in memory]
         requests.append((_Objective(0.5), chains, ("descent", eta, 1e-8)))
-        replies.append((comm, 0))
+        comms.append(comm)
+        passes.append(chains)
         expected.append(_one_seed_step(chains, comm, moved, memory, sides, eta))
         memories.append(len(memory))
-    served = directions.serve(list(rows), requests, replies)
+    served = directions.serve(list(rows), requests,
+                              (np.array(comms), [0] * len(rows), ChainPass.stacked(passes)))
     for (fd, norm, nu, b, step, slope), (norm_1, b_1, step_1, slope_1) in zip(served, expected):
         assert (fd, norm, nu, step, slope) == (0, norm_1, None, step_1, slope_1)
         assert b.tobytes() == b_1.tobytes()
@@ -707,10 +709,12 @@ def test_a_mixed_level_set_round_is_each_seeds_round_alone():
         plan = (("newton", chains.constraint - KAPPA, 1e-8) if seed % 2 else
                 ("descent", None, 1e-8))
         requests.append((level, chains, plan))
-        replies.append((level.commutator(chains), 0))
-    together = sv._Directions(4).serve(list(range(4)), requests, replies)
+        replies.append((level.commutator(chains), 0, chains))
+    together = sv._Directions(4).serve(list(range(4)), requests, (
+        np.array([reply[0] for reply in replies]), [0] * 4,
+        ChainPass.stacked([request[1] for request in requests])))
     for row, (request, reply, served) in enumerate(zip(requests, replies, together)):
-        alone, = sv._Directions(4).serve([row], [request], [reply])
+        alone, = sv._Directions(4).serve([row], [request], reply)
         assert (alone[2] is None) == (request[2][0] == "newton")
         assert alone[:3] + alone[4:] == served[:3] + served[4:]
         assert alone[3].tobytes() == served[3].tobytes()
